@@ -29,7 +29,6 @@ from .rewrite_diff import (
     build_from_interaction,
 )
 from .rewrite_restore import MalformedMatrixError
-from .rouge_eval import CorpusRougeReport
 from .schema_link import SchemaError, build_schema_link_matrix, link_stats
 
 logger = logging.getLogger(__name__)
@@ -81,8 +80,11 @@ def _parallel_map(items, fn: Callable, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _interaction_from_example(ex: dataset_io.RewriteExample) -> Interaction:
-    return ex.as_interaction()
+def _matrix_file_name(example_id: str) -> str:
+    # Example ids name output files, so they must not leave the output directory.
+    if example_id in (".", "..") or "/" in example_id or "\\" in example_id:
+        raise DatasetError(f"id {example_id!r} is not a plain file name")
+    return f"{example_id}.matrix.json"
 
 
 def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
@@ -96,10 +98,10 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
         def build_one(ex: dataset_io.RewriteExample):
             try:
+                name = _matrix_file_name(ex.example_id)
                 matrix = build_from_interaction(
                     ex.as_interaction(), ex.rewrite, policy, args.context_occurrence
                 )
-                name = f"{ex.example_id}.matrix.json"
                 dataset_io.save_matrix(out_dir / name, matrix)
                 return ex.example_id, name, len(matrix.cells), None
             except _OPERATION_ERRORS as exc:

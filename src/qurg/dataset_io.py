@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -41,7 +42,6 @@ __all__ = [
     "FORMAT_VERSION",
     "tokenize",
     "RewriteExample",
-    "Corpus",
     "load_interactions",
     "save_interactions",
     "load_rewrite_corpus",
@@ -111,18 +111,6 @@ class RewriteExample:
         )
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """A loaded example collection with its provenance tag."""
-
-    examples: tuple[RewriteExample, ...]
-    source: str = ""
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {"examples": len(self.examples)}
-
-
 def _dump_canonical(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
 
@@ -131,11 +119,15 @@ def _write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
     Path(path).write_text(_dump_canonical(payload), encoding="utf-8")
 
 
-def _read_json(path: str | Path) -> Any:
+def _parse_json(text: str, path: str | Path) -> Any:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def _read_json(path: str | Path) -> Any:
+    return _parse_json(Path(path).read_text(encoding="utf-8"), path)
 
 
 def _check_version(payload: Any, path: str | Path) -> None:
@@ -147,10 +139,21 @@ def _check_version(payload: Any, path: str | Path) -> None:
         )
 
 
-def _require(record: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in record:
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _expect(value: Any, kind: type, where: str) -> Any:
+    if not isinstance(value, kind):
+        raise DatasetError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def _field(record: Any, key: str, where: str, kind: type | None = None) -> Any:
+    """``record[key]``, checking that ``record`` is an object holding ``key``
+    and, when ``kind`` is given, that the value has that JSON type."""
+    if key not in _expect(record, dict, where):
         raise DatasetError(f"{where}: missing required field {key!r}")
-    return record[key]
+    return record[key] if kind is None else _expect(record[key], kind, where)
 
 
 def load_interactions(path: str | Path, format: str = "native") -> list[Interaction]:
@@ -158,32 +161,27 @@ def load_interactions(path: str | Path, format: str = "native") -> list[Interact
 
     An empty (zero-byte or whitespace-only) file yields an empty list.
     """
+    if format not in ("native", "sparc"):
+        raise ValueError(f"unknown interactions format {format!r}")
     text = Path(path).read_text(encoding="utf-8")
     if not text.strip():
         return []
+    payload = _parse_json(text, path)
     if format == "sparc":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(
-                f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}"
-            ) from exc
-        return convert_sparc_interactions(raw)
-    if format != "native":
-        raise ValueError(f"unknown interactions format {format!r}")
-    payload = _read_json(path)
+        return convert_sparc_interactions(payload)
     _check_version(payload, path)
-    records = _require(payload, "interactions", str(path))
+    records = _field(payload, "interactions", str(path), list)
     out: list[Interaction] = []
     for pos, record in enumerate(records):
         where = f"{path}: interaction {pos}"
-        utterances = _require(record, "utterances", where)
+        utterances = _field(record, "utterances", where, list)
         if not utterances:
             raise DatasetError(f"{where}: empty interaction")
-        turns = [tokenize(u) for u in utterances]
+        turns = [tokenize(_expect(u, str, where)) for u in utterances]
         if not turns[-1]:
             raise DatasetError(f"{where}: current question has no tokens")
-        rewrite = tokenize(record["rewrite"]) if record.get("rewrite") else None
+        rewrite = record.get("rewrite")
+        rewrite = tokenize(_expect(rewrite, str, where)) if rewrite else None
         out.append(
             Interaction(
                 tuple(turns[:-1]),
@@ -212,8 +210,13 @@ def convert_sparc_interactions(raw: Sequence[Mapping[str, Any]]) -> list[Interac
     """Adapt raw SParC/CoSQL-style JSON: every turn of every interaction
     becomes one Interaction with the cumulative preceding turns as context."""
     out: list[Interaction] = []
-    for pos, entry in enumerate(raw):
-        turns = [tokenize(item["utterance"]) for item in entry.get("interaction", [])]
+    for pos, entry in enumerate(_expect(raw, list, "SParC file")):
+        where = f"interaction {pos}"
+        items = _expect(_expect(entry, dict, where).get("interaction", []), list, where)
+        turns = [
+            tokenize(_field(item, "utterance", f"{where}: turn {t + 1}", str))
+            for t, item in enumerate(items)
+        ]
         for t in range(len(turns)):
             if not turns[t]:
                 raise DatasetError(f"interaction {pos}: turn {t + 1} has no tokens")
@@ -245,14 +248,18 @@ def load_rewrite_corpus(path: str | Path) -> list[RewriteExample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{where}: malformed JSON: {exc.msg}") from exc
+            _expect(record, dict, where)
             if "qurg_fmt" in record and record["qurg_fmt"] != FORMAT_VERSION:
                 raise FormatVersionError(
                     f"{where}: unsupported format version {record['qurg_fmt']!r}"
                 )
-            history = [tokenize(turn) for turn in _require(record, "history", where)]
-            question = tokenize(_require(record, "question", where))
-            rewrite = tokenize(_require(record, "rewrite", where))
-            example_id = str(_require(record, "id", where))
+            history = [
+                tokenize(_expect(turn, str, f"{where}: history"))
+                for turn in _field(record, "history", where, list)
+            ]
+            question = tokenize(_field(record, "question", where, str))
+            rewrite = tokenize(_field(record, "rewrite", where, str))
+            example_id = str(_field(record, "id", where))
             if example_id in seen:
                 raise DatasetError(f"{where}: duplicate example id {example_id!r}")
             seen.add(example_id)
@@ -280,8 +287,28 @@ def save_rewrite_corpus(path: str | Path, examples: Iterable[RewriteExample]) ->
             )
 
 
-def _cells_payload(cells: list[tuple[int, int, str]]) -> list[dict[str, Any]]:
-    return [{"i": i, "j": j, "rel": rel} for i, j, rel in cells]
+def _cells_payload(matrix: RewriteEditMatrix | SchemaLinkMatrix) -> list[dict[str, Any]]:
+    return [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()]
+
+
+def _parse_cells(
+    payload: Mapping[str, Any], path: str | Path, size: int, relations: Mapping[str, Enum]
+) -> dict[tuple[int, int], Any]:
+    """The ``cells`` array of a matrix file, each an in-bounds ``(i, j)``
+    with a relation named in ``relations``; a repeated ``(i, j)`` is an error."""
+    cells: dict[tuple[int, int], Any] = {}
+    for pos, cell in enumerate(_field(payload, "cells", str(path), list)):
+        _expect(cell, dict, f"{path}: cell {pos}")
+        i, j, name = cell.get("i"), cell.get("j"), cell.get("rel")
+        rel = relations.get(name) if isinstance(name, str) else None
+        if rel is None:
+            raise DatasetError(f"{path}: cell ({i},{j}) has unknown relation {name!r}")
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < size and 0 <= j < size):
+            raise DatasetError(f"{path}: cell ({i},{j}) out of bounds for size {size}")
+        if (i, j) in cells:
+            raise DatasetError(f"{path}: cell ({i},{j}) appears more than once")
+        cells[(i, j)] = rel
+    return cells
 
 
 def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
@@ -292,9 +319,7 @@ def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
             "qurg_fmt": FORMAT_VERSION,
             "context_tokens": list(matrix.context_tokens),
             "question_tokens": list(matrix.question_tokens),
-            "cells": _cells_payload(
-                [(i, j, rel.value) for i, j, rel in matrix.sorted_cells()]
-            ),
+            "cells": _cells_payload(matrix),
         },
     )
 
@@ -305,40 +330,35 @@ _REWRITE_RELATIONS_BY_NAME = {rel.value: rel for rel in RewriteRelation}
 def load_matrix(path: str | Path) -> RewriteEditMatrix:
     payload = _read_json(path)
     _check_version(payload, path)
-    context = token_seq(_require(payload, "context_tokens", str(path)))
-    question = token_seq(_require(payload, "question_tokens", str(path)))
+    context = token_seq(_field(payload, "context_tokens", str(path)))
+    question = token_seq(_field(payload, "question_tokens", str(path)))
     size = len(context) + len(question)
-    cells: dict[tuple[int, int], RewriteRelation] = {}
-    for cell in _require(payload, "cells", str(path)):
-        i, j, name = cell.get("i"), cell.get("j"), cell.get("rel")
-        rel = _REWRITE_RELATIONS_BY_NAME.get(name)
-        if rel is None:
-            raise DatasetError(f"{path}: cell ({i},{j}) has unknown relation {name!r}")
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < size and 0 <= j < size):
-            raise DatasetError(f"{path}: cell ({i},{j}) out of bounds for size {size}")
-        cells[(i, j)] = rel
+    cells = _parse_cells(payload, path, size, _REWRITE_RELATIONS_BY_NAME)
     return RewriteEditMatrix(context, question, cells)
 
 
+def _schema_payload(schema: Schema) -> dict[str, Any]:
+    return {
+        "tables": [list(name) for name in schema.tables],
+        "columns": [
+            {"name": list(col.name), "table": col.table, "type": col.type}
+            for col in schema.columns
+        ],
+        "primary_keys": sorted(schema.primary_keys),
+        "foreign_keys": [list(fk) for fk in sorted(schema.foreign_keys)],
+    }
+
+
 def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
-    schema = matrix.schema
     _write_json(
         path,
         {
             "qurg_fmt": FORMAT_VERSION,
             "question_tokens": list(matrix.question_tokens),
             "context_tokens": list(matrix.context_tokens),
-            "tables": [list(name) for name in schema.tables],
-            "columns": [
-                {"name": list(col.name), "table": col.table, "type": col.type}
-                for col in schema.columns
-            ],
-            "primary_keys": sorted(schema.primary_keys),
-            "foreign_keys": [list(fk) for fk in sorted(schema.foreign_keys)],
+            **_schema_payload(matrix.schema),
             "relations": list(LINK_RELATION_NAMES),
-            "cells": _cells_payload(
-                [(i, j, rel.value) for i, j, rel in matrix.sorted_cells()]
-            ),
+            "cells": _cells_payload(matrix),
         },
     )
 
@@ -350,33 +370,24 @@ def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:
     payload = _read_json(path)
     _check_version(payload, path)
     schema = _schema_from_payload(payload, path)
-    question = token_seq(_require(payload, "question_tokens", str(path)))
-    context = token_seq(_require(payload, "context_tokens", str(path)))
-    matrix = SchemaLinkMatrix(question, context, schema, {})
-    for cell in _require(payload, "cells", str(path)):
-        i, j, name = cell.get("i"), cell.get("j"), cell.get("rel")
-        rel = _LINK_RELATIONS_BY_NAME.get(name)
-        if rel is None:
-            raise DatasetError(f"{path}: cell ({i},{j}) has unknown relation {name!r}")
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < matrix.size and 0 <= j < matrix.size):
-            raise DatasetError(
-                f"{path}: cell ({i},{j}) out of bounds for size {matrix.size}"
-            )
-        matrix.cells[(i, j)] = rel
+    question = token_seq(_field(payload, "question_tokens", str(path)))
+    context = token_seq(_field(payload, "context_tokens", str(path)))
+    matrix = SchemaLinkMatrix(question, context, schema)
+    matrix.cells.update(_parse_cells(payload, path, matrix.size, _LINK_RELATIONS_BY_NAME))
     return matrix
 
 
 def _schema_from_payload(payload: Mapping[str, Any], path: str | Path) -> Schema:
     columns = tuple(
         Column(
-            token_seq(_require(col, "name", f"{path}: column {idx}")),
-            _require(col, "table", f"{path}: column {idx}"),
+            token_seq(_field(col, "name", f"{path}: column {idx}")),
+            _field(col, "table", f"{path}: column {idx}"),
             col.get("type", "text"),
         )
-        for idx, col in enumerate(_require(payload, "columns", str(path)))
+        for idx, col in enumerate(_field(payload, "columns", str(path)))
     )
     return Schema(
-        tuple(token_seq(name) for name in _require(payload, "tables", str(path))),
+        tuple(token_seq(name) for name in _field(payload, "tables", str(path))),
         columns,
         frozenset(payload.get("primary_keys", ())),
         frozenset(tuple(fk) for fk in payload.get("foreign_keys", ())),
@@ -391,19 +402,7 @@ def load_schema(path: str | Path) -> Schema:
 
 
 def save_schema(path: str | Path, schema: Schema) -> None:
-    _write_json(
-        path,
-        {
-            "qurg_fmt": FORMAT_VERSION,
-            "tables": [list(name) for name in schema.tables],
-            "columns": [
-                {"name": list(col.name), "table": col.table, "type": col.type}
-                for col in schema.columns
-            ],
-            "primary_keys": sorted(schema.primary_keys),
-            "foreign_keys": [list(fk) for fk in sorted(schema.foreign_keys)],
-        },
-    )
+    _write_json(path, {"qurg_fmt": FORMAT_VERSION, **_schema_payload(schema)})
 
 
 def _score_payload(score: RougeScore) -> dict[str, float]:
@@ -429,9 +428,9 @@ def load_rouge_report(path: str | Path) -> CorpusRougeReport:
     _check_version(payload, path)
 
     def score(key: str) -> RougeScore:
-        block = _require(payload, key, str(path))
+        block = _field(payload, key, str(path))
         return RougeScore(block["precision"], block["recall"], block["f1"])
 
     return CorpusRougeReport(
-        score("r1"), score("r2"), score("rl"), _require(payload, "pairs", str(path))
+        score("r1"), score("r2"), score("rl"), _field(payload, "pairs", str(path))
     )

@@ -14,18 +14,20 @@ relations, then sums the two streams position-wise for utterance rows and
 keeps the linking stream's schema rows.
 
 Numerical policy: reductions across sequence positions (softmax
-denominators, attention value sums) use exactly rounded ``math.fsum`` and
-matrix products use broadcast-multiply reductions, so forward passes are
-bitwise deterministic, independent of thread count, and exactly
-equivariant under position permutations.  Backward passes carry analytic
-gradients for the inputs, every weight, and both relation tables.
+denominators, attention value sums) sort their summands before adding
+them, and matrix products use broadcast-multiply reductions, so forward
+passes are bitwise deterministic, independent of thread count, and exactly
+equivariant under position permutations.  A sorted-order sum is not itself
+exactly rounded; it stays within 1e-12 of the exactly rounded sum at the
+sizes the encoder runs.  Backward passes carry analytic gradients for the
+inputs, every weight, and both relation tables.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -138,19 +140,7 @@ class EncoderConfig:
         return _PRECISIONS[self.precision]
 
     def to_dict(self) -> dict:
-        return {
-            "d_x": self.d_x,
-            "d_z": self.d_z,
-            "heads": self.heads,
-            "layers_link": self.layers_link,
-            "layers_rw": self.layers_rw,
-            "d_ff": self.d_ff,
-            "link_relation_count": self.link_relation_count,
-            "rw_relation_count": self.rw_relation_count,
-            "seed": self.seed,
-            "precision": self.precision,
-            "single_fc_ff": self.single_fc_ff,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> EncoderConfig:
@@ -159,6 +149,12 @@ class EncoderConfig:
         if unknown:
             raise ValueError(f"unknown encoder config fields: {sorted(unknown)}")
         return cls(**payload)
+
+
+_ARRAY_NAMES = (
+    "w_q", "w_k", "w_v", "ff_w1", "ff_b1", "ff_w2", "ff_b2",
+    "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "rel_key", "rel_value",
+)
 
 
 @dataclass(eq=False)
@@ -202,10 +198,7 @@ class RatLayerParams:
         return self.rel_key.shape[0]
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name in (
-            "w_q", "w_k", "w_v", "ff_w1", "ff_b1", "ff_w2", "ff_b2",
-            "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "rel_key", "rel_value",
-        ):
+        for name in _ARRAY_NAMES:
             arr = getattr(self, name)
             if arr is not None:
                 yield name, arr
@@ -268,24 +261,24 @@ def _matmul_stable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[None, :, :]).sum(axis=1)
 
 
-def _fsum_rows(terms: np.ndarray) -> np.ndarray:
-    # (n, m, d) -> (n, d): exactly rounded, order-independent sums over m.
-    n, _, d = terms.shape
-    out = np.empty((n, d), dtype=terms.dtype)
-    for i in range(n):
-        block = terms[i]
-        for c in range(d):
-            out[i, c] = math.fsum(block[:, c])
-    return out
+def _sum_positions(terms: np.ndarray) -> np.ndarray:
+    # Sum over the last axis (sequence positions) in sorted order: the
+    # summation order depends only on the values, not on where they sit, so
+    # results are bitwise deterministic and exactly permutation-equivariant.
+    return np.sort(terms, axis=-1).sum(axis=-1)
 
 
-def _row_softmax(e: np.ndarray) -> np.ndarray:
-    shifted = e - e.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    denom = np.empty((ex.shape[0], 1), dtype=ex.dtype)
-    for i in range(ex.shape[0]):
-        denom[i, 0] = math.fsum(ex[i])
-    return ex / denom
+def _with_relations(
+    k: np.ndarray, v: np.ndarray, layer: RatLayerParams, relations: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    # One head's keys and values as seen from each query row: (n, n, w) with
+    # the relation embeddings of cell (i, j) added, or (1, n, w) without.
+    if relations is None:
+        return k[None, :, :], v[None, :, :]
+    return (
+        k[None, :, :] + layer.rel_key[relations],
+        v[None, :, :] + layer.rel_value[relations],
+    )
 
 
 def _layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -343,17 +336,13 @@ def _layer_forward(
     weights = np.empty((heads, n, n), dtype=x.dtype)
     z_parts = []
     for h in range(heads):
-        if relations is None:
-            keyed = k[h][None, :, :]
-            valued = v[h][None, :, :]
-        else:
-            keyed = k[h][None, :, :] + layer.rel_key[relations]
-            valued = v[h][None, :, :] + layer.rel_value[relations]
+        keyed, valued = _with_relations(k[h], v[h], layer, relations)
         e = (q[h][:, None, :] * keyed).sum(axis=-1) / scale
-        alpha = _row_softmax(e)
+        ex = np.exp(e - e.max(axis=-1, keepdims=True))
+        alpha = ex / _sum_positions(ex)[:, None]
         scores[h] = e
         weights[h] = alpha
-        z_parts.append(_fsum_rows(alpha[:, :, None] * valued))
+        z_parts.append(_sum_positions(alpha[:, None, :] * valued.transpose(0, 2, 1)))
     z = np.concatenate(z_parts, axis=1)
 
     y_mid, ln1_xhat, ln1_inv = _layer_norm(x + z, layer.ln1_gain, layer.ln1_bias)
@@ -468,28 +457,20 @@ def layer_backward(
     for h in range(heads):
         d_z = d_p[:, h * width : (h + 1) * width]
         alpha = trace.weights[h]
-        if relations is None:
-            keyed = trace.k[h][None, :, :]
-            valued = trace.v[h][None, :, :]
-        else:
-            keyed = trace.k[h][None, :, :] + layer.rel_key[relations]
-            valued = trace.v[h][None, :, :] + layer.rel_value[relations]
+        keyed, valued = _with_relations(trace.k[h], trace.v[h], layer, relations)
 
         d_alpha = (d_z[:, None, :] * valued).sum(axis=-1)
         d_v = _matmul_stable(alpha.T, d_z)
         if relations is not None:
-            value_terms = alpha[:, :, None] * d_z[:, None, :]
-            for rel_id in np.unique(relations):
-                grads["rel_value"][rel_id] += value_terms[relations == rel_id].sum(axis=0)
+            np.add.at(grads["rel_value"], relations, alpha[:, :, None] * d_z[:, None, :])
 
         d_e = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True))
         d_s = d_e / scale
         d_q = (d_s[:, :, None] * keyed).sum(axis=1)
-        d_k = (d_s[:, :, None] * trace.q[h][:, None, :]).sum(axis=0)
+        key_terms = d_s[:, :, None] * trace.q[h][:, None, :]
+        d_k = key_terms.sum(axis=0)
         if relations is not None:
-            key_terms = d_s[:, :, None] * trace.q[h][:, None, :]
-            for rel_id in np.unique(relations):
-                grads["rel_key"][rel_id] += key_terms[relations == rel_id].sum(axis=0)
+            np.add.at(grads["rel_key"], relations, key_terms)
 
         grads["w_q"][h] = _matmul_stable(x.T, d_q)
         grads["w_k"][h] = _matmul_stable(x.T, d_k)
@@ -845,27 +826,11 @@ def _layer_payload(layer: RatLayerParams) -> dict:
 
 
 def _layer_from_payload(payload: dict, dtype: type) -> RatLayerParams:
-    def arr(name: str) -> np.ndarray | None:
-        if name not in payload:
-            return None
-        return np.asarray(payload[name], dtype=dtype)
-
-    return RatLayerParams(
-        w_q=arr("w_q"),
-        w_k=arr("w_k"),
-        w_v=arr("w_v"),
-        ff_w1=arr("ff_w1"),
-        ff_b1=arr("ff_b1"),
-        ff_w2=arr("ff_w2"),
-        ff_b2=arr("ff_b2"),
-        ln1_gain=arr("ln1_gain"),
-        ln1_bias=arr("ln1_bias"),
-        ln2_gain=arr("ln2_gain"),
-        ln2_bias=arr("ln2_bias"),
-        rel_key=arr("rel_key"),
-        rel_value=arr("rel_value"),
-        single_fc=payload.get("single_fc", False),
-    ).freeze()
+    arrays = {
+        name: np.asarray(payload[name], dtype=dtype) if name in payload else None
+        for name in _ARRAY_NAMES
+    }
+    return RatLayerParams(**arrays, single_fc=payload.get("single_fc", False)).freeze()
 
 
 def save_params(path, params: EncoderParams) -> None:

@@ -89,8 +89,6 @@ class MatchPolicy:
 
 DEFAULT_POLICY = MatchPolicy()
 
-EXACT_POLICY = MatchPolicy(lowercase=False, plural_stem=False)
-
 
 @dataclass(frozen=True)
 class Interaction:
@@ -198,9 +196,6 @@ class RewriteRelation(Enum):
     C_Q_SUB = "C-Q-Sub"
 
 
-REWRITE_RELATION_NAMES = tuple(rel.value for rel in RewriteRelation)
-
-
 @dataclass(frozen=True)
 class RewriteEditMatrix:
     """Sparse square relation matrix over the ``[context; question]`` layout.
@@ -240,9 +235,6 @@ class RewriteEditMatrix:
 
     def sorted_cells(self) -> list[tuple[int, int, RewriteRelation]]:
         return [(i, j, rel) for (i, j), rel in sorted(self.cells.items())]
-
-    def is_context_index(self, i: int) -> bool:
-        return i < self.context_size
 
 
 def lcs(
@@ -421,8 +413,6 @@ def build_rewrite_matrix(
     A virtual end-of-question anchor folds onto the final question token.
     Raises :class:`EditConflictError` when two ops disagree on one cell.
     """
-    context = token_seq(context)
-    question = token_seq(question)
     n_ctx, n_q = len(context), len(question)
     ops = list(ops)
     if ops and n_q == 0:

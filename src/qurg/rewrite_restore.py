@@ -19,7 +19,6 @@ from .rewrite_diff import (
     RewriteEditMatrix,
     RewriteRelation,
     TokenSeq,
-    token_seq,
 )
 
 __all__ = ["MalformedMatrixError", "RestoredQuestion", "recover_ops", "restore"]
@@ -148,8 +147,7 @@ def restore(
     refer to the original question throughout, so operations do not shift
     one another; inserts sharing an anchor are applied in context order.
     """
-    question = token_seq(question)
-    context = token_seq(context)
+    question, context = tuple(question), tuple(context)
     if question != matrix.question_tokens or context != matrix.context_tokens:
         raise ValueError("matrix token sequences do not match the given inputs")
     ops = recover_ops(matrix)

@@ -36,6 +36,10 @@ class SchemaError(ValueError):
     """A schema violates its structural invariants."""
 
 
+def _is_index(value: object, size: int) -> bool:
+    return isinstance(value, int) and 0 <= value < size
+
+
 @dataclass(frozen=True)
 class Column:
     name: TokenSeq
@@ -65,18 +69,18 @@ class Schema:
         for idx, col in enumerate(self.columns):
             if not col.name:
                 raise SchemaError(f"column {idx} has an empty name")
-            if not (0 <= col.table < len(self.tables)):
+            if not _is_index(col.table, len(self.tables)):
                 raise SchemaError(
-                    f"column {idx} references out-of-range table {col.table}"
+                    f"column {idx} references out-of-range table {col.table!r}"
                 )
             if col.type not in COLUMN_TYPES:
                 raise SchemaError(f"column {idx} has unknown type {col.type!r}")
         for pk in self.primary_keys:
-            if not (0 <= pk < len(self.columns)):
-                raise SchemaError(f"primary key column {pk} out of range")
-        for src, dst in self.foreign_keys:
-            if not (0 <= src < len(self.columns) and 0 <= dst < len(self.columns)):
-                raise SchemaError(f"dangling foreign key ({src}, {dst})")
+            if not _is_index(pk, len(self.columns)):
+                raise SchemaError(f"primary key column {pk!r} out of range")
+        for fk in self.foreign_keys:
+            if not (len(fk) == 2 and all(_is_index(c, len(self.columns)) for c in fk)):
+                raise SchemaError(f"dangling foreign key {fk!r}")
 
 
 class LinkRelation(Enum):

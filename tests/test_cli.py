@@ -64,6 +64,19 @@ class TestBuildMatrix:
         e1 = load_matrix(out_dir / "e1.matrix.json")
         assert len(e1.cells) == 6
 
+    def test_corpus_id_must_be_plain_file_name(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"history": [], "question": "a b", "rewrite": "a b", "id": i}) + "\n"
+            for i in ("../../escape", "ok")
+        ))
+        out_dir = tmp_path / "d1" / "d2" / "out"
+        code = run(["build-matrix", "--corpus", str(corpus), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "error: example ../../escape:" in capsys.readouterr().err
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
+        assert written == ["d1/d2/out/index.json", "d1/d2/out/ok.matrix.json"]
+
     def test_corpus_parallel_identical(self, tmp_path, fixtures_dir):
         seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
         corpus = str(fixtures_dir / "corpus_small.jsonl")
@@ -185,6 +198,50 @@ class TestSchemaLink:
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == 1
+
+
+class TestMalformedInputs:
+    """A malformed input file ends in one ``error:`` line and exit code 1."""
+
+    def _assert_clean_failure(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_schema_table_index_not_integer(self, tmp_path, fixtures_dir, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({
+            "qurg_fmt": 1,
+            "tables": [["city"]],
+            "columns": [{"name": ["city", "id"], "table": "0"}],
+        }))
+        self._assert_clean_failure([
+            "schema-link",
+            "--interactions", str(fixtures_dir / "interactions_flights.json"),
+            "--schema", str(schema),
+            "--out", str(tmp_path / "x.json"),
+        ], capsys)
+
+    def test_corpus_history_of_token_lists(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({
+            "history": [["show", "cities"]], "question": "a", "rewrite": "a", "id": "x",
+        }) + "\n")
+        self._assert_clean_failure(
+            ["roundtrip", "--corpus", str(corpus), "--report", str(tmp_path / "r.json")],
+            capsys,
+        )
+
+    def test_sparc_turn_not_an_object(self, tmp_path, fixtures_dir, capsys):
+        sparc = tmp_path / "sparc.json"
+        sparc.write_text(json.dumps([{"database_id": "d", "interaction": [5]}]))
+        self._assert_clean_failure([
+            "schema-link",
+            "--interactions", str(sparc),
+            "--interactions-format", "sparc",
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--out", str(tmp_path / "x.json"),
+        ], capsys)
 
 
 TINY_CONFIG = {

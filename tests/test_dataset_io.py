@@ -207,6 +207,28 @@ class TestMatrixSerialization:
         with pytest.raises(DatasetError, match="out of bounds"):
             load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([5], "expected an object"),
+            (
+                [
+                    {"i": 0, "j": 1, "rel": "C-Q-Ins"},
+                    {"i": 1, "j": 0, "rel": "Q-C-Ins"},
+                    {"i": 0, "j": 1, "rel": "C-Q-Sub"},
+                ],
+                r"\(0,1\) appears more than once",
+            ),
+        ],
+    )
+    def test_malformed_cells_rejected(self, tmp_path, cells, message):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({
+            "qurg_fmt": 1, "context_tokens": ["a"], "question_tokens": ["q"], "cells": cells,
+        }))
+        with pytest.raises(DatasetError, match=message):
+            load_matrix(path)
+
 
 class TestSchemaFiles:
     def test_fixture_counts(self, fixtures_dir):

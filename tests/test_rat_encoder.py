@@ -190,19 +190,26 @@ class TestRatLayer:
     def test_matches_scripted_oracle_with_relations(self):
         rng = np.random.default_rng(4)
         layer = random_layer_params(rng, d_x=2, heads=1, d_ff=3, relation_count=3)
-        x = rng.standard_normal((2, 2))
-        relations = np.array([[0, 2], [1, 0]])
-        y, _ = rat_layer_forward(x, relations, layer)
-        expected = oracles.reference_layer_outputs(x.tolist(), layer, relations.tolist())
-        assert np.abs(y - np.asarray(expected)).max() < 1e-12
+        cases = [(layer, rng.standard_normal((2, 2)), np.array([[0, 2], [1, 0]]))]
+        # Sizes past numpy's 8-term unrolled summation loop, at the default width.
+        wide = random_layer_params(
+            rng, d_x=16, heads=4, d_ff=64, relation_count=len(LINK_RELATION_IDS)
+        )
+        for n in (33, 64):
+            relations = rng.integers(0, wide.relation_count, size=(n, n))
+            cases.append((wide, rng.standard_normal((n, 16)), relations))
+        for layer, x, relations in cases:
+            y, _ = rat_layer_forward(x, relations, layer)
+            expected = oracles.reference_layer_outputs(x.tolist(), layer, relations.tolist())
+            assert np.abs(y - np.asarray(expected)).max() < 1e-12
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(5)
-        params = init_params(TINY)
-        layer = params.link_layers[0]
-        for _ in range(15):
-            n = int(rng.integers(2, 7))
-            x = rng.standard_normal((n, 8))
+        small = init_params(TINY).link_layers[0]
+        wide = init_params(EncoderConfig()).link_layers[0]
+        cases = [(small, int(n)) for n in rng.integers(2, 7, size=15)]
+        for layer, n in cases + [(wide, 33), (wide, 64)]:
+            x = rng.standard_normal((n, layer.d_x))
             relations = rng.integers(0, layer.relation_count, size=(n, n))
             perm = rng.permutation(n)
             y, _ = rat_layer_forward(x, relations, layer)
