@@ -289,8 +289,8 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
     params = rat_encoder.init_params(config)
     if args.save_params:
         rat_encoder.save_params(args.save_params, params)
-    states, link_matrix = rat_encoder.encode_interaction(
-        interaction, schema, matrix, params, keep_traces=args.traces
+    states, _ = rat_encoder.encode_interaction(
+        interaction, schema, matrix, params, _policy_from(args), keep_traces=args.traces
     )
     payload: dict = {
         "qurg_fmt": dataset_io.FORMAT_VERSION,

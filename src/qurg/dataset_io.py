@@ -34,6 +34,7 @@ from .schema_link import (
     LINK_RELATION_NAMES,
     Schema,
     SchemaLinkMatrix,
+    _is_index,
 )
 
 __all__ = [
@@ -139,11 +140,12 @@ def _check_version(payload: Any, path: str | Path) -> None:
         )
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
 def _expect(value: Any, kind: type, where: str) -> Any:
-    if not isinstance(value, kind):
+    # JSON true/false are not integers, although Python's bool subclasses int.
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise DatasetError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
     return value
 
@@ -154,6 +156,11 @@ def _field(record: Any, key: str, where: str, kind: type | None = None) -> Any:
     if key not in _expect(record, dict, where):
         raise DatasetError(f"{where}: missing required field {key!r}")
     return record[key] if kind is None else _expect(record[key], kind, where)
+
+
+def _tokens(value: Any, where: str) -> TokenSeq:
+    """A JSON array of token strings; a bare string is not read as characters."""
+    return token_seq(_expect(tok, str, where) for tok in _expect(value, list, where))
 
 
 def load_interactions(path: str | Path, format: str = "native") -> list[Interaction]:
@@ -303,7 +310,7 @@ def _parse_cells(
         rel = relations.get(name) if isinstance(name, str) else None
         if rel is None:
             raise DatasetError(f"{path}: cell ({i},{j}) has unknown relation {name!r}")
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < size and 0 <= j < size):
+        if not (_is_index(i, size) and _is_index(j, size)):
             raise DatasetError(f"{path}: cell ({i},{j}) out of bounds for size {size}")
         if (i, j) in cells:
             raise DatasetError(f"{path}: cell ({i},{j}) appears more than once")
@@ -330,8 +337,8 @@ _REWRITE_RELATIONS_BY_NAME = {rel.value: rel for rel in RewriteRelation}
 def load_matrix(path: str | Path) -> RewriteEditMatrix:
     payload = _read_json(path)
     _check_version(payload, path)
-    context = token_seq(_field(payload, "context_tokens", str(path)))
-    question = token_seq(_field(payload, "question_tokens", str(path)))
+    context = _tokens(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
+    question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
     size = len(context) + len(question)
     cells = _parse_cells(payload, path, size, _REWRITE_RELATIONS_BY_NAME)
     return RewriteEditMatrix(context, question, cells)
@@ -370,27 +377,33 @@ def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:
     payload = _read_json(path)
     _check_version(payload, path)
     schema = _schema_from_payload(payload, path)
-    question = token_seq(_field(payload, "question_tokens", str(path)))
-    context = token_seq(_field(payload, "context_tokens", str(path)))
+    question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
+    context = _tokens(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
     matrix = SchemaLinkMatrix(question, context, schema)
     matrix.cells.update(_parse_cells(payload, path, matrix.size, _LINK_RELATIONS_BY_NAME))
     return matrix
 
 
 def _schema_from_payload(payload: Mapping[str, Any], path: str | Path) -> Schema:
-    columns = tuple(
-        Column(
-            token_seq(_field(col, "name", f"{path}: column {idx}")),
-            _field(col, "table", f"{path}: column {idx}"),
-            col.get("type", "text"),
+    def column(idx: int, record: Any) -> Column:
+        where = f"{path}: column {idx}"
+        return Column(
+            _tokens(_field(record, "name", where), where),
+            _field(record, "table", where),
+            _expect(record.get("type", "text"), str, where),
         )
-        for idx, col in enumerate(_field(payload, "columns", str(path)))
-    )
+
+    def indices(value: Any, where: str) -> tuple[int, ...]:
+        return tuple(_expect(idx, int, where) for idx in _expect(value, list, where))
+
+    tables = _field(payload, "tables", str(path), list)
+    columns = _field(payload, "columns", str(path), list)
+    foreign_keys = _expect(payload.get("foreign_keys", []), list, f"{path}: foreign_keys")
     return Schema(
-        tuple(token_seq(name) for name in _field(payload, "tables", str(path))),
-        columns,
-        frozenset(payload.get("primary_keys", ())),
-        frozenset(tuple(fk) for fk in payload.get("foreign_keys", ())),
+        tuple(_tokens(name, f"{path}: table {idx}") for idx, name in enumerate(tables)),
+        tuple(column(idx, record) for idx, record in enumerate(columns)),
+        indices(payload.get("primary_keys", []), f"{path}: primary_keys"),
+        tuple(indices(fk, f"{path}: foreign key {idx}") for idx, fk in enumerate(foreign_keys)),
     )
 
 

@@ -57,31 +57,34 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
     return out
 
 
-def _plural_forms(token: str) -> frozenset[str]:
-    # "cities" -> {"cities", "citie", "city"}, "flights" -> {"flights", "flight"}
-    forms = {token}
-    if token.endswith("s") and len(token) > 1:
-        forms.add(token[:-1])
-    if token.endswith("ies") and len(token) > 3:
-        forms.add(token[:-3] + "y")
-    return frozenset(forms)
-
-
 @dataclass(frozen=True)
 class MatchPolicy:
-    """Token-equality policy used for alignment and context grounding.
+    """Token-equality policy used for alignment, grounding and schema linking.
 
     ``lowercase`` folds case before comparing.  ``plural_stem`` additionally
     treats singular/plural surface forms as equal (trailing "s" and the
-    "-ies"/"-y" alternation), so e.g. "city" matches "cities".
+    "-ies"/"-y" alternation), so e.g. "city" matches "cities".  Tokens match
+    when their form sets intersect, which is not transitive: "cities"
+    matches "citie" and "city", which do not match each other.
     """
 
     lowercase: bool = True
     plural_stem: bool = True
 
     def forms(self, token: str) -> frozenset[str]:
+        # "cities" -> {"cities", "citie", "city"}, "flights" -> {"flights", "flight"}
         t = token.lower() if self.lowercase else token
-        return _plural_forms(t) if self.plural_stem else frozenset((t,))
+        forms = {t}
+        if self.plural_stem and t.endswith("s") and len(t) > 1:
+            forms.add(t[:-1])
+            if t.endswith("ies") and len(t) > 3:
+                forms.add(t[:-3] + "y")
+        return frozenset(forms)
+
+    def fold(self, tokens: Iterable[str]) -> tuple[frozenset[str], ...]:
+        """Each token's forms, computed once for a whole sequence; folded
+        tokens ``x`` and ``y`` match when ``not x.isdisjoint(y)``."""
+        return tuple(self.forms(tok) for tok in tokens)
 
     def matches(self, a: str, b: str) -> bool:
         return not self.forms(a).isdisjoint(self.forms(b))
@@ -248,7 +251,8 @@ def lcs(
     tie-break), which keeps downstream anchoring deterministic.
     """
     n, m = len(a), len(b)
-    eq = [[policy.matches(a[i], b[j]) for j in range(m)] for i in range(n)]
+    b_forms = policy.fold(b)
+    eq = [[not x.isdisjoint(y) for y in b_forms] for x in policy.fold(a)]
     # dp[i][j] = LCS length of the suffixes a[i:], b[j:]
     dp = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
@@ -335,21 +339,17 @@ def _left_anchor(pairs: Sequence[tuple[int, int]], coord: int, axis: int) -> int
 
 
 def _find_context_occurrence(
-    context: Sequence[str],
-    span_tokens: Sequence[str],
-    policy: MatchPolicy,
+    context: Sequence[frozenset[str]],
+    span: Sequence[frozenset[str]],
     occurrence: str,
 ) -> tuple[int, int] | None:
-    width = len(span_tokens)
-    hits = [
-        start
-        for start in range(len(context) - width + 1)
-        if all(policy.matches(context[start + k], span_tokens[k]) for k in range(width))
-    ]
-    if not hits:
-        return None
-    start = hits[-1] if occurrence == "last" else hits[0]
-    return start, start + width
+    """The last or first context range matching the folded ``span``."""
+    width = len(span)
+    starts = range(len(context) - width + 1)
+    for start in reversed(starts) if occurrence == "last" else starts:
+        if all(not context[start + k].isdisjoint(span[k]) for k in range(width)):
+            return start, start + width
+    return None
 
 
 def extract_edit_ops(
@@ -375,10 +375,11 @@ def extract_edit_ops(
     # Between two consecutive alignment pairs there is at most one DEL run,
     # so the left anchor index identifies a DEL span uniquely.
     del_by_anchor = {_left_anchor(pairs, span.start, 0): span for span in del_spans}
+    context_forms, rewrite_forms = policy.fold(context), policy.fold(rewrite)
     ops: list[EditOp] = []
     for span in add_spans:
         ctx_range = _find_context_occurrence(
-            context, rewrite[span.start : span.end_exclusive], policy, occurrence
+            context_forms, rewrite_forms[span.start : span.end_exclusive], occurrence
         )
         if ctx_range is None:
             continue

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Sequence
 
 from .rewrite_diff import DEFAULT_POLICY, MatchPolicy, TokenSeq, token_seq
@@ -37,7 +38,8 @@ class SchemaError(ValueError):
 
 
 def _is_index(value: object, size: int) -> bool:
-    return isinstance(value, int) and 0 <= value < size
+    # ``bool`` subclasses ``int``, but true is not index 1.
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
 @dataclass(frozen=True)
@@ -179,23 +181,20 @@ class SchemaLinkMatrix:
 
 
 def _exact_match_pass(
-    segments: list[tuple[int, TokenSeq]],
-    names: Sequence[TokenSeq],
-    policy: MatchPolicy,
-) -> list[tuple[int, int, int]]:
-    """Greedy longest-first exact matching of utterance n-grams to element
-    names; returns (global token index, n-gram width offset, element) hits as
-    (token position, element index) pairs grouped per covered token.
+    segments: Sequence[tuple[int, Sequence[frozenset[str]]]],
+    names: Sequence[Sequence[frozenset[str]]],
+) -> list[tuple[int, int]]:
+    """Greedy longest-first exact matching of folded utterance n-grams to
+    folded element names; returns one (token position, element) pair per
+    token an n-gram covers.
 
     Longer n-grams win over shorter ones; within one length, earlier start
     positions and earlier elements in schema order win.  A token consumed by
     an exact match does not participate in further exact matches of the same
     element family.
     """
-    hits: list[tuple[int, int, int]] = []  # (segment-global token pos, elem, width)
-    if not names:
-        return hits
-    max_len = max(len(name) for name in names)
+    hits: list[tuple[int, int]] = []
+    max_len = max((len(name) for name in names), default=0)
     for base, tokens in segments:
         consumed: set[int] = set()
         for width in range(min(max_len, len(tokens)), 0, -1):
@@ -204,11 +203,10 @@ def _exact_match_pass(
                     continue
                 span = tokens[start : start + width]
                 for elem, name in enumerate(names):
-                    if len(name) != width:
-                        continue
-                    if all(policy.matches(span[k], name[k]) for k in range(width)):
-                        for k in range(width):
-                            hits.append((base + start + k, elem, width))
+                    if len(name) == width and all(
+                        not span[k].isdisjoint(name[k]) for k in range(width)
+                    ):
+                        hits.extend((base + start + k, elem) for k in range(width))
                         consumed.update(range(start, start + width))
                         break
     return hits
@@ -227,71 +225,55 @@ def build_schema_link_matrix(
     elements); partial matches are single tokens equal to one word of a
     multi-word element name, unless an exact match already covers that
     (token, element) pair.  N-grams never span the question/context boundary.
+    Tables and columns are matched independently of each other.  Every
+    cell (i, j) has its mirror cell (j, i) carrying ``LINK_RELATION_MIRROR``.
     """
     question = token_seq(question)
     context = token_seq(context)
     matrix = SchemaLinkMatrix(question, context, schema, {})
     cells = matrix.cells
-    segments = [(0, question), (len(question), context)]
+    segments = [(0, policy.fold(question)), (len(question), policy.fold(context))]
 
     def put(i: int, j: int, rel: LinkRelation) -> None:
         cells[(i, j)] = rel
+        cells[(j, i)] = LINK_RELATION_MIRROR[rel]
 
-    # Utterance <-> table matches.
-    table_cover: set[tuple[int, int]] = set()
-    for tok, elem, _ in _exact_match_pass(segments, schema.tables, policy):
-        put(tok, matrix.table_position(elem), LinkRelation.EXACT_TABLE)
-        put(matrix.table_position(elem), tok, LinkRelation.EXACT_TABLE_REV)
-        table_cover.add((tok, elem))
-    # Utterance <-> column matches.
-    column_names = tuple(col.name for col in schema.columns)
-    column_cover: set[tuple[int, int]] = set()
-    for tok, elem, _ in _exact_match_pass(segments, column_names, policy):
-        put(tok, matrix.column_position(elem), LinkRelation.EXACT_COLUMN)
-        put(matrix.column_position(elem), tok, LinkRelation.EXACT_COLUMN_REV)
-        column_cover.add((tok, elem))
-
-    # Partial matches: one token against one word of a multi-word name.
-    for base, tokens in segments:
-        for offset, tok in enumerate(tokens):
-            pos = base + offset
-            for elem, name in enumerate(schema.tables):
-                if len(name) < 2 or (pos, elem) in table_cover:
-                    continue
-                if any(policy.matches(tok, word) for word in name):
-                    put(pos, matrix.table_position(elem), LinkRelation.PARTIAL_TABLE)
-                    put(matrix.table_position(elem), pos, LinkRelation.PARTIAL_TABLE_REV)
-            for elem, name in enumerate(column_names):
-                if len(name) < 2 or (pos, elem) in column_cover:
-                    continue
-                if any(policy.matches(tok, word) for word in name):
-                    put(pos, matrix.column_position(elem), LinkRelation.PARTIAL_COLUMN)
-                    put(matrix.column_position(elem), pos, LinkRelation.PARTIAL_COLUMN_REV)
+    families = (
+        (schema.tables, matrix.table_offset,
+         LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE),
+        ([col.name for col in schema.columns], matrix.column_offset,
+         LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN),
+    )
+    for names, offset, exact, partial in families:
+        folded = [policy.fold(name) for name in names]
+        covered = set(_exact_match_pass(segments, folded))
+        for pos, elem in covered:
+            put(pos, offset + elem, exact)
+        # Partial matches: one token against any word of a multi-word name.
+        word_forms = [
+            (elem, frozenset().union(*name)) for elem, name in enumerate(folded) if len(name) > 1
+        ]
+        for base, tokens in segments:
+            for k, forms in enumerate(tokens):
+                for elem, words in word_forms:
+                    if (base + k, elem) not in covered and not forms.isdisjoint(words):
+                        put(base + k, offset + elem, partial)
 
     # Schema structure relations.  Foreign keys take precedence over the
     # shared-table relation, primary-key ownership over plain ownership:
-    # one cell holds one relation.
+    # one cell holds one relation.  ``put`` writes both directions, so the
+    # shared-table test need only look at one.
+    tables, columns = matrix.table_offset, matrix.column_offset
     for src, dst in sorted(schema.foreign_keys):
-        put(matrix.column_position(src), matrix.column_position(dst),
-            LinkRelation.FOREIGN_KEY_FORWARD)
-        put(matrix.column_position(dst), matrix.column_position(src),
-            LinkRelation.FOREIGN_KEY_BACKWARD)
+        put(columns + src, columns + dst, LinkRelation.FOREIGN_KEY_FORWARD)
     for idx, col in enumerate(schema.columns):
-        c_pos = matrix.column_position(idx)
-        t_pos = matrix.table_position(col.table)
-        if idx in schema.primary_keys:
-            put(c_pos, t_pos, LinkRelation.PRIMARY_KEY_OF)
-            put(t_pos, c_pos, LinkRelation.HAS_PRIMARY_KEY)
-        else:
-            put(c_pos, t_pos, LinkRelation.COLUMN_BELONGS_TO_TABLE)
-            put(t_pos, c_pos, LinkRelation.TABLE_HAS_COLUMN)
-    for a, col_a in enumerate(schema.columns):
-        for b, col_b in enumerate(schema.columns):
-            if a == b or col_a.table != col_b.table:
-                continue
-            key = (matrix.column_position(a), matrix.column_position(b))
-            if key not in cells:
-                cells[key] = LinkRelation.SAME_TABLE_COLUMNS
+        owner = (LinkRelation.PRIMARY_KEY_OF if idx in schema.primary_keys
+                 else LinkRelation.COLUMN_BELONGS_TO_TABLE)
+        put(columns + idx, tables + col.table, owner)
+    for a, b in combinations(range(len(schema.columns)), 2):
+        same_table = schema.columns[a].table == schema.columns[b].table
+        if same_table and (columns + a, columns + b) not in cells:
+            put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
     return matrix
 
 

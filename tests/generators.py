@@ -5,12 +5,23 @@ from __future__ import annotations
 import random
 
 from qurg.dataset_io import RewriteExample
-from qurg.rewrite_diff import Interaction
+from qurg.rewrite_diff import Interaction, MatchPolicy
 
 VOCAB = [
     "city", "cities", "flight", "flights", "name", "names",
     "show", "me", "all", "of", "the", "most", "?",
 ]
+
+# Case and plural variants: "cities" matches both "citie" and "city", which
+# do not match each other; "buss" and "bus" match only under stemming.
+VARIANT_VOCAB = ["City", "city", "cities", "citie", "bus", "buss", "Bus", "name", "id", "?"]
+
+# Every MatchPolicy setting.
+POLICIES = tuple(
+    MatchPolicy(lowercase, plural_stem)
+    for lowercase in (True, False)
+    for plural_stem in (True, False)
+)
 
 
 def random_tokens(rng: random.Random, lo: int, hi: int, vocab=VOCAB) -> tuple[str, ...]:

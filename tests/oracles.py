@@ -80,6 +80,74 @@ def leftmost_max_alignment(
     return min(al for al in alignments if len(al) == best)
 
 
+def reference_schema_link(question, context, schema, policy) -> dict:
+    """Schema-linking cells ``{(i, j): relation name}`` by brute force over
+    every (n-gram, element) pair, following the rules stated in the
+    ``build_schema_link_matrix`` docstring and using only ``policy.matches``.
+
+    Layout: question, context, tables, columns.  Per element family and
+    per utterance segment, every n-gram equal word by word to a whole
+    element name is a candidate; candidates are taken longest first, then
+    earliest start, then earliest element, skipping any that reuse a token
+    already taken.  A token equal to one word of a multi-word name is a
+    partial match unless that (token, element) pair is exact.
+    """
+    n_q, n_c = len(question), len(context)
+    n_t = len(schema.tables)
+    cells: dict[tuple[int, int], str] = {}
+
+    def pair(i: int, j: int, forward: str, backward: str) -> None:
+        cells[(i, j)] = forward
+        cells[(j, i)] = backward
+
+    families = [
+        ("Table", [list(name) for name in schema.tables], n_q + n_c),
+        ("Column", [list(col.name) for col in schema.columns], n_q + n_c + n_t),
+    ]
+    for family, names, offset in families:
+        exact: set[tuple[int, int]] = set()
+        for base, tokens in ((0, list(question)), (n_q, list(context))):
+            candidates = []
+            for elem, name in enumerate(names):
+                width = len(name)
+                for start in range(len(tokens) - width + 1):
+                    if all(policy.matches(tokens[start + k], name[k]) for k in range(width)):
+                        candidates.append((-width, start, elem))
+            taken: set[int] = set()
+            for neg_width, start, elem in sorted(candidates):
+                span = set(range(start, start - neg_width))
+                if span & taken:
+                    continue
+                taken |= span
+                exact.update((base + pos, elem) for pos in span)
+        for pos, elem in exact:
+            rel = f"Exact-{family}-Match"
+            pair(pos, offset + elem, rel, rel + "-Rev")
+        utterance = list(question) + list(context)
+        for pos, tok in enumerate(utterance):
+            for elem, name in enumerate(names):
+                if len(name) < 2 or (pos, elem) in exact:
+                    continue
+                if any(policy.matches(tok, word) for word in name):
+                    rel = f"Partial-{family}-Match"
+                    pair(pos, offset + elem, rel, rel + "-Rev")
+
+    col_offset = n_q + n_c + n_t
+    for src, dst in sorted(schema.foreign_keys):
+        pair(col_offset + src, col_offset + dst, "Foreign-Key-Forward", "Foreign-Key-Backward")
+    for idx, col in enumerate(schema.columns):
+        if idx in schema.primary_keys:
+            owner = ("Primary-Key-Of", "Has-Primary-Key")
+        else:
+            owner = ("Column-Belongs-To-Table", "Table-Has-Column")
+        pair(col_offset + idx, n_q + n_c + col.table, *owner)
+    for a, col_a in enumerate(schema.columns):
+        for b, col_b in enumerate(schema.columns):
+            if a != b and col_a.table == col_b.table:
+                cells.setdefault((col_offset + a, col_offset + b), "Same-Table-Columns")
+    return cells
+
+
 def clipped_ngram_match(
     candidate: Sequence[str], reference: Sequence[str], n: int
 ) -> int:

@@ -243,6 +243,69 @@ class TestMalformedInputs:
             "--out", str(tmp_path / "x.json"),
         ], capsys)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tables": "ab"},
+            {"tables": ["city", ["flight"]]},
+            {
+                "columns": [{"name": "city", "table": 0}],
+                "primary_keys": [],
+                "foreign_keys": [],
+            },
+            {"foreign_keys": [5]},
+            {"primary_keys": 5},
+            {"primary_keys": [[1]]},
+            {"primary_keys": [True]},
+            {
+                "columns": [{"name": ["city"], "table": True}],
+                "primary_keys": [],
+                "foreign_keys": [],
+            },
+        ],
+        ids=[
+            "tables-string", "table-name-string", "column-name-string", "foreign-key-int",
+            "primary-keys-int", "primary-key-list", "primary-key-true", "column-table-true",
+        ],
+    )
+    def test_malformed_schema_fields(self, tmp_path, fixtures_dir, capsys, change):
+        payload = json.loads((fixtures_dir / "schema_flights.json").read_text())
+        payload.update(change)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(payload))
+        self._assert_clean_failure([
+            "schema-link",
+            "--interactions", str(fixtures_dir / "interactions_flights.json"),
+            "--schema", str(schema),
+            "--out", str(tmp_path / "x.json"),
+        ], capsys)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"context_tokens": "ab"},
+            {"question_tokens": "q"},
+            {"cells": [{"i": 0, "j": 1, "rel": "C-Q-Ins"}, {"i": True, "j": 0, "rel": "Q-C-Ins"}]},
+        ],
+        ids=["context-string", "question-string", "cell-index-true"],
+    )
+    def test_malformed_matrix_fields(self, tmp_path, capsys, change):
+        payload = {"qurg_fmt": 1, "context_tokens": ["a"], "question_tokens": ["q"], "cells": []}
+        payload.update(change)
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps(payload))
+        self._assert_clean_failure(["restore", "--matrix", str(matrix)], capsys)
+
+    @pytest.mark.parametrize("field", ["question_tokens", "context_tokens"])
+    def test_link_matrix_token_string(self, tmp_path, capsys, field):
+        payload = {
+            "qurg_fmt": 1, "question_tokens": ["q"], "context_tokens": [],
+            "tables": [["t"]], "columns": [], "cells": [],
+        }
+        payload[field] = "ab"
+        link = tmp_path / "link.json"
+        link.write_text(json.dumps(payload))
+        self._assert_clean_failure(["stats", "--link-matrix", str(link)], capsys)
 
 TINY_CONFIG = {
     "d_x": 8, "d_z": 8, "heads": 2, "layers_link": 2, "layers_rw": 1, "d_ff": 16,
@@ -324,6 +387,23 @@ class TestEncode:
         from qurg.rat_encoder import load_params
 
         assert load_params(params_path).config.seed == 11
+
+    def test_policy_flags_change_states(self, tmp_path, fixtures_dir):
+        matrix_path, config_path = self._setup(tmp_path, fixtures_dir)
+        states = []
+        for name, flags in (("default.json", []), ("no-stem.json", ["--no-plural-stem"])):
+            out = tmp_path / name
+            assert run([
+                "encode",
+                "--interactions", str(fixtures_dir / "interactions_flights.json"),
+                "--schema", str(fixtures_dir / "schema_flights.json"),
+                "--matrix", str(matrix_path),
+                "--config", str(config_path),
+                "--out", str(out),
+                *flags,
+            ]) == 0
+            states.append(json.loads(out.read_text())["h_final"])
+        assert states[0] != states[1]
 
     def test_encode_requires_inputs(self, tmp_path):
         assert run(["encode", "--out", str(tmp_path / "x.json")]) == 2

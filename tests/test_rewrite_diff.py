@@ -41,6 +41,9 @@ class TestMatchPolicy:
         assert policy.matches("movie", "movies")
         assert policy.matches("Which", "which")
         assert not policy.matches("city", "flight")
+        # Not transitive: "cities" matches both, "citie" and "city" do not match.
+        assert policy.matches("cities", "citie") and policy.matches("cities", "city")
+        assert not policy.matches("citie", "city")
 
     def test_switches(self):
         assert not MatchPolicy(plural_stem=False).matches("city", "cities")
@@ -97,6 +100,13 @@ class TestLcs:
             a = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
             b = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
             assert lcs(a, b) == oracles.leftmost_max_alignment(a, b)
+        # Case and plural variants, where matching is not transitive.
+        for policy in generators.POLICIES:
+            for _ in range(40):
+                a = generators.random_tokens(rng, 0, 6, generators.VARIANT_VOCAB)
+                b = generators.random_tokens(rng, 0, 6, generators.VARIANT_VOCAB)
+                expected = oracles.leftmost_max_alignment(a, b, policy.matches)
+                assert lcs(a, b, policy) == expected
 
     def test_strictly_increasing_and_policy_equal(self):
         rng = random.Random(11)

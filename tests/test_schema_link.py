@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import generators
+import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
 from qurg.rewrite_diff import MatchPolicy
 from qurg.schema_link import (
@@ -254,3 +256,40 @@ class TestInvariants:
         strict = MatchPolicy(lowercase=False)
         matrix = build_schema_link_matrix(("city",), (), schema, strict)
         assert matrix.cells == {}
+
+
+class TestReferenceOracle:
+    """The matrix equals a pairwise brute-force reference under every policy,
+    on words with case and plural variants."""
+
+    def _variant_case(self, rng: random.Random):
+        words = generators.VARIANT_VOCAB
+
+        def name() -> tuple[str, ...]:
+            return tuple(rng.choice(words) for _ in range(rng.randint(1, 3)))
+
+        tables = tuple(name() for _ in range(rng.randint(1, 4)))
+        columns = tuple(
+            Column(name(), rng.randrange(len(tables))) for _ in range(rng.randint(0, 6))
+        )
+        pks = frozenset(idx for idx in range(len(columns)) if rng.random() < 0.3)
+        fks = frozenset(
+            (a, b)
+            for a in range(len(columns))
+            for b in range(len(columns))
+            if rng.random() < 0.15
+        )
+        question = tuple(rng.choice(words + ["the"]) for _ in range(rng.randint(1, 7)))
+        context = tuple(rng.choice(words + ["all"]) for _ in range(rng.randint(0, 9)))
+        return question, context, Schema(tables, columns, pks, fks)
+
+    @pytest.mark.parametrize(
+        "policy", generators.POLICIES, ids=lambda p: f"lower{p.lowercase:d}-stem{p.plural_stem:d}"
+    )
+    def test_matches_bruteforce(self, policy):
+        rng = random.Random(53)
+        for _ in range(150):
+            question, context, schema = self._variant_case(rng)
+            matrix = build_schema_link_matrix(question, context, schema, policy)
+            got = {key: rel.value for key, rel in matrix.cells.items()}
+            assert got == oracles.reference_schema_link(question, context, schema, policy)
