@@ -140,17 +140,22 @@ def _check_version(payload: Any, path: str | Path) -> None:
         )
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+_NUMBER = (int, float)
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer", _NUMBER: "a number",
+}
 
 
-def _expect(value: Any, kind: type, where: str) -> Any:
-    # JSON true/false are not integers, although Python's bool subclasses int.
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
+def _expect(value: Any, kind: type | tuple[type, ...], where: str) -> Any:
+    # JSON true/false are not numbers, although Python's bool subclasses int.
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise DatasetError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
     return value
 
 
-def _field(record: Any, key: str, where: str, kind: type | None = None) -> Any:
+def _field(
+    record: Any, key: str, where: str, kind: type | tuple[type, ...] | None = None
+) -> Any:
     """``record[key]``, checking that ``record`` is an object holding ``key``
     and, when ``kind`` is given, that the value has that JSON type."""
     if key not in _expect(record, dict, where):
@@ -439,11 +444,16 @@ def save_rouge_report(path: str | Path, report: CorpusRougeReport) -> None:
 def load_rouge_report(path: str | Path) -> CorpusRougeReport:
     payload = _read_json(path)
     _check_version(payload, path)
+    where = str(path)
 
     def score(key: str) -> RougeScore:
-        block = _field(payload, key, str(path))
-        return RougeScore(block["precision"], block["recall"], block["f1"])
+        block = _expect(_field(payload, key, where), dict, f"{where}: {key}")
+        return RougeScore(
+            *(float(_field(block, name, f"{where}: {key}", _NUMBER))
+              for name in ("precision", "recall", "f1"))
+        )
 
-    return CorpusRougeReport(
-        score("r1"), score("r2"), score("rl"), _field(payload, "pairs", str(path))
-    )
+    pairs = _expect(_field(payload, "pairs", where), int, f"{where}: pairs")
+    if pairs < 0:
+        raise DatasetError(f"{where}: pairs must be non-negative, got {pairs}")
+    return CorpusRougeReport(score("r1"), score("r2"), score("rl"), pairs)

@@ -113,6 +113,8 @@ class EncoderConfig:
     single_fc_ff: bool = False
 
     def __post_init__(self) -> None:
+        if self.d_x < 1 or (self.d_ff is not None and self.d_ff < 1):
+            raise ValueError("d_x and d_ff must be positive")
         if self.heads < 1 or self.d_z % self.heads != 0:
             raise ValueError("d_z must be a positive multiple of heads")
         if self.d_z != self.d_x:
@@ -144,11 +146,29 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> EncoderConfig:
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        """Build a config from a JSON object, checking each field's JSON type."""
+        if not isinstance(payload, dict):
+            raise ValueError("encoder config must be a JSON object")
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown encoder config fields: {sorted(unknown)}")
+        for name, value in payload.items():
+            # Annotations are strings here (postponed evaluation).
+            kinds, expected = _CONFIG_JSON_TYPES[cls.__dataclass_fields__[name].type]
+            # JSON true/false are not integers, although Python's bool subclasses int.
+            if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+                raise ValueError(
+                    f"encoder config field {name!r} must be {expected}, got {value!r:.40}"
+                )
         return cls(**payload)
+
+
+_CONFIG_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "str": ((str,), "a string"),
+    "bool": ((bool,), "a boolean"),
+}
 
 
 _ARRAY_NAMES = (
@@ -825,12 +845,26 @@ def _layer_payload(layer: RatLayerParams) -> dict:
     return payload
 
 
-def _layer_from_payload(payload: dict, dtype: type) -> RatLayerParams:
-    arrays = {
-        name: np.asarray(payload[name], dtype=dtype) if name in payload else None
-        for name in _ARRAY_NAMES
-    }
-    return RatLayerParams(**arrays, single_fc=payload.get("single_fc", False)).freeze()
+def _layer_from_payload(payload: dict, dtype: type, where: str) -> RatLayerParams:
+    """One layer from its JSON object.  Every array is required, except that
+    ``ff_w2``/``ff_b2`` are absent exactly when ``single_fc`` is true."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where}: expected an object")
+    single_fc = payload.get("single_fc", False)
+    if not isinstance(single_fc, bool):
+        raise ValueError(f"{where}: single_fc must be a boolean")
+    arrays = {}
+    for name in _ARRAY_NAMES:
+        wanted = not (single_fc and name in ("ff_w2", "ff_b2"))
+        if wanted and name not in payload:
+            raise ValueError(f"{where}: missing field {name!r}")
+        if not wanted and name in payload:
+            raise ValueError(f"{where}: field {name!r} must be absent when single_fc is true")
+        try:
+            arrays[name] = np.asarray(payload[name], dtype=dtype) if wanted else None
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: field {name!r} is not a numeric array") from None
+    return RatLayerParams(**arrays, single_fc=single_fc).freeze()
 
 
 def save_params(path, params: EncoderParams) -> None:
@@ -854,12 +888,18 @@ def load_params(path) -> EncoderParams:
 
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("qurg_fmt") != 1 or payload.get("kind") != "qurg-encoder-params":
+    is_params = isinstance(payload, dict) and payload.get("kind") == "qurg-encoder-params"
+    if not is_params or payload.get("qurg_fmt") != 1:
         raise ValueError(f"{path}: not a version-1 encoder parameter file")
-    config = EncoderConfig.from_dict(payload["config"])
+    config = EncoderConfig.from_dict(payload.get("config"))
     dtype = config.np_dtype
-    return EncoderParams(
-        config,
-        tuple(_layer_from_payload(p, dtype) for p in payload["link_layers"]),
-        tuple(_layer_from_payload(p, dtype) for p in payload["rw_layers"]),
-    )
+
+    def layers(key: str) -> tuple[RatLayerParams, ...]:
+        entries = payload.get(key)
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: {key} must be an array of layers")
+        return tuple(
+            _layer_from_payload(p, dtype, f"{path}: {key}[{k}]") for k, p in enumerate(entries)
+        )
+
+    return EncoderParams(config, layers("link_layers"), layers("rw_layers"))

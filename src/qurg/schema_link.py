@@ -6,7 +6,10 @@ cells carry name-match relations (exact n-gram or single-word partial);
 schema-to-schema cells carry structural relations (ownership, shared
 table, foreign keys, primary keys).  Utterance-internal cells are always
 empty: in this architecture utterance-to-utterance relations travel in the
-rewrite matrix instead.
+rewrite matrix instead.  Name matching is a lookup in per-call indexes
+keyed on every word form of every name, with the same tie rule as a scan
+of all names: longest n-gram first, then earliest start, then earliest
+element.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .rewrite_diff import DEFAULT_POLICY, MatchPolicy, TokenSeq, token_seq
 
@@ -180,6 +183,25 @@ class SchemaLinkMatrix:
         return self.column_offset + column_index
 
 
+def _index_by_form(words: Iterable[tuple[int, frozenset[str]]]) -> dict[str, list[int]]:
+    """Map each form of each ``(element, word)`` pair to its elements, in
+    listing order.  Every form is a key of its own: matching is not
+    transitive, so one canonical form per word would miss matches."""
+    index: dict[str, list[int]] = {}
+    for elem, forms in words:
+        for form in forms:
+            index.setdefault(form, []).append(elem)
+    return index
+
+
+def _candidates(index: dict[str, list[int]], forms: frozenset[str]) -> list[int]:
+    """Elements indexed under any of ``forms``, in element order."""
+    found = [index[form] for form in forms if form in index]
+    if len(found) == 1:
+        return found[0]
+    return sorted(set().union(*found))
+
+
 def _exact_match_pass(
     segments: Sequence[tuple[int, Sequence[frozenset[str]]]],
     names: Sequence[Sequence[frozenset[str]]],
@@ -191,21 +213,28 @@ def _exact_match_pass(
     Longer n-grams win over shorter ones; within one length, earlier start
     positions and earlier elements in schema order win.  A token consumed by
     an exact match does not participate in further exact matches of the same
-    element family.
+    element family.  Names are indexed by width and first-word form, so each
+    n-gram is tested only against the names whose first word it matches.
     """
+    widths = sorted({len(name) for name in names}, reverse=True)
+    by_first = {
+        width: _index_by_form(
+            (elem, name[0]) for elem, name in enumerate(names) if len(name) == width
+        )
+        for width in widths
+    }
     hits: list[tuple[int, int]] = []
-    max_len = max((len(name) for name in names), default=0)
     for base, tokens in segments:
         consumed: set[int] = set()
-        for width in range(min(max_len, len(tokens)), 0, -1):
+        for width in widths:
             for start in range(len(tokens) - width + 1):
-                if any(start + k in consumed for k in range(width)):
+                candidates = _candidates(by_first[width], tokens[start])
+                if not candidates or any(start + k in consumed for k in range(width)):
                     continue
                 span = tokens[start : start + width]
-                for elem, name in enumerate(names):
-                    if len(name) == width and all(
-                        not span[k].isdisjoint(name[k]) for k in range(width)
-                    ):
+                for elem in candidates:
+                    name = names[elem]
+                    if all(not span[k].isdisjoint(name[k]) for k in range(1, width)):
                         hits.extend((base + start + k, elem) for k in range(width))
                         consumed.update(range(start, start + width))
                         break
@@ -250,13 +279,13 @@ def build_schema_link_matrix(
         for pos, elem in covered:
             put(pos, offset + elem, exact)
         # Partial matches: one token against any word of a multi-word name.
-        word_forms = [
-            (elem, frozenset().union(*name)) for elem, name in enumerate(folded) if len(name) > 1
-        ]
+        by_word = _index_by_form(
+            (elem, word) for elem, name in enumerate(folded) if len(name) > 1 for word in name
+        )
         for base, tokens in segments:
             for k, forms in enumerate(tokens):
-                for elem, words in word_forms:
-                    if (base + k, elem) not in covered and not forms.isdisjoint(words):
+                for elem in _candidates(by_word, forms):
+                    if (base + k, elem) not in covered:
                         put(base + k, offset + elem, partial)
 
     # Schema structure relations.  Foreign keys take precedence over the
@@ -270,9 +299,12 @@ def build_schema_link_matrix(
         owner = (LinkRelation.PRIMARY_KEY_OF if idx in schema.primary_keys
                  else LinkRelation.COLUMN_BELONGS_TO_TABLE)
         put(columns + idx, tables + col.table, owner)
-    for a, b in combinations(range(len(schema.columns)), 2):
-        same_table = schema.columns[a].table == schema.columns[b].table
-        if same_table and (columns + a, columns + b) not in cells:
+    by_table: dict[int, list[int]] = {}
+    for idx, col in enumerate(schema.columns):
+        by_table.setdefault(col.table, []).append(idx)
+    same_table = sorted(pair for cols in by_table.values() for pair in combinations(cols, 2))
+    for a, b in same_table:
+        if (columns + a, columns + b) not in cells:
             put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
     return matrix
 

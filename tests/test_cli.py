@@ -408,6 +408,28 @@ class TestEncode:
     def test_encode_requires_inputs(self, tmp_path):
         assert run(["encode", "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"seed": "x"},
+            {"heads": True},
+            {"d_ff": 2.5},
+            {"d_x": "a", "d_z": "a"},
+            {"precision": 1},
+            {"single_fc_ff": 1},
+            {"d_x": 0, "d_z": 0},
+            [1],
+        ],
+        ids=repr,
+    )
+    def test_config_of_wrong_type_exits_one(self, tmp_path, capsys, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["encode", "--config", str(config_path), "--check-gradients"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestStats:
     def test_corpus_and_matrix(self, tmp_path, fixtures_dir, capsys):

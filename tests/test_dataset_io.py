@@ -305,6 +305,49 @@ class TestReportSerialization:
         save_rouge_report(path, report)
         assert load_rouge_report(path) == report
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"r1": [1]},
+            {"r2": "x"},
+            {"rl": {"precision": 1.0, "recall": 1.0}},
+            {"r1": {"precision": True, "recall": 1.0, "f1": 1.0}},
+            {"r2": {"precision": "1", "recall": 1.0, "f1": 1.0}},
+            {"rl": {"precision": 1.0, "recall": None, "f1": 1.0}},
+            {"pairs": -1},
+            {"pairs": 1.5},
+            {"pairs": True},
+            {"pairs": "3"},
+        ],
+        ids=repr,
+    )
+    def test_malformed_report_rejected(self, tmp_path, change):
+        path = tmp_path / "report.json"
+        save_rouge_report(path, corpus_rouge([(("a", "b"), ("a", "c"))]))
+        payload = json.loads(path.read_text())
+        payload.update(change)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError):
+            load_rouge_report(path)
+
+    def test_missing_report_field_rejected(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_rouge_report(path, corpus_rouge([]))
+        for key in ("r1", "pairs"):
+            payload = json.loads(path.read_text())
+            del payload[key]
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DatasetError, match=key):
+                load_rouge_report(path)
+
+    def test_integer_scores_load(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_rouge_report(path, corpus_rouge([(("a",), ("a",))]))
+        payload = json.loads(path.read_text())
+        payload["r1"] = {"precision": 1, "recall": 1, "f1": 1}
+        path.write_text(json.dumps(payload))
+        assert load_rouge_report(path).r1.f1 == 1.0
+
     def test_header_documents_normalization(self, tmp_path):
         path = tmp_path / "report.json"
         save_rouge_report(path, corpus_rouge([]))

@@ -100,6 +100,56 @@ class TestInitParams:
             for (name, arr_a), (_, arr_b) in zip(la.named_arrays(), lb.named_arrays()):
                 assert np.array_equal(arr_a, arr_b), name
 
+    def test_single_fc_roundtrip(self, tmp_path):
+        params = init_params(dataclasses.replace(TINY, single_fc_ff=True))
+        path = tmp_path / "params.json"
+        save_params(path, params)
+        loaded = load_params(path)
+        assert loaded.link_layers[0].single_fc and loaded.link_layers[0].ff_w2 is None
+        assert np.array_equal(loaded.rw_layers[0].ff_w1, params.rw_layers[0].ff_w1)
+
+    @pytest.mark.parametrize(
+        "stream, change, field",
+        [
+            ("link_layers", lambda layer: layer.clear(), "w_q"),
+            ("rw_layers", lambda layer: layer.pop("rel_value"), "rel_value"),
+            ("link_layers", lambda layer: layer.pop("ff_b2"), "ff_b2"),
+            ("link_layers", lambda layer: layer.update(single_fc=True), "ff_w2"),
+            ("rw_layers", lambda layer: layer.update(single_fc="yes"), "single_fc"),
+        ],
+        ids=["empty", "no-rel_value", "no-ff_b2", "single_fc-with-ff_w2", "single_fc-not-bool"],
+    )
+    def test_incomplete_layer_rejected(self, tmp_path, stream, change, field):
+        path = tmp_path / "params.json"
+        save_params(path, init_params(TINY))
+        payload = json.loads(path.read_text())
+        change(payload[stream][0])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"{stream}\[0\]: .*{field}"):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: [p], "not a version-1"),
+            (lambda p: {k: v for k, v in p.items() if k != "config"}, "config must be"),
+            (lambda p: {**p, "link_layers": 5}, "link_layers must be an array"),
+            (lambda p: {**p, "rw_layers": p["rw_layers"] + [7]}, r"rw_layers\[1\]: expected an"),
+            (lambda p: {**p, "link_layers": [{**p["link_layers"][0], "w_q": {"a": 1}}]},
+             "'w_q' is not a numeric array"),
+            (lambda p: {**p, "link_layers": [{**p["link_layers"][0], "w_k": [[1.0], [1.0, 2.0]]}]},
+             "'w_k' is not a numeric array"),
+        ],
+        ids=["list", "no-config", "layers-not-array", "layer-not-object", "array-object",
+             "array-ragged"],
+    )
+    def test_malformed_params_file_rejected(self, tmp_path, change, message):
+        path = tmp_path / "params.json"
+        save_params(path, init_params(TINY))
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            load_params(path)
+
     def test_bad_params_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"qurg_fmt": 2}))

@@ -283,6 +283,39 @@ class TestReferenceOracle:
         context = tuple(rng.choice(words + ["all"]) for _ in range(rng.randint(0, 9)))
         return question, context, Schema(tables, columns, pks, fks)
 
+    def _wide_case(self, rng: random.Random):
+        """About 35 names over the variant vocabulary, so many share a
+        first-word form and a width; columns of one table are interleaved
+        with other tables' columns, and one foreign key stays inside a table."""
+        words = generators.VARIANT_VOCAB
+
+        def name() -> tuple[str, ...]:
+            return tuple(rng.choice(words) for _ in range(rng.randint(1, 3)))
+
+        tables = tuple(name() for _ in range(rng.randint(5, 8)))
+        columns = tuple(
+            Column(name(), rng.randrange(len(tables))) for _ in range(rng.randint(25, 32))
+        )
+        a = rng.randrange(len(columns))
+        mates = [b for b, col in enumerate(columns) if col.table == columns[a].table and b != a]
+        fks = {(a, rng.choice(mates) if mates else a)}
+        fks |= {(rng.randrange(len(columns)), rng.randrange(len(columns))) for _ in range(4)}
+        pks = frozenset(rng.sample(range(len(columns)), 4))
+        question = tuple(rng.choice(words + ["the"]) for _ in range(rng.randint(20, 28)))
+        context = tuple(rng.choice(words + ["all"]) for _ in range(rng.randint(20, 36)))
+        return question, context, Schema(tables, columns, pks, frozenset(fks))
+
+    @pytest.mark.parametrize(
+        "policy", generators.POLICIES, ids=lambda p: f"lower{p.lowercase:d}-stem{p.plural_stem:d}"
+    )
+    def test_wide_schema_matches_bruteforce(self, policy):
+        rng = random.Random(71)
+        for _ in range(25):
+            question, context, schema = self._wide_case(rng)
+            matrix = build_schema_link_matrix(question, context, schema, policy)
+            got = {key: rel.value for key, rel in matrix.cells.items()}
+            assert got == oracles.reference_schema_link(question, context, schema, policy)
+
     @pytest.mark.parametrize(
         "policy", generators.POLICIES, ids=lambda p: f"lower{p.lowercase:d}-stem{p.plural_stem:d}"
     )
