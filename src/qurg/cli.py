@@ -2,19 +2,21 @@
 
 Subcommands: build-matrix, restore, roundtrip, rouge, schema-link, encode,
 stats.  Human-readable summaries go to stdout, machine-readable payloads to
-JSON files.  Exit codes: 0 success, 1 operation error, 2 usage error.
-Set QURG_LOG=debug|info for verbose logging (off by default).
+canonical JSON files.  Exit codes: 0 success, 1 operation error, 2 usage
+error.  The corpus commands (``build-matrix --corpus``, ``roundtrip``) run
+their examples one after another in id order; an example that fails is
+reported as ``error: example <id>: ...`` on stderr and makes the exit code
+1, without stopping the others.  Set QURG_LOG=debug|info for verbose logging
+(off by default).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -47,7 +49,8 @@ _OPERATION_ERRORS = (
 class CommandResult:
     exit_code: int
     summary: str
-    payload_path: str | None = None
+    # (example id, message) per failed corpus example; any makes the exit code 1.
+    failures: Sequence[tuple[str, str]] = ()
 
 
 def _policy_from(args: argparse.Namespace) -> MatchPolicy:
@@ -67,17 +70,39 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _pct(value: float) -> str:
-    return f"{100.0 * value:.1f}"
+def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; examples always run sequentially",
+    )
+    parser.add_argument(
+        "--context-occurrence",
+        choices=("last", "first"),
+        default="last",
+        help="which context occurrence grounds a span appearing twice",
+    )
 
 
-def _parallel_map(items, fn: Callable, jobs: int) -> list:
-    """Apply ``fn`` over items, optionally in a thread pool; the result list
-    preserves input order, so outputs are identical to a sequential run."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _f1_summary(report: rouge_eval.CorpusRougeReport) -> str:
+    scores = (("R1", report.r1), ("R2", report.r2), ("RL", report.rl))
+    return " / ".join(f"{name} {100.0 * score.f1:.1f}" for name, score in scores)
+
+
+def _run_examples(
+    examples: Sequence[dataset_io.RewriteExample], fn: Callable
+) -> tuple[list, list[tuple[str, str]]]:
+    """Run ``fn`` over the examples in id order.  Returns the results of the
+    examples that succeeded and ``(id, message)`` for each one that raised
+    an operation error."""
+    results, failures = [], []
+    for ex in sorted(examples, key=lambda ex: ex.example_id):
+        try:
+            results.append(fn(ex))
+        except _OPERATION_ERRORS as exc:
+            failures.append((ex.example_id, str(exc)))
+    return results, failures
 
 
 def _matrix_file_name(example_id: str) -> str:
@@ -96,37 +121,21 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        def build_one(ex: dataset_io.RewriteExample):
-            try:
-                name = _matrix_file_name(ex.example_id)
-                matrix = build_from_interaction(
-                    ex.as_interaction(), ex.rewrite, policy, args.context_occurrence
-                )
-                dataset_io.save_matrix(out_dir / name, matrix)
-                return ex.example_id, name, len(matrix.cells), None
-            except _OPERATION_ERRORS as exc:
-                return ex.example_id, None, 0, str(exc)
+        def build_one(ex: dataset_io.RewriteExample) -> dict:
+            name = _matrix_file_name(ex.example_id)
+            matrix = build_from_interaction(
+                ex.as_interaction(), ex.rewrite, policy, args.context_occurrence
+            )
+            dataset_io.save_matrix(out_dir / name, matrix)
+            return {"id": ex.example_id, "file": name, "cells": len(matrix.cells)}
 
-        rows = _parallel_map(examples, build_one, args.jobs)
-        rows.sort(key=lambda row: row[0])
-        index = {
-            "qurg_fmt": dataset_io.FORMAT_VERSION,
-            "examples": [
-                {"id": ex_id, "file": name, "cells": cells}
-                for ex_id, name, cells, err in rows
-                if err is None
-            ],
-        }
-        index_path = out_dir / "index.json"
-        index_path.write_text(
-            json.dumps(index, ensure_ascii=False, separators=(",", ":")) + "\n",
-            encoding="utf-8",
+        entries, failures = _run_examples(examples, build_one)
+        dataset_io.write_json(
+            out_dir / "index.json",
+            {"qurg_fmt": dataset_io.FORMAT_VERSION, "examples": entries},
         )
-        failures = [(ex_id, err) for ex_id, _, _, err in rows if err is not None]
-        for ex_id, err in failures:
-            print(f"error: example {ex_id}: {err}", file=sys.stderr)
-        summary = f"built {len(rows) - len(failures)}/{len(rows)} matrices -> {out_dir}"
-        return CommandResult(1 if failures else 0, summary, str(index_path))
+        summary = f"built {len(entries)}/{len(examples)} matrices -> {out_dir}"
+        return CommandResult(0, summary, failures)
 
     if args.question is None:
         parser.error("either a question argument or --corpus is required")
@@ -140,9 +149,7 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     interaction = Interaction(turns, question)
     matrix = build_from_interaction(interaction, rewrite, policy, args.context_occurrence)
     dataset_io.save_matrix(args.out, matrix)
-    return CommandResult(
-        0, f"wrote matrix with {len(matrix.cells)} cells -> {args.out}", args.out
-    )
+    return CommandResult(0, f"wrote matrix with {len(matrix.cells)} cells -> {args.out}")
 
 
 def cmd_restore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
@@ -151,48 +158,32 @@ def cmd_restore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Co
         matrix.question_tokens, matrix.context_tokens, matrix
     )
     if args.out:
-        payload = {
-            "qurg_fmt": dataset_io.FORMAT_VERSION,
-            "tokens": list(restored.tokens),
-        }
-        Path(args.out).write_text(
-            json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n",
-            encoding="utf-8",
+        dataset_io.write_json(
+            args.out,
+            {"qurg_fmt": dataset_io.FORMAT_VERSION, "tokens": list(restored.tokens)},
         )
-    return CommandResult(0, restored.text(), args.out)
+    return CommandResult(0, restored.text())
 
 
 def cmd_roundtrip(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
     policy = _policy_from(args)
     examples = dataset_io.load_rewrite_corpus(args.corpus)
 
-    def roundtrip_one(ex: dataset_io.RewriteExample):
-        try:
-            interaction = ex.as_interaction()
-            matrix = build_from_interaction(
-                interaction, ex.rewrite, policy, args.context_occurrence
-            )
-            restored = rewrite_restore.restore(
-                interaction.question, interaction.flat_context(), matrix
-            )
-            return ex.example_id, (restored.tokens, ex.rewrite), None
-        except _OPERATION_ERRORS as exc:
-            return ex.example_id, None, str(exc)
+    def roundtrip_one(ex: dataset_io.RewriteExample) -> tuple:
+        interaction = ex.as_interaction()
+        matrix = build_from_interaction(interaction, ex.rewrite, policy, args.context_occurrence)
+        restored = rewrite_restore.restore(
+            interaction.question, interaction.flat_context(), matrix
+        )
+        return restored.tokens, ex.rewrite
 
-    rows = _parallel_map(examples, roundtrip_one, args.jobs)
-    rows.sort(key=lambda row: row[0])
-    pairs = [pair for _, pair, err in rows if err is None]
-    failures = [(ex_id, err) for ex_id, _, err in rows if err is not None]
+    pairs, failures = _run_examples(examples, roundtrip_one)
     report = rouge_eval.corpus_rouge(pairs)
     dataset_io.save_rouge_report(args.report, report)
-    for ex_id, err in failures:
-        print(f"error: example {ex_id}: {err}", file=sys.stderr)
     summary = (
-        f"roundtrip over {report.pair_count} examples: "
-        f"R1 {_pct(report.r1.f1)} / R2 {_pct(report.r2.f1)} / RL {_pct(report.rl.f1)}"
-        f" -> {args.report}"
+        f"roundtrip over {report.pair_count} examples: {_f1_summary(report)} -> {args.report}"
     )
-    return CommandResult(1 if failures else 0, summary, args.report)
+    return CommandResult(0, summary, failures)
 
 
 def _read_utterance_lines(path: str) -> list[tuple[str, ...]]:
@@ -210,11 +201,7 @@ def cmd_rouge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
     report = rouge_eval.corpus_rouge(list(zip(cand, ref)))
     if args.out:
         dataset_io.save_rouge_report(args.out, report)
-    summary = (
-        f"{report.pair_count} pairs: "
-        f"R1 {_pct(report.r1.f1)} / R2 {_pct(report.r2.f1)} / RL {_pct(report.rl.f1)}"
-    )
-    return CommandResult(0, summary, args.out)
+    return CommandResult(0, f"{report.pair_count} pairs: {_f1_summary(report)}")
 
 
 def _pick_interaction(args: argparse.Namespace) -> Interaction:
@@ -238,18 +225,13 @@ def cmd_schema_link(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         interaction.question, interaction.flat_context(), schema, _policy_from(args)
     )
     dataset_io.save_link_matrix(args.out, matrix)
-    counts = link_stats(matrix)
-    return CommandResult(
-        0,
-        f"wrote linking matrix with {sum(counts.values())} cells -> {args.out}",
-        args.out,
-    )
+    cells = sum(link_stats(matrix).values())
+    return CommandResult(0, f"wrote linking matrix with {cells} cells -> {args.out}")
 
 
 def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            config = rat_encoder.EncoderConfig.from_dict(json.load(handle))
+        config = rat_encoder.EncoderConfig.from_dict(dataset_io.read_json(args.config))
     else:
         config = rat_encoder.EncoderConfig()
     if args.seed is not None:
@@ -303,23 +285,15 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
         "h_final": states.h_final.tolist(),
     }
     if args.traces:
-        payload["link_traces"] = [
-            {"scores": t.scores.tolist(), "weights": t.weights.tolist()}
-            for t in states.link_traces or ()
-        ]
-        payload["rw_traces"] = [
-            {"scores": t.scores.tolist(), "weights": t.weights.tolist()}
-            for t in states.rw_traces or ()
-        ]
-    Path(args.out).write_text(
-        json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+        for key, traces in (("link_traces", states.link_traces), ("rw_traces", states.rw_traces)):
+            payload[key] = [
+                {"scores": t.scores.tolist(), "weights": t.weights.tolist()} for t in traces
+            ]
+    dataset_io.write_json(args.out, payload)
     return CommandResult(
         0,
         f"encoded {states.n_question}+{states.n_context}+{states.n_schema} "
         f"positions -> {args.out}",
-        args.out,
     )
 
 
@@ -355,10 +329,9 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
             "cells": len(link_matrix.cells),
             "relations": link_stats(link_matrix),
         }
-    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    return CommandResult(0, text, args.out)
+        dataset_io.write_json(args.out, payload)
+    return CommandResult(0, dataset_io.dump_canonical(payload).rstrip("\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,13 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="rewrite corpus (JSON lines) for batch mode")
     p.add_argument("--out", help="matrix output path (single mode)")
     p.add_argument("--out-dir", help="output directory (corpus mode)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (corpus mode)")
-    p.add_argument(
-        "--context-occurrence",
-        choices=("last", "first"),
-        default="last",
-        help="which context occurrence grounds a span appearing twice",
-    )
+    _add_corpus_flags(p)
     _add_policy_flags(p)
     p.set_defaults(func=cmd_build_matrix)
 
@@ -396,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--corpus", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument(
-        "--context-occurrence", choices=("last", "first"), default="last"
-    )
+    _add_corpus_flags(p)
     _add_policy_flags(p)
     p.set_defaults(func=cmd_roundtrip)
 
@@ -458,9 +422,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _OPERATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for example_id, message in result.failures:
+        print(f"error: example {example_id}: {message}", file=sys.stderr)
     if result.summary:
         print(result.summary)
-    return result.exit_code
+    return 1 if result.failures else result.exit_code
 
 
 if __name__ == "__main__":

@@ -56,6 +56,9 @@ __all__ = [
     "save_rouge_report",
     "load_rouge_report",
     "convert_sparc_interactions",
+    "dump_canonical",
+    "write_json",
+    "read_json",
 ]
 
 FORMAT_VERSION = 1
@@ -112,12 +115,15 @@ class RewriteExample:
         )
 
 
-def _dump_canonical(payload: Mapping[str, Any]) -> str:
+def dump_canonical(payload: Any) -> str:
+    """The canonical text of a JSON value: compact separators, non-ASCII
+    kept as is, one trailing newline."""
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def _write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
-    Path(path).write_text(_dump_canonical(payload), encoding="utf-8")
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write ``payload`` to ``path`` as canonical UTF-8 JSON."""
+    Path(path).write_text(dump_canonical(payload), encoding="utf-8")
 
 
 def _parse_json(text: str, path: str | Path) -> Any:
@@ -127,7 +133,9 @@ def _parse_json(text: str, path: str | Path) -> Any:
         raise DatasetError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _read_json(path: str | Path) -> Any:
+def read_json(path: str | Path) -> Any:
+    """The JSON value in ``path``; malformed JSON is a ``DatasetError``
+    naming the file."""
     return _parse_json(Path(path).read_text(encoding="utf-8"), path)
 
 
@@ -215,7 +223,7 @@ def save_interactions(path: str | Path, interactions: Sequence[Interaction]) -> 
         if inter.gold_rewrite is not None:
             record["rewrite"] = " ".join(inter.gold_rewrite)
         records.append(record)
-    _write_json(path, {"qurg_fmt": FORMAT_VERSION, "interactions": records})
+    write_json(path, {"qurg_fmt": FORMAT_VERSION, "interactions": records})
 
 
 def convert_sparc_interactions(raw: Sequence[Mapping[str, Any]]) -> list[Interaction]:
@@ -287,7 +295,7 @@ def save_rewrite_corpus(path: str | Path, examples: Iterable[RewriteExample]) ->
     with open(path, "w", encoding="utf-8") as handle:
         for ex in examples:
             handle.write(
-                _dump_canonical(
+                dump_canonical(
                     {
                         "qurg_fmt": FORMAT_VERSION,
                         "history": [" ".join(t) for t in ex.history],
@@ -325,7 +333,7 @@ def _parse_cells(
 
 def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
     """Write a rewrite edit matrix; cells sorted by (i, j) for determinism."""
-    _write_json(
+    write_json(
         path,
         {
             "qurg_fmt": FORMAT_VERSION,
@@ -340,7 +348,7 @@ _REWRITE_RELATIONS_BY_NAME = {rel.value: rel for rel in RewriteRelation}
 
 
 def load_matrix(path: str | Path) -> RewriteEditMatrix:
-    payload = _read_json(path)
+    payload = read_json(path)
     _check_version(payload, path)
     context = _tokens(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
     question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
@@ -362,7 +370,7 @@ def _schema_payload(schema: Schema) -> dict[str, Any]:
 
 
 def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "qurg_fmt": FORMAT_VERSION,
@@ -379,7 +387,7 @@ _LINK_RELATIONS_BY_NAME = {rel.value: rel for rel in LinkRelation}
 
 
 def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:
-    payload = _read_json(path)
+    payload = read_json(path)
     _check_version(payload, path)
     schema = _schema_from_payload(payload, path)
     question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
@@ -414,13 +422,13 @@ def _schema_from_payload(payload: Mapping[str, Any], path: str | Path) -> Schema
 
 def load_schema(path: str | Path) -> Schema:
     """Load a simplified Spider-style schema file; invariants are enforced."""
-    payload = _read_json(path)
+    payload = read_json(path)
     _check_version(payload, path)
     return _schema_from_payload(payload, path)
 
 
 def save_schema(path: str | Path, schema: Schema) -> None:
-    _write_json(path, {"qurg_fmt": FORMAT_VERSION, **_schema_payload(schema)})
+    write_json(path, {"qurg_fmt": FORMAT_VERSION, **_schema_payload(schema)})
 
 
 def _score_payload(score: RougeScore) -> dict[str, float]:
@@ -428,7 +436,7 @@ def _score_payload(score: RougeScore) -> dict[str, float]:
 
 
 def save_rouge_report(path: str | Path, report: CorpusRougeReport) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "qurg_fmt": FORMAT_VERSION,
@@ -442,7 +450,7 @@ def save_rouge_report(path: str | Path, report: CorpusRougeReport) -> None:
 
 
 def load_rouge_report(path: str | Path) -> CorpusRougeReport:
-    payload = _read_json(path)
+    payload = read_json(path)
     _check_version(payload, path)
     where = str(path)
 

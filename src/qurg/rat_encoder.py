@@ -32,6 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .dataset_io import read_json, write_json
 from .rewrite_diff import (
     DEFAULT_POLICY,
     Interaction,
@@ -177,6 +178,30 @@ _ARRAY_NAMES = (
 )
 
 
+def _layer_shapes(
+    d_x: int, heads: int, d_ff: int, relation_count: int, single_fc: bool
+) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of one layer, in ``_ARRAY_NAMES`` order.  In
+    single-FC mode ``ff_w2``/``ff_b2`` are absent and ``ff_w1`` maps d_x to d_x."""
+    width = d_x // heads
+    ff = d_x if single_fc else d_ff
+    shapes = {
+        "w_q": (heads, d_x, width),
+        "w_k": (heads, d_x, width),
+        "w_v": (heads, d_x, width),
+        "ff_w1": (d_x, ff),
+        "ff_b1": (ff,),
+        "ff_w2": (ff, d_x),
+        "ff_b2": (d_x,),
+        **{name: (d_x,) for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")},
+        "rel_key": (relation_count, width),
+        "rel_value": (relation_count, width),
+    }
+    if single_fc:
+        del shapes["ff_w2"], shapes["ff_b2"]
+    return shapes
+
+
 @dataclass(eq=False)
 class RatLayerParams:
     """All learnable tensors of one layer.
@@ -227,6 +252,13 @@ class RatLayerParams:
         for _, arr in self.named_arrays():
             arr.setflags(write=False)
         return self
+
+
+def _layer_of(arrays: dict[str, np.ndarray], single_fc: bool) -> RatLayerParams:
+    """A layer from its arrays by name; ``ff_w2``/``ff_b2`` may be absent."""
+    return RatLayerParams(
+        **{name: arrays.get(name) for name in _ARRAY_NAMES}, single_fc=single_fc
+    )
 
 
 @dataclass(eq=False)
@@ -503,49 +535,32 @@ def layer_backward(
     return grads
 
 
+_WEIGHT_NAMES = frozenset(("w_q", "w_k", "w_v", "ff_w1", "ff_w2", "rel_key", "rel_value"))
+
+
+def _uniform_weight(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Symmetric uniform scaled by 1/sqrt(fan-in); the fan-in of a relation
+    table row is the head width."""
+    bound = 1.0 / math.sqrt(shape[-1] if name.startswith("rel_") else shape[-2])
+    return rng.uniform(-bound, bound, size=shape)
+
+
 def _init_layer(
     rng: np.random.Generator, config: EncoderConfig, relation_count: int
 ) -> RatLayerParams:
     dtype = config.np_dtype
-    d_x, width = config.d_x, config.head_width
-    bound_x = 1.0 / math.sqrt(d_x)
-    bound_r = 1.0 / math.sqrt(width)
-
-    def uniform(shape: tuple[int, ...], bound: float) -> np.ndarray:
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    w_q = uniform((config.heads, d_x, width), bound_x)
-    w_k = uniform((config.heads, d_x, width), bound_x)
-    w_v = uniform((config.heads, d_x, width), bound_x)
-    if config.single_fc_ff:
-        ff_w1 = uniform((d_x, d_x), bound_x)
-        ff_b1 = np.zeros(d_x, dtype=dtype)
-        ff_w2 = ff_b2 = None
-    else:
-        ff_w1 = uniform((d_x, config.ff_width), bound_x)
-        ff_b1 = np.zeros(config.ff_width, dtype=dtype)
-        ff_w2 = uniform((config.ff_width, d_x), 1.0 / math.sqrt(config.ff_width))
-        ff_b2 = np.zeros(d_x, dtype=dtype)
-    rel_key = uniform((relation_count, width), bound_r)
-    rel_value = uniform((relation_count, width), bound_r)
-    rel_key[0] = 0.0
-    rel_value[0] = 0.0
-    return RatLayerParams(
-        w_q=w_q,
-        w_k=w_k,
-        w_v=w_v,
-        ff_w1=ff_w1,
-        ff_b1=ff_b1,
-        ff_w2=ff_w2,
-        ff_b2=ff_b2,
-        ln1_gain=np.ones(d_x, dtype=dtype),
-        ln1_bias=np.zeros(d_x, dtype=dtype),
-        ln2_gain=np.ones(d_x, dtype=dtype),
-        ln2_bias=np.zeros(d_x, dtype=dtype),
-        rel_key=rel_key,
-        rel_value=rel_value,
-        single_fc=config.single_fc_ff,
-    ).freeze()
+    shapes = _layer_shapes(
+        config.d_x, config.heads, config.ff_width, relation_count, config.single_fc_ff
+    )
+    arrays = {}
+    for name, shape in shapes.items():
+        if name in _WEIGHT_NAMES:
+            arrays[name] = _uniform_weight(rng, name, shape).astype(dtype)
+        else:
+            arrays[name] = (np.ones if name.endswith("_gain") else np.zeros)(shape, dtype=dtype)
+    arrays["rel_key"][0] = 0.0
+    arrays["rel_value"][0] = 0.0
+    return _layer_of(arrays, config.single_fc_ff).freeze()
 
 
 def init_params(config: EncoderConfig) -> EncoderParams:
@@ -771,27 +786,16 @@ def random_layer_params(
     """
     if d_x % heads != 0:
         raise ValueError("d_x must be divisible by heads")
-    width = d_x // heads
-
-    def u(shape, bound=1.0):
-        return rng.uniform(-bound, bound, size=shape)
-
-    return RatLayerParams(
-        w_q=u((heads, d_x, width), 1.0 / math.sqrt(d_x)),
-        w_k=u((heads, d_x, width), 1.0 / math.sqrt(d_x)),
-        w_v=u((heads, d_x, width), 1.0 / math.sqrt(d_x)),
-        ff_w1=u((d_x, d_x if single_fc else d_ff), 1.0 / math.sqrt(d_x)),
-        ff_b1=u(d_x if single_fc else d_ff, 0.3),
-        ff_w2=None if single_fc else u((d_ff, d_x), 1.0 / math.sqrt(d_ff)),
-        ff_b2=None if single_fc else u(d_x, 0.3),
-        ln1_gain=rng.uniform(0.5, 1.5, d_x),
-        ln1_bias=u(d_x, 0.5),
-        ln2_gain=rng.uniform(0.5, 1.5, d_x),
-        ln2_bias=u(d_x, 0.5),
-        rel_key=u((relation_count, width), 1.0 / math.sqrt(width)),
-        rel_value=u((relation_count, width), 1.0 / math.sqrt(width)),
-        single_fc=single_fc,
-    )
+    arrays = {}
+    for name, shape in _layer_shapes(d_x, heads, d_ff, relation_count, single_fc).items():
+        if name in _WEIGHT_NAMES:
+            arrays[name] = _uniform_weight(rng, name, shape)
+        elif name.endswith("_gain"):
+            arrays[name] = rng.uniform(0.5, 1.5, shape)
+        else:
+            bound = 0.3 if name.startswith("ff_") else 0.5
+            arrays[name] = rng.uniform(-bound, bound, shape)
+    return _layer_of(arrays, single_fc)
 
 
 def _perturbed(layer: RatLayerParams, name: str, flat_index: int, delta: float) -> RatLayerParams:
@@ -845,61 +849,79 @@ def _layer_payload(layer: RatLayerParams) -> dict:
     return payload
 
 
-def _layer_from_payload(payload: dict, dtype: type, where: str) -> RatLayerParams:
-    """One layer from its JSON object.  Every array is required, except that
-    ``ff_w2``/``ff_b2`` are absent exactly when ``single_fc`` is true."""
+def _layer_from_payload(
+    payload: dict, config: EncoderConfig, relation_count: int, where: str
+) -> RatLayerParams:
+    """One layer from its JSON object.  Every array is required, with the
+    shape ``_layer_shapes`` gives for ``config``, except that
+    ``ff_w2``/``ff_b2`` are absent exactly when ``single_fc`` is true, which
+    it must be exactly when the config's ``single_fc_ff`` is."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where}: expected an object")
     single_fc = payload.get("single_fc", False)
     if not isinstance(single_fc, bool):
         raise ValueError(f"{where}: single_fc must be a boolean")
-    arrays = {}
+    shapes = _layer_shapes(config.d_x, config.heads, config.ff_width, relation_count, single_fc)
     for name in _ARRAY_NAMES:
-        wanted = not (single_fc and name in ("ff_w2", "ff_b2"))
-        if wanted and name not in payload:
+        if name in shapes and name not in payload:
             raise ValueError(f"{where}: missing field {name!r}")
-        if not wanted and name in payload:
+        if name not in shapes and name in payload:
             raise ValueError(f"{where}: field {name!r} must be absent when single_fc is true")
+    if single_fc != config.single_fc_ff:
+        raise ValueError(f"{where}: single_fc is {single_fc}, but single_fc_ff is not")
+    arrays = {}
+    for name, shape in shapes.items():
         try:
-            arrays[name] = np.asarray(payload[name], dtype=dtype) if wanted else None
+            arrays[name] = np.asarray(payload[name], dtype=config.np_dtype)
         except (TypeError, ValueError):
             raise ValueError(f"{where}: field {name!r} is not a numeric array") from None
-    return RatLayerParams(**arrays, single_fc=single_fc).freeze()
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"{where}: field {name!r} has shape {arrays[name].shape}, expected {shape}"
+            )
+    return _layer_of(arrays, single_fc).freeze()
 
 
 def save_params(path, params: EncoderParams) -> None:
     """Serialize a parameter set (versioned JSON, exact float round-trip)."""
-    import json
-
-    payload = {
-        "qurg_fmt": 1,
-        "kind": "qurg-encoder-params",
-        "config": params.config.to_dict(),
-        "link_layers": [_layer_payload(layer) for layer in params.link_layers],
-        "rw_layers": [_layer_payload(layer) for layer in params.rw_layers],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, separators=(",", ":"))
-        handle.write("\n")
+    write_json(
+        path,
+        {
+            "qurg_fmt": 1,
+            "kind": "qurg-encoder-params",
+            "config": params.config.to_dict(),
+            "link_layers": [_layer_payload(layer) for layer in params.link_layers],
+            "rw_layers": [_layer_payload(layer) for layer in params.rw_layers],
+        },
+    )
 
 
 def load_params(path) -> EncoderParams:
-    import json
-
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """Load a parameter set written by :func:`save_params`.  The layer counts
+    and every array shape must agree with the file's config."""
+    payload = read_json(path)
     is_params = isinstance(payload, dict) and payload.get("kind") == "qurg-encoder-params"
     if not is_params or payload.get("qurg_fmt") != 1:
         raise ValueError(f"{path}: not a version-1 encoder parameter file")
     config = EncoderConfig.from_dict(payload.get("config"))
-    dtype = config.np_dtype
 
-    def layers(key: str) -> tuple[RatLayerParams, ...]:
+    def layers(key: str, count_field: str, relation_count: int) -> tuple[RatLayerParams, ...]:
         entries = payload.get(key)
         if not isinstance(entries, list):
             raise ValueError(f"{path}: {key} must be an array of layers")
-        return tuple(
-            _layer_from_payload(p, dtype, f"{path}: {key}[{k}]") for k, p in enumerate(entries)
+        parsed = tuple(
+            _layer_from_payload(p, config, relation_count, f"{path}: {key}[{k}]")
+            for k, p in enumerate(entries)
         )
+        count = getattr(config, count_field)
+        if len(parsed) != count:
+            raise ValueError(
+                f"{path}: {key} holds {len(parsed)} layers, but {count_field} is {count}"
+            )
+        return parsed
 
-    return EncoderParams(config, layers("link_layers"), layers("rw_layers"))
+    return EncoderParams(
+        config,
+        layers("link_layers", "layers_link", config.link_relation_count),
+        layers("rw_layers", "layers_rw", config.rw_relation_count),
+    )

@@ -151,6 +151,89 @@ class TestRoundtrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCorpusFailures:
+    """Both corpus commands run every example, write only the successes and
+    then list the failures on stderr in id order, whatever ``--jobs`` says."""
+
+    # Listed in reverse id order: "z9" and "a0" fail in grounding (a stand-in
+    # for an edit conflict), and "q/bad" cannot name a matrix file.
+    LINES = [
+        ("z9", "which CONFLICT one", "which city one"),
+        ("q/bad", "which one", "which boston one"),
+        ("m5", "and denver ?", "how many flights arrive in denver ?"),
+        ("c1", "what about atlanta ?", "how many flights arrive in atlanta ?"),
+        ("a0", "CONFLICT again", "flights again"),
+    ]
+    CONFLICT = "cell (0,1) assigned both C-Q-Sub and C-Q-Ins"
+
+    @pytest.fixture
+    def corpus(self, tmp_path, monkeypatch):
+        import qurg.cli
+        from qurg.rewrite_diff import EditConflictError
+
+        real = qurg.cli.build_from_interaction
+
+        def build(interaction, *args):
+            if "CONFLICT" in interaction.question:
+                raise EditConflictError(self.CONFLICT)
+            return real(interaction, *args)
+
+        monkeypatch.setattr(qurg.cli, "build_from_interaction", build)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"history": ["how many flights arrive in boston"],
+                        "question": question, "rewrite": rewrite, "id": example_id}) + "\n"
+            for example_id, question, rewrite in self.LINES
+        ))
+        return path
+
+    def run_both(self, argv, out, capsys):
+        """Exit code, stdout, stderr and every output file's bytes, for
+        ``--jobs 1`` and ``--jobs 4`` into the same paths."""
+        import shutil
+
+        results = []
+        for jobs in ("1", "4"):
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            code = run(argv + ["--jobs", jobs])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            results.append((code, captured.out, captured.err, files))
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_build_matrix(self, tmp_path, corpus, capsys):
+        out = tmp_path / "out"
+        code, stdout, stderr, files = self.run_both(
+            ["build-matrix", "--corpus", str(corpus), "--out-dir", str(out)], out, capsys
+        )
+        assert code == 1
+        assert stderr.splitlines() == [
+            f"error: example a0: {self.CONFLICT}",
+            "error: example q/bad: id 'q/bad' is not a plain file name",
+            f"error: example z9: {self.CONFLICT}",
+        ]
+        assert stdout == f"built 2/5 matrices -> {out}\n"
+        index = json.loads(files["index.json"])
+        assert [entry["id"] for entry in index["examples"]] == ["c1", "m5"]
+        assert sorted(files) == ["c1.matrix.json", "index.json", "m5.matrix.json"]
+
+    def test_roundtrip(self, tmp_path, corpus, capsys):
+        out = tmp_path / "out"
+        report = out / "report.json"
+        code, stdout, stderr, _ = self.run_both(
+            ["roundtrip", "--corpus", str(corpus), "--report", str(report)], out, capsys
+        )
+        assert code == 1
+        assert stderr.splitlines() == [
+            f"error: example a0: {self.CONFLICT}",
+            f"error: example z9: {self.CONFLICT}",
+        ]
+        assert stdout.startswith("roundtrip over 3 examples: ")
+        assert load_rouge_report(report).pair_count == 3
+
+
 class TestRouge:
     def test_fixture_pair(self, tmp_path, fixtures_dir, capsys):
         out = tmp_path / "rouge.json"
@@ -429,6 +512,13 @@ class TestEncode:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_malformed_config_names_the_file(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"seed": ')
+        assert run(["encode", "--config", str(config_path), "--check-gradients"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config_path}: malformed JSON at line 1: Expecting value\n"
 
 
 class TestStats:

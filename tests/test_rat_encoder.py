@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
 import generators
 import oracles
+from qurg.dataset_io import DatasetError
 from qurg.rewrite_diff import Interaction, RewriteEditMatrix, build_from_interaction
 from qurg.schema_link import Column, Schema, build_schema_link_matrix
 from qurg.rat_encoder import (
@@ -33,6 +35,13 @@ from qurg.rat_encoder import (
 )
 
 TINY = EncoderConfig(d_x=8, d_z=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
+
+
+def edited_layer(payload, stream, drop=(), **fields):
+    """``payload`` with its first ``stream`` layer's ``drop`` fields removed
+    and ``fields`` set."""
+    layer = {k: v for k, v in payload[stream][0].items() if k not in drop}
+    return {**payload, stream: [{**layer, **fields}, *payload[stream][1:]]}
 
 
 def zeroed_relations(layer):
@@ -139,9 +148,22 @@ class TestInitParams:
              "'w_q' is not a numeric array"),
             (lambda p: {**p, "link_layers": [{**p["link_layers"][0], "w_k": [[1.0], [1.0, 2.0]]}]},
              "'w_k' is not a numeric array"),
+            (lambda p: {**p, "link_layers": p["link_layers"] * 2},
+             "link_layers holds 2 layers, but layers_link is 1"),
+            (lambda p: edited_layer({**p, "config": {**p["config"], "layers_link": 2}},
+                                    "link_layers", w_q=1.0),
+             r"link_layers\[0\]: field 'w_q' has shape \(\), expected \(2, 8, 4\)"),
+            (lambda p: edited_layer(p, "rw_layers", rel_key=p["rw_layers"][0]["rel_key"][:-1]),
+             r"rw_layers\[0\]: field 'rel_key' has shape \(4, 4\), expected \(5, 4\)"),
+            (lambda p: edited_layer(p, "link_layers", drop=("ff_w2", "ff_b2"), single_fc=True),
+             r"link_layers\[0\]: single_fc is True, but single_fc_ff is not"),
+            (lambda p: edited_layer({**p, "config": {**p["config"], "single_fc_ff": True}},
+                                    "link_layers", drop=("ff_w2", "ff_b2"), single_fc=True),
+             r"link_layers\[0\]: field 'ff_w1' has shape \(8, 12\), expected \(8, 8\)"),
         ],
         ids=["list", "no-config", "layers-not-array", "layer-not-object", "array-object",
-             "array-ragged"],
+             "array-ragged", "layer-count", "scalar-w_q", "rel_key-rows", "single_fc-mismatch",
+             "single_fc-ff_w1"],
     )
     def test_malformed_params_file_rejected(self, tmp_path, change, message):
         path = tmp_path / "params.json"
@@ -155,6 +177,24 @@ class TestInitParams:
         path.write_text(json.dumps({"qurg_fmt": 2}))
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"qurg_fmt": 1,')
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: malformed JSON")):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "config",
+        [TINY, dataclasses.replace(TINY, single_fc_ff=True),
+         dataclasses.replace(TINY, precision="single")],
+        ids=["tiny", "single_fc", "single-precision"],
+    )
+    def test_save_load_save_is_byte_identical(self, tmp_path, config):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_params(first, init_params(config))
+        save_params(second, load_params(first))
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestEmbedInputs:
