@@ -21,6 +21,17 @@ equivariant under position permutations.  A sorted-order sum is not itself
 exactly rounded; it stays within 1e-12 of the exactly rounded sum at the
 sizes the encoder runs.  Backward passes carry analytic gradients for the
 inputs, every weight, and both relation tables.
+
+One layer processes all heads together: one projection for every head's
+q, k and v, one gather of each relation table, and one pass each for the
+scores, the softmax and the value sum.  The two position sums associate
+differently.  The value sum adds its sorted terms one after another,
+because the head-width axis is innermost in memory; the softmax
+denominator is numpy's pairwise sum of the sorted row.  Both orders depend
+on the values alone, but ``_sum_positions`` takes its association from the
+memory layout of its input, so every reduction here keeps the layout the
+per-head layer had, and the results are bit for bit those of running the
+heads one at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -317,20 +328,85 @@ def _sum_positions(terms: np.ndarray) -> np.ndarray:
     # Sum over the last axis (sequence positions) in sorted order: the
     # summation order depends only on the values, not on where they sit, so
     # results are bitwise deterministic and exactly permutation-equivariant.
-    return np.sort(terms, axis=-1).sum(axis=-1)
+    # numpy adds the sorted terms pairwise when the last axis is innermost in
+    # memory, and one after another when another axis is.  Sorts ``terms``
+    # in place.
+    terms.sort(axis=-1)
+    return terms.sum(axis=-1)
 
 
-def _with_relations(
-    k: np.ndarray, v: np.ndarray, layer: RatLayerParams, relations: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    # One head's keys and values as seen from each query row: (n, n, w) with
-    # the relation embeddings of cell (i, j) added, or (1, n, w) without.
+def _sum_width(term: Callable[[int], np.ndarray], width: int) -> np.ndarray:
+    # sum(term(c) for c in range(width)), associated exactly as numpy's
+    # .sum(-1) adds a contiguous axis of that length: from +0.0, pairwise with
+    # eight interleaved accumulators (left to right below eight terms), so a
+    # reduction over the head width can run over width slices bit for bit.
+    total = _pairwise(term, 0, width)
+    total += 0.0
+    return total
+
+
+def _pairwise(term: Callable[[int], np.ndarray], start: int, count: int) -> np.ndarray:
+    if count < 8:
+        total = term(start)
+        for c in range(start + 1, start + count):
+            total += term(c)
+        return total
+    if count <= 128:
+        acc = [term(start + r) for r in range(8)]
+        stop = start + count - count % 8
+        for block in range(start + 8, stop, 8):
+            for r in range(8):
+                acc[r] += term(block + r)
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for c in range(stop, start + count):
+            total += term(c)
+        return total
+    half = count // 2 - (count // 2) % 8
+    return _pairwise(term, start, half) + _pairwise(term, start + half, count - half)
+
+
+def _project(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # (G, n, w): x times each (d_x, w) block of weights (G, d_x, w), with the
+    # d_x sum associated as in a product with one block: numpy adds its terms
+    # one after another, but pairwise when the block has a single column.
+    groups, d_x, width = weights.shape
+    if width == 1:
+        return (x[None, :, :, None] * weights[:, None, :, :]).sum(axis=2)
+    flat = _matmul_stable(x, weights.transpose(1, 0, 2).reshape(d_x, groups * width))
+    return np.ascontiguousarray(flat.reshape(-1, groups, width).transpose(1, 0, 2))
+
+
+def _relation_tables(
+    layer: RatLayerParams, relations: np.ndarray | None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    # Both relation embeddings of every cell, width first: (w, n, n) each.
     if relations is None:
-        return k[None, :, :], v[None, :, :]
+        return None, None
     return (
-        k[None, :, :] + layer.rel_key[relations],
-        v[None, :, :] + layer.rel_value[relations],
+        np.take(layer.rel_key.T, relations, axis=1),
+        np.take(layer.rel_value.T, relations, axis=1),
     )
+
+
+def _cell_slice(per_position: np.ndarray, table: np.ndarray | None, c: int) -> np.ndarray:
+    # Width slice c of the keys or values seen from each query row:
+    # per_position[h, c, j] (+ table[c, i, j]), broadcast to (H, n, n).
+    column = per_position[:, c, None, :]
+    return column if table is None else column + table[c]
+
+
+def _cell_terms(per_position: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    # Every width slice at once, (H, w, n, n), with the width axis innermost
+    # in memory as in the per-head products: numpy then sums over j one term
+    # after another (pairwise when w == 1), whatever the number of heads.
+    heads, width, n = per_position.shape
+    dtype = per_position.dtype if table is None else np.result_type(per_position, table)
+    out = np.empty((heads, n, n, width), dtype=dtype).transpose(0, 3, 1, 2)
+    if table is None:
+        out[...] = per_position[:, :, None, :]
+    else:
+        np.add(per_position[:, :, None, :], table, out=out)
+    return out
 
 
 def _layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -355,6 +431,8 @@ def _layer_norm_backward(
 def _check_input(x: np.ndarray, layer: RatLayerParams) -> None:
     if x.ndim != 2 or x.shape[1] != layer.d_x:
         raise ValueError(f"input must be (n, {layer.d_x}), got {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError("input must have at least one row")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
 
@@ -380,22 +458,17 @@ def _layer_forward(
         relations = _check_relations(relations, n, layer.relation_count)
     scale = math.sqrt(width)  # the per-head attention width d_z / H
 
-    q = np.stack([_matmul_stable(x, layer.w_q[h]) for h in range(heads)])
-    k = np.stack([_matmul_stable(x, layer.w_k[h]) for h in range(heads)])
-    v = np.stack([_matmul_stable(x, layer.w_v[h]) for h in range(heads)])
+    q, k, v = np.split(_project(x, np.concatenate((layer.w_q, layer.w_k, layer.w_v))), 3)
+    k_t, v_t = k.transpose(0, 2, 1), v.transpose(0, 2, 1)
+    rel_key, rel_value = _relation_tables(layer, relations)
 
-    scores = np.empty((heads, n, n), dtype=x.dtype)
-    weights = np.empty((heads, n, n), dtype=x.dtype)
-    z_parts = []
-    for h in range(heads):
-        keyed, valued = _with_relations(k[h], v[h], layer, relations)
-        e = (q[h][:, None, :] * keyed).sum(axis=-1) / scale
-        ex = np.exp(e - e.max(axis=-1, keepdims=True))
-        alpha = ex / _sum_positions(ex)[:, None]
-        scores[h] = e
-        weights[h] = alpha
-        z_parts.append(_sum_positions(alpha[:, None, :] * valued.transpose(0, 2, 1)))
-    z = np.concatenate(z_parts, axis=1)
+    scores = _sum_width(lambda c: q[:, :, c, None] * _cell_slice(k_t, rel_key, c), width)
+    scores /= scale
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = ex / _sum_positions(ex.copy())[:, :, None]
+    valued = _cell_terms(v_t, rel_value)
+    valued *= weights[:, None, :, :]
+    z = _sum_positions(valued).transpose(2, 0, 1).reshape(n, heads * width)
 
     y_mid, ln1_xhat, ln1_inv = _layer_norm(x + z, layer.ln1_gain, layer.ln1_bias)
     if layer.single_fc:
@@ -503,33 +576,41 @@ def layer_backward(
     d_p = _layer_norm_backward(d_y_mid, trace.ln1_xhat, trace.ln1_inv, layer.ln1_gain)
     d_x = d_p.copy()
 
-    grads["w_q"] = np.zeros_like(layer.w_q)
-    grads["w_k"] = np.zeros_like(layer.w_k)
-    grads["w_v"] = np.zeros_like(layer.w_v)
+    # Attention, all heads at once; each sum keeps the association the
+    # per-head products had.
+    alpha = trace.weights
+    d_z = np.ascontiguousarray(d_p.reshape(n, heads, width).transpose(1, 0, 2))
+    k_t, v_t = trace.k.transpose(0, 2, 1), trace.v.transpose(0, 2, 1)
+    rel_key, rel_value = _relation_tables(layer, relations)
+
+    d_alpha = _sum_width(lambda c: d_z[:, :, c, None] * _cell_slice(v_t, rel_value, c), width)
+    value_terms = alpha[:, :, :, None] * d_z[:, :, None, :]
+    d_v = value_terms.sum(axis=1)
+
+    d_e = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True))
+    d_s = d_e / scale
+    keyed = _cell_terms(k_t, rel_key)
+    keyed *= d_s[:, None, :, :]
+    d_q = keyed.sum(axis=-1).transpose(0, 2, 1)
+    key_terms = d_s[:, :, :, None] * trace.q[:, :, None, :]
+    d_k = key_terms.sum(axis=1)
+    if relations is not None:
+        # Head-major, as the per-head loop added them.
+        cells = np.broadcast_to(relations, (heads, n, n))
+        np.add.at(grads["rel_value"], cells, value_terms)
+        np.add.at(grads["rel_key"], cells, key_terms)
+
+    # The q/k/v gradients, stacked head-major like the forward projection;
+    # the weight gradients' n sum runs one term after another, as it did per head.
+    d_qkv = np.concatenate((d_q, d_k, d_v))
+    w_qkv = np.concatenate((layer.w_q, layer.w_k, layer.w_v))
+    d_w = _matmul_stable(x.T, d_qkv.transpose(1, 0, 2).reshape(n, 3 * heads * width))
+    d_w = d_w.reshape(layer.d_x, 3 * heads, width).transpose(1, 0, 2)
+    grads["w_q"], grads["w_k"], grads["w_v"] = map(np.ascontiguousarray, np.split(d_w, 3))
+    d_x_terms = _sum_width(lambda c: d_qkv[:, :, c, None] * w_qkv[:, None, :, c], width)
     for h in range(heads):
-        d_z = d_p[:, h * width : (h + 1) * width]
-        alpha = trace.weights[h]
-        keyed, valued = _with_relations(trace.k[h], trace.v[h], layer, relations)
-
-        d_alpha = (d_z[:, None, :] * valued).sum(axis=-1)
-        d_v = _matmul_stable(alpha.T, d_z)
-        if relations is not None:
-            np.add.at(grads["rel_value"], relations, alpha[:, :, None] * d_z[:, None, :])
-
-        d_e = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True))
-        d_s = d_e / scale
-        d_q = (d_s[:, :, None] * keyed).sum(axis=1)
-        key_terms = d_s[:, :, None] * trace.q[h][:, None, :]
-        d_k = key_terms.sum(axis=0)
-        if relations is not None:
-            np.add.at(grads["rel_key"], relations, key_terms)
-
-        grads["w_q"][h] = _matmul_stable(x.T, d_q)
-        grads["w_k"][h] = _matmul_stable(x.T, d_k)
-        grads["w_v"][h] = _matmul_stable(x.T, d_v)
-        d_x += _matmul_stable(d_q, layer.w_q[h].T)
-        d_x += _matmul_stable(d_k, layer.w_k[h].T)
-        d_x += _matmul_stable(d_v, layer.w_v[h].T)
+        for term in d_x_terms[h :: heads]:  # q, k, v of head h, as the per-head loop
+            d_x += term
 
     grads["x"] = d_x
     return grads

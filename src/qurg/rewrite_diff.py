@@ -52,7 +52,7 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
     for tok in out:
         if not isinstance(tok, str) or not tok:
             raise ValueError(f"empty or non-string token: {tok!r}")
-        if any(ch.isspace() for ch in tok):
+        if tok.split() != [tok]:  # the same test as any(ch.isspace() for ch in tok), faster
             raise ValueError(f"token contains whitespace: {tok!r}")
     return out
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written in plain Python (lists, dicts,
 math.fsum) with no reuse of the package's code paths, so agreement between
-the two is meaningful.
+the two is meaningful.  The one exception is the last section: the
+per-head numpy layer that the head-batched encoder layer replaced, kept
+unchanged as a bitwise regression reference.
 """
 
 from __future__ import annotations
@@ -10,6 +12,16 @@ from __future__ import annotations
 import math
 from itertools import combinations
 from typing import Callable, Sequence
+
+import numpy as np
+
+from qurg.rat_encoder import (
+    LAYER_NORM_EPS,
+    AttentionTrace,
+    RatLayerParams,
+    _check_input,
+    _check_relations,
+)
 
 Eq = Callable[[str, str], bool]
 
@@ -258,3 +270,195 @@ def reference_layer_outputs(
             layer_norm([mid[c] + ff[c] for c in range(d_x)], ln2_gain, ln2_bias)
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The relation-aware layer as it ran one head at a time, copied unchanged
+# from ``qurg.rat_encoder`` before the heads were batched.  The package's
+# layer must match it bit for bit: outputs, every trace array and every
+# gradient.
+
+
+def _matmul_stable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (p,q) @ (q,r) without BLAS: per-element reduction trees are identical
+    # for every output row, so row results do not depend on row position.
+    return (a[:, :, None] * b[None, :, :]).sum(axis=1)
+
+def _sum_positions(terms: np.ndarray) -> np.ndarray:
+    # Sum over the last axis (sequence positions) in sorted order: the
+    # summation order depends only on the values, not on where they sit, so
+    # results are bitwise deterministic and exactly permutation-equivariant.
+    return np.sort(terms, axis=-1).sum(axis=-1)
+
+def _with_relations(
+    k: np.ndarray, v: np.ndarray, layer: RatLayerParams, relations: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    # One head's keys and values as seen from each query row: (n, n, w) with
+    # the relation embeddings of cell (i, j) added, or (1, n, w) without.
+    if relations is None:
+        return k[None, :, :], v[None, :, :]
+    return (
+        k[None, :, :] + layer.rel_key[relations],
+        v[None, :, :] + layer.rel_value[relations],
+    )
+
+def _layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    mu = v.mean(axis=-1, keepdims=True)
+    var = v.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = (v - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+def _layer_norm_backward(
+    d_out: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray
+) -> np.ndarray:
+    d_xhat = d_out * gain
+    return inv * (
+        d_xhat
+        - d_xhat.mean(axis=-1, keepdims=True)
+        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
+def per_head_layer_forward(
+    x: np.ndarray, layer: RatLayerParams, relations: np.ndarray | None
+) -> tuple[np.ndarray, AttentionTrace]:
+    _check_input(x, layer)
+    n = x.shape[0]
+    heads, width = layer.heads, layer.head_width
+    if relations is not None:
+        relations = _check_relations(relations, n, layer.relation_count)
+    scale = math.sqrt(width)  # the per-head attention width d_z / H
+
+    q = np.stack([_matmul_stable(x, layer.w_q[h]) for h in range(heads)])
+    k = np.stack([_matmul_stable(x, layer.w_k[h]) for h in range(heads)])
+    v = np.stack([_matmul_stable(x, layer.w_v[h]) for h in range(heads)])
+
+    scores = np.empty((heads, n, n), dtype=x.dtype)
+    weights = np.empty((heads, n, n), dtype=x.dtype)
+    z_parts = []
+    for h in range(heads):
+        keyed, valued = _with_relations(k[h], v[h], layer, relations)
+        e = (q[h][:, None, :] * keyed).sum(axis=-1) / scale
+        ex = np.exp(e - e.max(axis=-1, keepdims=True))
+        alpha = ex / _sum_positions(ex)[:, None]
+        scores[h] = e
+        weights[h] = alpha
+        z_parts.append(_sum_positions(alpha[:, None, :] * valued.transpose(0, 2, 1)))
+    z = np.concatenate(z_parts, axis=1)
+
+    y_mid, ln1_xhat, ln1_inv = _layer_norm(x + z, layer.ln1_gain, layer.ln1_bias)
+    if layer.single_fc:
+        ff_hidden = None
+        ff_out = _matmul_stable(np.maximum(y_mid, 0.0), layer.ff_w1) + layer.ff_b1
+    else:
+        ff_hidden = _matmul_stable(y_mid, layer.ff_w1) + layer.ff_b1
+        ff_out = _matmul_stable(np.maximum(ff_hidden, 0.0), layer.ff_w2) + layer.ff_b2
+    y, ln2_xhat, ln2_inv = _layer_norm(y_mid + ff_out, layer.ln2_gain, layer.ln2_bias)
+
+    trace = AttentionTrace(
+        scores=scores,
+        weights=weights,
+        z=z,
+        y=y,
+        q=q,
+        k=k,
+        v=v,
+        ln1_xhat=ln1_xhat,
+        ln1_inv=ln1_inv,
+        y_mid=y_mid,
+        ff_hidden=ff_hidden,
+        ff_out=ff_out,
+        ln2_xhat=ln2_xhat,
+        ln2_inv=ln2_inv,
+    )
+    return y, trace
+
+
+def per_head_layer_backward(
+    grad_y: np.ndarray,
+    trace: AttentionTrace,
+    x: np.ndarray,
+    relations: np.ndarray | None,
+    layer: RatLayerParams,
+) -> dict[str, np.ndarray]:
+    """Analytic gradients of one layer for the input, all weights, and both
+    relation tables, given the upstream gradient of the layer output.
+
+    Relation-table gradients accumulate over every cell sharing a relation
+    id; ids absent from ``relations`` get zero rows.
+    """
+    _check_input(x, layer)
+    n = x.shape[0]
+    heads, width = layer.heads, layer.head_width
+    if grad_y.shape != trace.y.shape or trace.y.shape != x.shape:
+        raise ValueError("upstream gradient / trace / input shapes disagree")
+    if relations is not None:
+        relations = _check_relations(relations, n, layer.relation_count)
+    scale = math.sqrt(width)
+
+    grads: dict[str, np.ndarray] = {
+        "rel_key": np.zeros_like(layer.rel_key),
+        "rel_value": np.zeros_like(layer.rel_value),
+    }
+
+    # Second layer norm.
+    grads["ln2_gain"] = (grad_y * trace.ln2_xhat).sum(axis=0)
+    grads["ln2_bias"] = grad_y.sum(axis=0)
+    d_u = _layer_norm_backward(grad_y, trace.ln2_xhat, trace.ln2_inv, layer.ln2_gain)
+    d_y_mid = d_u.copy()
+    d_ff_out = d_u
+
+    # Feed-forward block.
+    if layer.single_fc:
+        relu_in = trace.y_mid
+        relu_out = np.maximum(relu_in, 0.0)
+        grads["ff_w1"] = _matmul_stable(relu_out.T, d_ff_out)
+        grads["ff_b1"] = d_ff_out.sum(axis=0)
+        d_y_mid += _matmul_stable(d_ff_out, layer.ff_w1.T) * (relu_in > 0)
+    else:
+        hidden = trace.ff_hidden
+        relu_out = np.maximum(hidden, 0.0)
+        grads["ff_w2"] = _matmul_stable(relu_out.T, d_ff_out)
+        grads["ff_b2"] = d_ff_out.sum(axis=0)
+        d_hidden = _matmul_stable(d_ff_out, layer.ff_w2.T) * (hidden > 0)
+        grads["ff_w1"] = _matmul_stable(trace.y_mid.T, d_hidden)
+        grads["ff_b1"] = d_hidden.sum(axis=0)
+        d_y_mid += _matmul_stable(d_hidden, layer.ff_w1.T)
+
+    # First layer norm; its input is x + z.
+    grads["ln1_gain"] = (d_y_mid * trace.ln1_xhat).sum(axis=0)
+    grads["ln1_bias"] = d_y_mid.sum(axis=0)
+    d_p = _layer_norm_backward(d_y_mid, trace.ln1_xhat, trace.ln1_inv, layer.ln1_gain)
+    d_x = d_p.copy()
+
+    grads["w_q"] = np.zeros_like(layer.w_q)
+    grads["w_k"] = np.zeros_like(layer.w_k)
+    grads["w_v"] = np.zeros_like(layer.w_v)
+    for h in range(heads):
+        d_z = d_p[:, h * width : (h + 1) * width]
+        alpha = trace.weights[h]
+        keyed, valued = _with_relations(trace.k[h], trace.v[h], layer, relations)
+
+        d_alpha = (d_z[:, None, :] * valued).sum(axis=-1)
+        d_v = _matmul_stable(alpha.T, d_z)
+        if relations is not None:
+            np.add.at(grads["rel_value"], relations, alpha[:, :, None] * d_z[:, None, :])
+
+        d_e = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True))
+        d_s = d_e / scale
+        d_q = (d_s[:, :, None] * keyed).sum(axis=1)
+        key_terms = d_s[:, :, None] * trace.q[h][:, None, :]
+        d_k = key_terms.sum(axis=0)
+        if relations is not None:
+            np.add.at(grads["rel_key"], relations, key_terms)
+
+        grads["w_q"][h] = _matmul_stable(x.T, d_q)
+        grads["w_k"][h] = _matmul_stable(x.T, d_k)
+        grads["w_v"][h] = _matmul_stable(x.T, d_v)
+        d_x += _matmul_stable(d_q, layer.w_q[h].T)
+        d_x += _matmul_stable(d_k, layer.w_k[h].T)
+        d_x += _matmul_stable(d_v, layer.w_v[h].T)
+
+    grads["x"] = d_x
+    return grads

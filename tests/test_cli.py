@@ -291,6 +291,19 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_truncated_matrix_file(self, tmp_path, capsys):
+        matrix = tmp_path / "flights.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(matrix)]) == 0
+        data = matrix.read_bytes()
+        for cut in (1, len(data) // 3, len(data) // 2, len(data) - 2):
+            matrix.write_bytes(data[:cut])
+            capsys.readouterr()
+            assert run(["restore", "--matrix", str(matrix)]) == 1, cut
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (cut, captured.err)
+            assert "Traceback" not in captured.err + captured.out, cut
+
     def test_schema_table_index_not_integer(self, tmp_path, fixtures_dir, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -263,6 +264,11 @@ class TestVanillaLayer:
         with pytest.raises(ValueError):
             vanilla_layer_forward(x, params.rw_layers[0])
 
+    def test_empty_input_rejected(self):
+        params = init_params(TINY)
+        with pytest.raises(ValueError, match="^input must have at least one row$"):
+            vanilla_layer_forward(np.zeros((0, 8)), params.rw_layers[0])
+
 
 class TestRatLayer:
     def test_zero_tables_degenerate_to_vanilla(self):
@@ -314,6 +320,12 @@ class TestRatLayer:
         relations = np.full((2, 2), 99)
         with pytest.raises(ValueError):
             rat_layer_forward(x, relations, params.rw_layers[0])
+
+    def test_empty_input_rejected(self):
+        params = init_params(TINY)
+        relations = np.zeros((0, 0), dtype=int)
+        with pytest.raises(ValueError, match="^input must have at least one row$"):
+            rat_layer_forward(np.zeros((0, 8)), relations, params.rw_layers[0])
 
     def test_relation_shape_mismatch_rejected(self):
         params = init_params(TINY)
@@ -386,6 +398,73 @@ class TestLayerBackward:
         y, trace = rat_layer_forward(x, relations, layer)
         with pytest.raises(ValueError):
             layer_backward(np.zeros((2, 8)), trace, x, relations, layer)
+
+
+def assert_bitwise(actual, expected, what):
+    if expected is None:
+        assert actual is None, what
+        return
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape, what
+    assert np.array_equal(actual, expected), what
+    assert actual.tobytes() == expected.tobytes(), f"{what}: signed zeros differ"
+
+
+def assert_matches_per_head(x, relations, layer, grad_y, case):
+    if relations is None:
+        y, trace = vanilla_layer_forward(x, layer)
+    else:
+        y, trace = rat_layer_forward(x, relations, layer)
+    y_ref, trace_ref = oracles.per_head_layer_forward(x, layer, relations)
+    assert_bitwise(y, y_ref, f"{case}: y")
+    for field in dataclasses.fields(trace):
+        name = field.name
+        assert_bitwise(getattr(trace, name), getattr(trace_ref, name), f"{case}: trace.{name}")
+    grads = layer_backward(grad_y, trace, x, relations, layer)
+    grads_ref = oracles.per_head_layer_backward(grad_y, trace_ref, x, relations, layer)
+    assert grads.keys() == grads_ref.keys(), case
+    for name in grads_ref:
+        assert_bitwise(grads[name], grads_ref[name], f"{case}: grad {name}")
+
+
+class TestHeadBatchedMatchesPerHead:
+    """The layer processes all heads together; it must reproduce the layer
+    that ran one head at a time bit for bit, so that a change of memory
+    layout or summation order fails here instead of drifting by one ulp."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 64, 123])
+    @pytest.mark.parametrize("heads", [1, 2, 4, 16])  # head widths 16, 8, 4 and 1
+    def test_outputs_traces_and_gradients(self, n, heads):
+        rng = np.random.default_rng(1000 * n + heads)
+        for with_relations, dtype, single_fc in itertools.product(
+            (False, True), (np.float64, np.float32), (False, True)
+        ):
+            layer = random_layer_params(
+                rng, d_x=16, heads=heads, d_ff=24, relation_count=7, single_fc=single_fc
+            )
+            layer = dataclasses.replace(
+                layer, **{name: arr.astype(dtype) for name, arr in layer.named_arrays()}
+            )
+            x = rng.standard_normal((n, 16)).astype(dtype)
+            relations = rng.integers(0, 7, size=(n, n)) if with_relations else None
+            grad_y = rng.standard_normal((n, 16)).astype(dtype)
+            case = f"relations={with_relations} {np.dtype(dtype)} single_fc={single_fc}"
+            assert_matches_per_head(x, relations, layer, grad_y, case)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4, 16])
+    def test_signed_zeros(self, heads):
+        # Zero input rows give zero queries, so whole score sums consist of
+        # -0.0 terms; numpy's reductions start from +0.0, and so must the
+        # batched ones.
+        rng = np.random.default_rng(heads)
+        for with_relations in (False, True):
+            layer = random_layer_params(rng, d_x=16, heads=heads, d_ff=9, relation_count=4)
+            x = rng.standard_normal((12, 16))
+            x[::3] = 0.0
+            x[1::4] = -0.0
+            relations = rng.integers(0, 4, size=(12, 12)) if with_relations else None
+            grad_y = np.zeros((12, 16))
+            grad_y[::2] = rng.standard_normal((6, 16))
+            assert_matches_per_head(x, relations, layer, grad_y, f"relations={with_relations}")
 
 
 def tiny_encode_case(seed: int):

@@ -65,6 +65,19 @@ class TestTokenSeq:
         with pytest.raises(ValueError):
             token_seq(["two words"])
 
+    def test_whitespace_test_agrees_with_isspace_on_every_code_point(self):
+        # token_seq tests ``tok.split() != [tok]``; it must reject exactly the
+        # tokens holding a character for which str.isspace() is true.
+        for cp in range(0x110000):
+            ch = chr(cp)
+            for tok in (ch, f"a{ch}b"):
+                has_space = any(c.isspace() for c in tok)
+                assert (tok.split() != [tok]) == has_space, hex(cp)
+        for tok in ("\u00a0", "x\u3000", "\x1c"):
+            with pytest.raises(ValueError, match="^token contains whitespace: "):
+                token_seq([tok])
+        assert token_seq(["\u200b", "x\ufeff"]) == ("\u200b", "x\ufeff")
+
 
 class TestLcs:
     def test_paper_example(self):
