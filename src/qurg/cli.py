@@ -6,8 +6,13 @@ canonical JSON files.  Exit codes: 0 success, 1 operation error, 2 usage
 error.  The corpus commands (``build-matrix --corpus``, ``roundtrip``) run
 their examples one after another in id order; an example that fails is
 reported as ``error: example <id>: ...`` on stderr and makes the exit code
-1, without stopping the others.  Set QURG_LOG=debug|info for verbose logging
-(off by default).
+1, without stopping the others.  Their summary files (``index.json``, the
+``roundtrip`` report) are written last, through a temporary file that
+then replaces the target, so a run that fails or is interrupted never
+leaves a half-written one: an ``index.json`` that exists was written by a
+run that finished.  Nothing is synced to disk, so this does not hold
+across a power loss or a kernel crash.  Set QURG_LOG=debug|info for
+verbose logging (off by default).
 """
 
 from __future__ import annotations
@@ -130,9 +135,12 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             return {"id": ex.example_id, "file": name, "cells": len(matrix.cells)}
 
         entries, failures = _run_examples(examples, build_one)
+        # The index is written last and atomically: it is the record that
+        # the run finished, and it names only matrices that were written.
         dataset_io.write_json(
             out_dir / "index.json",
             {"qurg_fmt": dataset_io.FORMAT_VERSION, "examples": entries},
+            atomic=True,
         )
         summary = f"built {len(entries)}/{len(examples)} matrices -> {out_dir}"
         return CommandResult(0, summary, failures)

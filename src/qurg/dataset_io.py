@@ -15,6 +15,8 @@ matching policies decide about case folding later.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -121,9 +123,39 @@ def dump_canonical(payload: Any) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def write_json(path: str | Path, payload: Any) -> None:
-    """Write ``payload`` to ``path`` as canonical UTF-8 JSON."""
-    Path(path).write_text(dump_canonical(payload), encoding="utf-8")
+def write_json(path: str | Path, payload: Any, *, atomic: bool = False) -> None:
+    """Write ``payload`` to ``path`` as canonical UTF-8 JSON.
+
+    With ``atomic``, the text goes to a temporary file beside ``path`` that
+    then replaces it, keeping the old file's permission bits.  A write that
+    fails inside the process (an exception, a full disk, an interrupt)
+    keeps whatever was there before and removes the temporary file.
+    Nothing is synced to disk, so a power loss or a kernel crash can still
+    lose the new text.  A symbolic link, or a target that is not a regular
+    file (``/dev/stdout``), is written in place: replacing it would replace
+    the link or the device.  Replacing costs much more than overwriting in
+    place: with every matrix file replaced, ``build-matrix --corpus`` took
+    about 40% more CPU per example on a 2-vCPU virtual machine.  So only
+    the files that record a finished run take it.
+    """
+    path = Path(path)
+    text = dump_canonical(payload)
+    try:
+        mode = os.lstat(path).st_mode if atomic else None
+    except OSError:
+        mode = None
+    if not atomic or (mode is not None and not stat.S_ISREG(mode)):
+        path.write_text(text, encoding="utf-8")
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_json(text: str, path: str | Path) -> Any:
@@ -131,6 +163,8 @@ def _parse_json(text: str, path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise DatasetError(f"{path}: JSON nested too deeply") from None
 
 
 def read_json(path: str | Path) -> Any:
@@ -436,6 +470,7 @@ def _score_payload(score: RougeScore) -> dict[str, float]:
 
 
 def save_rouge_report(path: str | Path, report: CorpusRougeReport) -> None:
+    """Write a score report atomically: it records a finished run."""
     write_json(
         path,
         {
@@ -446,6 +481,7 @@ def save_rouge_report(path: str | Path, report: CorpusRougeReport) -> None:
             "rl": _score_payload(report.rl),
             "pairs": report.pair_count,
         },
+        atomic=True,
     )
 
 

@@ -46,8 +46,11 @@ class EditConflictError(ValueError):
 def token_seq(tokens: Iterable[str]) -> TokenSeq:
     """Validate and freeze a token sequence.
 
-    Tokens must be non-empty strings without internal whitespace.
+    Tokens must be non-empty strings without internal whitespace.  A bare
+    string is rejected rather than split into one-letter tokens.
     """
+    if isinstance(tokens, str):
+        raise ValueError(f"expected a sequence of tokens, got the string {tokens!r}")
     out = tuple(tokens)
     for tok in out:
         if not isinstance(tok, str) or not tok:

@@ -6,10 +6,12 @@ cells carry name-match relations (exact n-gram or single-word partial);
 schema-to-schema cells carry structural relations (ownership, shared
 table, foreign keys, primary keys).  Utterance-internal cells are always
 empty: in this architecture utterance-to-utterance relations travel in the
-rewrite matrix instead.  Name matching is a lookup in per-call indexes
-keyed on every word form of every name, with the same tie rule as a scan
-of all names: longest n-gram first, then earliest start, then earliest
-element.
+rewrite matrix instead.  Name matching is a lookup in indexes keyed on
+every word form of every name, with the same tie rule as a scan of all
+names: longest n-gram first, then earliest start, then earliest element.
+The folded names, the indexes and the structure cells depend only on the
+schema and the match policy, so each schema builds them once per policy,
+on first use, and keeps them for every later call.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from typing import Iterable, NamedTuple, Sequence
 
 from .rewrite_diff import DEFAULT_POLICY, MatchPolicy, TokenSeq, token_seq
 
@@ -45,6 +47,13 @@ def _is_index(value: object, size: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
+def _name(tokens: Iterable[str], where: str) -> TokenSeq:
+    try:
+        return token_seq(tokens)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Column:
     name: TokenSeq
@@ -62,12 +71,25 @@ class Schema:
     foreign_keys: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", tuple(token_seq(t) for t in self.tables))
-        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(
+            self, "tables", tuple(_name(t, f"table {idx}") for idx, t in enumerate(self.tables))
+        )
+        object.__setattr__(
+            self,
+            "columns",
+            tuple(
+                Column(_name(col.name, f"column {idx}"), col.table, col.type)
+                for idx, col in enumerate(self.columns)
+            ),
+        )
         object.__setattr__(self, "primary_keys", frozenset(self.primary_keys))
         object.__setattr__(
             self, "foreign_keys", frozenset(tuple(fk) for fk in self.foreign_keys)
         )
+        # Link plans per match policy, built on first use by
+        # ``build_schema_link_matrix``.  Not a field: ``==``, ``hash`` and
+        # ``repr`` ignore it, and ``dataclasses.replace`` starts a new one.
+        object.__setattr__(self, "_link_plans", {})
         for name in self.tables:
             if not name:
                 raise SchemaError("table names must be non-empty")
@@ -194,17 +216,93 @@ def _index_by_form(words: Iterable[tuple[int, frozenset[str]]]) -> dict[str, lis
     return index
 
 
-def _candidates(index: dict[str, list[int]], forms: frozenset[str]) -> list[int]:
+def _candidates(index: dict[str, list[int]], forms: frozenset[str]) -> Sequence[int]:
     """Elements indexed under any of ``forms``, in element order."""
-    found = [index[form] for form in forms if form in index]
-    if len(found) == 1:
-        return found[0]
-    return sorted(set().union(*found))
+    found: Sequence[int] = ()
+    for form in forms:
+        hit = index.get(form)
+        if hit is not None:
+            found = sorted({*found, *hit}) if found else hit
+    return found
+
+
+class _FamilyPlan(NamedTuple):
+    """One element family (tables or columns) folded and indexed under one
+    policy.  ``base`` is the family's first position counted from the
+    first table."""
+
+    names: tuple[tuple[frozenset[str], ...], ...]
+    by_first: tuple[tuple[int, dict[str, list[int]]], ...]  # per width, widest first
+    by_word: dict[str, list[int]]  # every word of every multi-word name
+    base: int
+    exact: LinkRelation
+    partial: LinkRelation
+
+
+class _LinkPlan(NamedTuple):
+    """Everything linking needs that depends only on the schema and the
+    policy.  ``structure`` holds the schema-to-schema cells in the order
+    the matrix receives them, as the first call laid them out: with the
+    first table at position ``offset``."""
+
+    families: tuple[_FamilyPlan, _FamilyPlan]
+    offset: int
+    structure: tuple[tuple[tuple[int, int], LinkRelation], ...]
+
+
+def _family_plan(
+    names: Sequence[TokenSeq],
+    base: int,
+    exact: LinkRelation,
+    partial: LinkRelation,
+    policy: MatchPolicy,
+) -> _FamilyPlan:
+    folded = tuple(policy.fold(name) for name in names)
+    widths = sorted({len(name) for name in folded}, reverse=True)
+    by_first = tuple(
+        (width, _index_by_form(
+            (elem, name[0]) for elem, name in enumerate(folded) if len(name) == width
+        ))
+        for width in widths
+    )
+    by_word = _index_by_form(
+        (elem, word) for elem, name in enumerate(folded) if len(name) > 1 for word in name
+    )
+    return _FamilyPlan(folded, by_first, by_word, base, exact, partial)
+
+
+def _put_structure(
+    cells: dict[tuple[int, int], LinkRelation], schema: Schema, tables: int
+) -> None:
+    """Write the schema structure relations, the first table at position
+    ``tables``.  Foreign keys take precedence over the shared-table
+    relation, primary-key ownership over plain ownership: one cell holds
+    one relation.  ``put`` writes both directions, so the shared-table
+    test need only look at one."""
+
+    def put(i: int, j: int, rel: LinkRelation) -> None:
+        cells[(i, j)] = rel
+        cells[(j, i)] = LINK_RELATION_MIRROR[rel]
+
+    columns = tables + len(schema.tables)
+    for src, dst in sorted(schema.foreign_keys):
+        put(columns + src, columns + dst, LinkRelation.FOREIGN_KEY_FORWARD)
+    for idx, col in enumerate(schema.columns):
+        owner = (LinkRelation.PRIMARY_KEY_OF if idx in schema.primary_keys
+                 else LinkRelation.COLUMN_BELONGS_TO_TABLE)
+        put(columns + idx, tables + col.table, owner)
+    by_table: dict[int, list[int]] = {}
+    for idx, col in enumerate(schema.columns):
+        by_table.setdefault(col.table, []).append(idx)
+    same_table = sorted(pair for cols in by_table.values() for pair in combinations(cols, 2))
+    for a, b in same_table:
+        if (columns + a, columns + b) not in cells:
+            put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
 
 
 def _exact_match_pass(
     segments: Sequence[tuple[int, Sequence[frozenset[str]]]],
-    names: Sequence[Sequence[frozenset[str]]],
+    family: _FamilyPlan,
 ) -> list[tuple[int, int]]:
     """Greedy longest-first exact matching of folded utterance n-grams to
     folded element names; returns one (token position, element) pair per
@@ -216,19 +314,13 @@ def _exact_match_pass(
     element family.  Names are indexed by width and first-word form, so each
     n-gram is tested only against the names whose first word it matches.
     """
-    widths = sorted({len(name) for name in names}, reverse=True)
-    by_first = {
-        width: _index_by_form(
-            (elem, name[0]) for elem, name in enumerate(names) if len(name) == width
-        )
-        for width in widths
-    }
+    names = family.names
     hits: list[tuple[int, int]] = []
     for base, tokens in segments:
         consumed: set[int] = set()
-        for width in widths:
+        for width, by_first in family.by_first:
             for start in range(len(tokens) - width + 1):
-                candidates = _candidates(by_first[width], tokens[start])
+                candidates = _candidates(by_first, tokens[start])
                 if not candidates or any(start + k in consumed for k in range(width)):
                     continue
                 span = tokens[start : start + width]
@@ -262,50 +354,47 @@ def build_schema_link_matrix(
     matrix = SchemaLinkMatrix(question, context, schema, {})
     cells = matrix.cells
     segments = [(0, policy.fold(question)), (len(question), policy.fold(context))]
-
-    def put(i: int, j: int, rel: LinkRelation) -> None:
-        cells[(i, j)] = rel
-        cells[(j, i)] = LINK_RELATION_MIRROR[rel]
-
-    families = (
-        (schema.tables, matrix.table_offset,
-         LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE),
-        ([col.name for col in schema.columns], matrix.column_offset,
-         LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN),
+    tables = matrix.table_offset
+    # The schema's plan under ``policy`` is built on first use and kept on
+    # the schema, which is immutable.
+    plan = schema._link_plans.get(policy)
+    families = plan.families if plan is not None else (
+        _family_plan(schema.tables, 0,
+                     LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE, policy),
+        _family_plan([col.name for col in schema.columns], len(schema.tables),
+                     LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN, policy),
     )
-    for names, offset, exact, partial in families:
-        folded = [policy.fold(name) for name in names]
-        covered = set(_exact_match_pass(segments, folded))
+    # Match cells are written inline with their mirrors: on the wide
+    # benchmark schema a ``put`` call per cell costs about a tenth of a call
+    # on a reused schema.
+    for family in families:
+        offset = tables + family.base
+        exact, exact_rev = family.exact, LINK_RELATION_MIRROR[family.exact]
+        partial, partial_rev = family.partial, LINK_RELATION_MIRROR[family.partial]
+        covered = set(_exact_match_pass(segments, family))
         for pos, elem in covered:
-            put(pos, offset + elem, exact)
+            cells[(pos, offset + elem)] = exact
+            cells[(offset + elem, pos)] = exact_rev
         # Partial matches: one token against any word of a multi-word name.
-        by_word = _index_by_form(
-            (elem, word) for elem, name in enumerate(folded) if len(name) > 1 for word in name
-        )
         for base, tokens in segments:
             for k, forms in enumerate(tokens):
-                for elem in _candidates(by_word, forms):
+                for elem in _candidates(family.by_word, forms):
                     if (base + k, elem) not in covered:
-                        put(base + k, offset + elem, partial)
-
-    # Schema structure relations.  Foreign keys take precedence over the
-    # shared-table relation, primary-key ownership over plain ownership:
-    # one cell holds one relation.  ``put`` writes both directions, so the
-    # shared-table test need only look at one.
-    tables, columns = matrix.table_offset, matrix.column_offset
-    for src, dst in sorted(schema.foreign_keys):
-        put(columns + src, columns + dst, LinkRelation.FOREIGN_KEY_FORWARD)
-    for idx, col in enumerate(schema.columns):
-        owner = (LinkRelation.PRIMARY_KEY_OF if idx in schema.primary_keys
-                 else LinkRelation.COLUMN_BELONGS_TO_TABLE)
-        put(columns + idx, tables + col.table, owner)
-    by_table: dict[int, list[int]] = {}
-    for idx, col in enumerate(schema.columns):
-        by_table.setdefault(col.table, []).append(idx)
-    same_table = sorted(pair for cols in by_table.values() for pair in combinations(cols, 2))
-    for a, b in same_table:
-        if (columns + a, columns + b) not in cells:
-            put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
+                        cells[(base + k, offset + elem)] = partial
+                        cells[(offset + elem, base + k)] = partial_rev
+    # Utterance cells and schema-to-schema cells never share a key, so the
+    # structure cells, written last, are the tail of ``cells``: the first
+    # call lays them out in place and keeps that tail, and a later call
+    # appends it shifted, with every value and the dict's order unchanged.
+    if plan is None:
+        first = len(cells)
+        _put_structure(cells, schema, tables)
+        structure = tuple(islice(cells.items(), first, None))
+        schema._link_plans[policy] = _LinkPlan(families, tables, structure)
+    else:
+        shift = tables - plan.offset
+        for (i, j), rel in plan.structure:
+            cells[(i + shift, j + shift)] = rel
     return matrix
 
 

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import generators
+import json_strategies
+from conftest import FIXTURES
 from qurg.cli import main
 from qurg.dataset_io import load_matrix, load_rouge_report, save_rewrite_corpus
 
@@ -234,6 +240,52 @@ class TestCorpusFailures:
         assert load_rouge_report(report).pair_count == 3
 
 
+class TestSummaryFileCommit:
+    """``index.json`` and the ``roundtrip`` report are written last and
+    atomically: a write that fails midway leaves the previous file, or
+    none, and no temporary file."""
+
+    @pytest.fixture
+    def failing_summary(self, monkeypatch):
+        import qurg.dataset_io
+
+        real = qurg.dataset_io.dump_canonical
+
+        def dump(payload):
+            text = real(payload)
+            if "examples" in payload or "normalization" in payload:
+                # Half the text encodes, then a lone surrogate fails the write.
+                return text[: len(text) // 2] + "\ud800" + text[len(text) // 2 :]
+            return text
+
+        monkeypatch.setattr(qurg.dataset_io, "dump_canonical", dump)
+
+    def test_build_matrix_index(self, tmp_path, fixtures_dir, capsys, failing_summary):
+        out = tmp_path / "out"
+        argv = ["build-matrix", "--corpus", str(fixtures_dir / "corpus_small.jsonl"),
+                "--out-dir", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        names = sorted(p.name for p in out.iterdir())
+        assert "index.json" not in names and names
+        assert all(name.endswith(".matrix.json") for name in names)
+        (out / "index.json").write_text("previous")
+        assert run(argv) == 1
+        assert (out / "index.json").read_text() == "previous"
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["index.json"])
+
+    def test_roundtrip_report(self, tmp_path, fixtures_dir, capsys, failing_summary):
+        report = tmp_path / "report.json"
+        argv = ["roundtrip", "--corpus", str(fixtures_dir / "corpus_small.jsonl"),
+                "--report", str(report)]
+        assert run(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        report.write_text("previous")
+        assert run(argv) == 1
+        assert report.read_text() == "previous"
+        assert list(tmp_path.iterdir()) == [report]
+
+
 class TestRouge:
     def test_fixture_pair(self, tmp_path, fixtures_dir, capsys):
         out = tmp_path / "rouge.json"
@@ -402,6 +454,34 @@ class TestMalformedInputs:
         link = tmp_path / "link.json"
         link.write_text(json.dumps(payload))
         self._assert_clean_failure(["stats", "--link-matrix", str(link)], capsys)
+
+    @pytest.mark.parametrize("role", ["--schema", "--interactions"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_schema_link_on_any_json(self, tmp_path_factory, role, data):
+        """``schema-link`` on any JSON value as its schema or interactions
+        file writes its output, or prints one ``error:`` line and exits 1."""
+        inputs = {
+            "--schema": FIXTURES / "schema_flights.json",
+            "--interactions": FIXTURES / "interactions_flights.json",
+        }
+        base = json.loads(inputs[role].read_text())
+        work = tmp_path_factory.mktemp("fuzz")
+        inputs[role] = work / "input.json"
+        inputs[role].write_text(json.dumps(data.draw(json_strategies.json_files(base))))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["schema-link", "--out", str(work / "link.json")]
+        argv += [arg for flag, path in inputs.items() for arg in (flag, str(path))]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert (work / "link.json").exists()
+        else:
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+
 
 TINY_CONFIG = {
     "d_x": 8, "d_z": 8, "heads": 2, "layers_link": 2, "layers_rw": 1, "d_ff": 16,

@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
+import json_strategies
+from conftest import FIXTURES, FLIGHTS_CONTEXT, FLIGHTS_QUESTION
 from qurg.dataset_io import (
     DatasetError,
     FormatVersionError,
@@ -15,6 +18,7 @@ from qurg.dataset_io import (
     load_rewrite_corpus,
     load_rouge_report,
     load_schema,
+    read_json,
     save_interactions,
     save_link_matrix,
     save_matrix,
@@ -22,6 +26,7 @@ from qurg.dataset_io import (
     save_rouge_report,
     save_schema,
     tokenize,
+    write_json,
 )
 from qurg.rewrite_diff import RewriteEditMatrix, build_from_interaction
 from qurg.rouge_eval import corpus_rouge
@@ -296,6 +301,90 @@ class TestLoaderTotality:
             load_schema(fixtures_dir / "schema_bad_table_index.json")
         with pytest.raises(DatasetError):
             load_matrix(fixtures_dir / "matrix_bad_relation.json")
+
+    def test_deeply_nested_json_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DatasetError, match="nested too deeply"):
+            read_json(path)
+
+
+def _link_matrix_payload() -> dict:
+    schema = load_schema(FIXTURES / "schema_flights.json")
+    matrix = build_schema_link_matrix(FLIGHTS_QUESTION, FLIGHTS_CONTEXT, schema)
+    payload = {"qurg_fmt": 1, "question_tokens": list(FLIGHTS_QUESTION),
+               "context_tokens": list(FLIGHTS_CONTEXT)}
+    payload.update(json.loads((FIXTURES / "schema_flights.json").read_text()))
+    payload["cells"] = [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()]
+    return payload
+
+
+# Each schema-side loader with a valid payload for it to start from.
+_SCHEMA_SIDE_LOADERS = {
+    "schema": (load_schema, json.loads((FIXTURES / "schema_flights.json").read_text())),
+    "link-matrix": (load_link_matrix, _link_matrix_payload()),
+    "native": (
+        load_interactions, json.loads((FIXTURES / "interactions_flights.json").read_text())
+    ),
+    "sparc": (
+        lambda path: load_interactions(path, format="sparc"),
+        json.loads((FIXTURES / "sparc_sample.json").read_text()),
+    ),
+}
+
+
+class TestLoaderFuzz:
+    """Any JSON value in a schema-side input file either loads or fails with
+    ``DatasetError``, ``SchemaError`` or ``ValueError``, never with another
+    exception."""
+
+    def test_bases_load(self, tmp_path):
+        for name, (loader, base) in _SCHEMA_SIDE_LOADERS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(base))
+            loader(path)
+
+    @pytest.mark.parametrize("name", sorted(_SCHEMA_SIDE_LOADERS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_json_loads_or_fails_cleanly(self, tmp_path_factory, name, data):
+        loader, base = _SCHEMA_SIDE_LOADERS[name]
+        path = tmp_path_factory.mktemp("fuzz") / "input.json"
+        path.write_text(json.dumps(data.draw(json_strategies.json_files(base))))
+        try:
+            loader(path)
+        except (DatasetError, SchemaError, ValueError):
+            pass
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_previous_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_rouge_report(path, corpus_rouge([]))
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            write_json(path, {"text": "x" * 10_000 + "\ud800"}, atomic=True)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_json(link, {"a": 1}, atomic=True)
+        assert link.is_symlink()
+        assert read_json(target) == {"a": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_replacement_keeps_permission_bits(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text("old")
+        path.chmod(0o640)
+        write_json(path, {"a": 1}, atomic=True)
+        assert read_json(path) == {"a": 1}
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.json"]
 
 
 class TestReportSerialization:

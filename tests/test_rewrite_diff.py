@@ -65,6 +65,11 @@ class TestTokenSeq:
         with pytest.raises(ValueError):
             token_seq(["two words"])
 
+    def test_rejects_bare_string(self):
+        # A string is iterable, but its characters are not its tokens.
+        with pytest.raises(ValueError, match="got the string 'name'"):
+            token_seq("name")
+
     def test_whitespace_test_agrees_with_isspace_on_every_code_point(self):
         # token_seq tests ``tok.split() != [tok]``; it must reject exactly the
         # tokens holding a character for which str.isspace() is true.

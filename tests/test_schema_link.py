@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -39,6 +40,22 @@ class TestSchemaValidation:
     def test_no_foreign_keys_is_valid(self):
         schema = Schema((("t",),), (Column(("c",), 0),))
         assert schema.foreign_keys == frozenset()
+
+    def test_column_name_bare_string_rejected(self):
+        # Read as a sequence, "name" would be four one-letter words, and the
+        # question token "n" would partially match the column.
+        with pytest.raises(SchemaError, match="column 0"):
+            Schema((("t",),), (Column("name", 0),))
+
+    def test_column_name_list_normalised(self):
+        schema = Schema((("t",),), (Column(["zip", "code"], 0),))
+        assert schema.columns[0].name == ("zip", "code")
+        assert schema == Schema((("t",),), (Column(("zip", "code"), 0),))
+        assert hash(schema) == hash(Schema((("t",),), (Column(("zip", "code"), 0),)))
+
+    def test_column_name_token_with_whitespace_rejected(self):
+        with pytest.raises(SchemaError, match="column 1"):
+            Schema((("t",),), (Column(("c",), 0), Column(("a b",), 0)))
 
 
 class TestMatching:
@@ -326,3 +343,52 @@ class TestReferenceOracle:
             matrix = build_schema_link_matrix(question, context, schema, policy)
             got = {key: rel.value for key, rel in matrix.cells.items()}
             assert got == oracles.reference_schema_link(question, context, schema, policy)
+
+
+class TestReusedSchema:
+    """One ``Schema`` serves many calls under changing policies; each call
+    gives what a fresh, equal schema gives, and using a schema leaves its
+    value unchanged."""
+
+    @staticmethod
+    def _schema(rng: random.Random) -> Schema:
+        words = generators.VARIANT_VOCAB
+
+        def name() -> tuple[str, ...]:
+            return tuple(rng.choice(words) for _ in range(rng.randint(1, 3)))
+
+        tables = tuple(name() for _ in range(5))
+        columns = tuple(Column(name(), rng.randrange(len(tables))) for _ in range(14))
+        fks = {(0, 0), (1, 2), (2, 1), (3, 7), (7, 3), (9, 4)}
+        return Schema(tables, columns, frozenset({0, 5, 9}), frozenset(fks))
+
+    def test_reused_schema_matches_fresh_schema_and_oracle(self):
+        rng = random.Random(97)
+        schema = self._schema(random.Random(5))
+        before = (repr(schema), hash(schema))
+        words = generators.VARIANT_VOCAB + ["the", "all"]
+        for turn in range(24):
+            policy = generators.POLICIES[turn % len(generators.POLICIES)]
+            question = tuple(rng.choice(words) for _ in range(rng.randint(1, 8)))
+            context = tuple(rng.choice(words) for _ in range(rng.randint(0, 12)))
+            reused = build_schema_link_matrix(question, context, schema, policy)
+            fresh = build_schema_link_matrix(
+                question, context, self._schema(random.Random(5)), policy
+            )
+            assert list(reused.cells.items()) == list(fresh.cells.items())
+            got = {key: rel.value for key, rel in reused.cells.items()}
+            assert got == oracles.reference_schema_link(question, context, schema, policy)
+        assert (repr(schema), hash(schema)) == before
+        assert schema == self._schema(random.Random(5))
+
+    def test_replaced_schema_gets_its_own_plan(self):
+        schema = Schema((("city",),), (Column(("name",), 0),))
+        question = ("city", "name", "age")
+        first = build_schema_link_matrix(question, (), schema)
+        replaced = dataclasses.replace(schema, columns=(Column(("age",), 0),))
+        assert replaced._link_plans is not schema._link_plans
+        matrix = build_schema_link_matrix(question, (), replaced)
+        col = matrix.column_position(0)
+        assert matrix.relation_at(2, col) is LinkRelation.EXACT_COLUMN
+        assert matrix.relation_at(1, col) is None
+        assert build_schema_link_matrix(question, (), schema).cells == first.cells
