@@ -20,7 +20,7 @@ from .rewrite_diff import (
     tag_edits,
     token_seq,
 )
-from .rewrite_restore import MalformedMatrixError, RestoredQuestion, recover_ops, restore
+from .rewrite_restore import MalformedMatrixError, RestoredQuestion, restore
 from .rouge_eval import CorpusRougeReport, RougeScore, corpus_rouge, rouge_l, rouge_n
 from .schema_link import (
     Column,

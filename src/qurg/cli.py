@@ -11,17 +11,15 @@ reported as ``error: example <id>: ...`` on stderr and makes the exit code
 then replaces the target, so a run that fails or is interrupted never
 leaves a half-written one: an ``index.json`` that exists was written by a
 run that finished.  Nothing is synced to disk, so this does not hold
-across a power loss or a kernel crash.  Set QURG_LOG=debug|info for
-verbose logging (off by default).
+across a power loss or a kernel crash.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
-import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,8 +35,6 @@ from .rewrite_diff import (
 )
 from .rewrite_restore import MalformedMatrixError
 from .schema_link import SchemaError, build_schema_link_matrix, link_stats
-
-logger = logging.getLogger(__name__)
 
 _OPERATION_ERRORS = (
     DatasetError,
@@ -322,9 +318,7 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
         }
     if args.matrix:
         matrix = dataset_io.load_matrix(args.matrix)
-        counts: dict[str, int] = {}
-        for _, _, rel in matrix.sorted_cells():
-            counts[rel.value] = counts.get(rel.value, 0) + 1
+        counts = Counter(rel.value for rel in matrix.cells.values())
         payload["matrix"] = {
             "size": matrix.size,
             "cells": len(matrix.cells),
@@ -420,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("QURG_LOG", "").upper()
-    if level in ("DEBUG", "INFO", "WARNING", "ERROR"):
-        logging.basicConfig(level=getattr(logging, level))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

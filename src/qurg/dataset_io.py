@@ -176,10 +176,10 @@ def read_json(path: str | Path) -> Any:
 def _check_version(payload: Any, path: str | Path) -> None:
     if not isinstance(payload, dict) or "qurg_fmt" not in payload:
         raise FormatVersionError(f"{path}: missing qurg_fmt version field")
-    if payload["qurg_fmt"] != FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{path}: unsupported format version {payload['qurg_fmt']!r}"
-        )
+    version = payload["qurg_fmt"]
+    # ``True == 1`` in Python, but JSON true is not a version number.
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise FormatVersionError(f"{path}: unsupported format version {version!r}")
 
 
 _NUMBER = (int, float)
@@ -234,14 +234,18 @@ def load_interactions(path: str | Path, format: str = "native") -> list[Interact
         turns = [tokenize(_expect(u, str, where)) for u in utterances]
         if not turns[-1]:
             raise DatasetError(f"{where}: current question has no tokens")
+        # A missing, null or empty rewrite means none; other non-strings are errors.
         rewrite = record.get("rewrite")
-        rewrite = tokenize(_expect(rewrite, str, where)) if rewrite else None
+        if rewrite is not None and _expect(rewrite, str, f"{where}: rewrite"):
+            rewrite = tokenize(rewrite)
+        else:
+            rewrite = None
         out.append(
             Interaction(
                 tuple(turns[:-1]),
                 turns[-1],
                 rewrite,
-                interaction_id=record.get("id", str(pos)),
+                interaction_id=_expect(record.get("id", str(pos)), str, f"{where}: id"),
             )
         )
     return out
@@ -298,15 +302,9 @@ def load_rewrite_corpus(path: str | Path) -> list[RewriteExample]:
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: malformed JSON: {exc.msg}") from exc
-            _expect(record, dict, where)
-            if "qurg_fmt" in record and record["qurg_fmt"] != FORMAT_VERSION:
-                raise FormatVersionError(
-                    f"{where}: unsupported format version {record['qurg_fmt']!r}"
-                )
+            record = _expect(_parse_json(line, where), dict, where)
+            if "qurg_fmt" in record:
+                _check_version(record, where)
             history = [
                 tokenize(_expect(turn, str, f"{where}: history"))
                 for turn in _field(record, "history", where, list)

@@ -5,7 +5,9 @@ context, and a self-contained rewrite of that question, this module aligns
 question and rewrite with an LCS, tags the out-of-alignment words as ADD
 (rewrite side) or DEL (question side), grounds the ADD spans in the context,
 and records the resulting substitute/insert operations as a square relation
-matrix over the ``[context; question]`` token positions.
+matrix over the ``[context; question]`` token positions.  Tagging and
+grounding take one walk over the gaps between consecutive alignment pairs;
+each gap holds at most one DEL run and one ADD run.
 
 Every operation here is a pure function of its inputs; all produced values
 are immutable and safe to share across threads.
@@ -286,17 +288,17 @@ def lcs(
     return tuple(pairs)
 
 
-def _unaligned_runs(length: int, aligned: set[int]) -> Iterator[tuple[int, int]]:
-    start = None
-    for idx in range(length):
-        if idx in aligned:
-            if start is not None:
-                yield start, idx
-                start = None
-        elif start is None:
-            start = idx
-    if start is not None:
-        yield start, length
+def _gaps(
+    pairs: Sequence[tuple[int, int]], n_question: int, n_rewrite: int
+) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """The unaligned question run ``(qs, qe)`` and rewrite run ``(rs, re)``
+    before each alignment pair and after the last one; either may be empty.
+    ``qe`` is the next aligned question index, or ``n_question`` at the end.
+    """
+    qs = rs = 0
+    for qe, re in (*pairs, (n_question, n_rewrite)):
+        yield (qs, qe), (rs, re)
+        qs, rs = qe + 1, re + 1
 
 
 def tag_edits(
@@ -309,36 +311,15 @@ def tag_edits(
     Consecutive same-tag tokens are merged into a single span.  Returns
     ``(del_spans, add_spans)``.
     """
+    del_spans: list[EditSpan] = []
+    add_spans: list[EditSpan] = []
     pairs = lcs(question, rewrite, policy)
-    return _spans_from_alignment(len(question), len(rewrite), pairs)
-
-
-def _spans_from_alignment(
-    question_len: int, rewrite_len: int, pairs: Sequence[tuple[int, int]]
-) -> tuple[list[EditSpan], list[EditSpan]]:
-    q_aligned = {i for i, _ in pairs}
-    r_aligned = {j for _, j in pairs}
-    del_spans = [
-        EditSpan(SpanKind.DEL, s, e, "question")
-        for s, e in _unaligned_runs(question_len, q_aligned)
-    ]
-    add_spans = [
-        EditSpan(SpanKind.ADD, s, e, "rewrite")
-        for s, e in _unaligned_runs(rewrite_len, r_aligned)
-    ]
+    for (qs, qe), (rs, re) in _gaps(pairs, len(question), len(rewrite)):
+        if qs < qe:
+            del_spans.append(EditSpan(SpanKind.DEL, qs, qe, "question"))
+        if rs < re:
+            add_spans.append(EditSpan(SpanKind.ADD, rs, re, "rewrite"))
     return del_spans, add_spans
-
-
-def _left_anchor(pairs: Sequence[tuple[int, int]], coord: int, axis: int) -> int:
-    """Index into ``pairs`` of the last alignment pair strictly left of
-    ``coord`` on the given axis (0 = question, 1 = rewrite), or -1."""
-    k = -1
-    for idx, pair in enumerate(pairs):
-        if pair[axis] < coord:
-            k = idx
-        else:
-            break
-    return k
 
 
 def _find_context_occurrence(
@@ -364,43 +345,31 @@ def extract_edit_ops(
 ) -> list[EditOp]:
     """Ground the rewrite's ADD spans in the context as edit operations.
 
-    An ADD span that occurs contiguously in the context becomes a
-    Substitute when a DEL span shares its flanking LCS anchor pair, and an
-    Insert (anchored at the right LCS anchor's question index) otherwise.
-    ADD spans with no context occurrence are dropped.  ``occurrence``
-    selects the "last" (most recent turn) or "first" context occurrence
-    when the span appears more than once.
+    Between two consecutive LCS pairs there is at most one ADD span and one
+    DEL span.  An ADD span that occurs contiguously in the context becomes
+    a Substitute over the DEL span between the same pairs, or, when there
+    is none, an Insert anchored at the next aligned question index
+    (``len(question)`` after the last pair).  ADD spans with no context
+    occurrence are dropped.  ``occurrence`` selects the "last" (most recent
+    turn) or "first" context occurrence when the span appears more than once.
     """
     if occurrence not in ("last", "first"):
         raise ValueError(f"occurrence must be 'last' or 'first', got {occurrence!r}")
     pairs = lcs(question, rewrite, policy)
-    del_spans, add_spans = _spans_from_alignment(len(question), len(rewrite), pairs)
-    # Between two consecutive alignment pairs there is at most one DEL run,
-    # so the left anchor index identifies a DEL span uniquely.
-    del_by_anchor = {_left_anchor(pairs, span.start, 0): span for span in del_spans}
     context_forms, rewrite_forms = policy.fold(context), policy.fold(rewrite)
     ops: list[EditOp] = []
-    for span in add_spans:
-        ctx_range = _find_context_occurrence(
-            context_forms, rewrite_forms[span.start : span.end_exclusive], occurrence
-        )
+    for (qs, qe), (rs, re) in _gaps(pairs, len(question), len(rewrite)):
+        if rs == re:
+            continue
+        ctx_range = _find_context_occurrence(context_forms, rewrite_forms[rs:re], occurrence)
         if ctx_range is None:
             continue
-        left_k = _left_anchor(pairs, span.start, 1)
-        matched_del = del_by_anchor.get(left_k)
-        if matched_del is not None:
+        if qs < qe:
             ops.append(
-                EditOp(
-                    OpKind.SUBSTITUTE,
-                    ctx_range,
-                    question_anchor=matched_del.start,
-                    question_range=(matched_del.start, matched_del.end_exclusive),
-                )
+                EditOp(OpKind.SUBSTITUTE, ctx_range, question_anchor=qs, question_range=(qs, qe))
             )
         else:
-            right = pairs[left_k + 1] if left_k + 1 < len(pairs) else None
-            anchor = right[0] if right is not None else len(question)
-            ops.append(EditOp(OpKind.INSERT, ctx_range, question_anchor=anchor))
+            ops.append(EditOp(OpKind.INSERT, ctx_range, question_anchor=qe))
     return ops
 
 

@@ -50,8 +50,14 @@ def _is_index(value: object, size: int) -> bool:
 def _name(tokens: Iterable[str], where: str) -> TokenSeq:
     try:
         return token_seq(tokens)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: not iterable
         raise SchemaError(f"{where}: {exc}") from None
+
+
+def _column(col: object, idx: int) -> Column:
+    if not isinstance(col, Column):
+        raise SchemaError(f"column {idx}: expected a Column, got {col!r:.40}")
+    return Column(_name(col.name, f"column {idx}"), col.table, col.type)
 
 
 @dataclass(frozen=True)
@@ -77,10 +83,7 @@ class Schema:
         object.__setattr__(
             self,
             "columns",
-            tuple(
-                Column(_name(col.name, f"column {idx}"), col.table, col.type)
-                for idx, col in enumerate(self.columns)
-            ),
+            tuple(_column(col, idx) for idx, col in enumerate(self.columns)),
         )
         object.__setattr__(self, "primary_keys", frozenset(self.primary_keys))
         object.__setattr__(
@@ -100,7 +103,7 @@ class Schema:
                 raise SchemaError(
                     f"column {idx} references out-of-range table {col.table!r}"
                 )
-            if col.type not in COLUMN_TYPES:
+            if not isinstance(col.type, str) or col.type not in COLUMN_TYPES:
                 raise SchemaError(f"column {idx} has unknown type {col.type!r}")
         for pk in self.primary_keys:
             if not _is_index(pk, len(self.columns)):

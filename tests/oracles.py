@@ -2,14 +2,16 @@
 
 Everything here is deliberately written in plain Python (lists, dicts,
 math.fsum) with no reuse of the package's code paths, so agreement between
-the two is meaningful.  The one exception is the last section: the
-per-head numpy layer that the head-batched encoder layer replaced, kept
-unchanged as a bitwise regression reference.
+the two is meaningful.  The exceptions are the last two sections: the
+op-replay restore that the direct cell reading replaced, and the per-head
+numpy layer that the head-batched encoder layer replaced, both kept
+unchanged as exact regression references.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -22,6 +24,8 @@ from qurg.rat_encoder import (
     _check_input,
     _check_relations,
 )
+from qurg.rewrite_diff import EditOp, OpKind, RewriteEditMatrix, RewriteRelation
+from qurg.rewrite_restore import _validate
 
 Eq = Callable[[str, str], bool]
 
@@ -270,6 +274,108 @@ def reference_layer_outputs(
             layer_norm([mid[c] + ff[c] for c in range(d_x)], ln2_gain, ln2_bias)
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Restoration as it ran before it read the cells directly, copied from
+# ``qurg.rewrite_restore``: group the cells back into edit operations, then
+# replay the operations over the question.  ``restore`` must give the same
+# tokens on every matrix that passes validation.
+
+
+def _contiguous_runs(indices: list[int]) -> list[tuple[int, int]]:
+    runs: list[tuple[int, int]] = []
+    start = prev = indices[0]
+    for idx in indices[1:]:
+        if idx != prev + 1:
+            runs.append((start, prev + 1))
+            start = idx
+        prev = idx
+    runs.append((start, prev + 1))
+    return runs
+
+
+def recover_ops(matrix: RewriteEditMatrix) -> list[EditOp]:
+    """Group matrix cells back into edit operations: contiguous context
+    tokens sharing one relation type and one question target set form one
+    op, with one substitute per contiguous run of the targets."""
+    _validate(matrix)
+    n_ctx = matrix.context_size
+    sub_targets: dict[int, list[int]] = defaultdict(list)
+    ins_pairs: dict[int, list[int]] = defaultdict(list)  # anchor -> context indices
+    for (i, j), rel in matrix.cells.items():
+        if rel is RewriteRelation.C_Q_SUB:
+            sub_targets[i].append(j - n_ctx)
+        elif rel is RewriteRelation.C_Q_INS:
+            ins_pairs[j - n_ctx].append(i)
+
+    ops: list[EditOp] = []
+    grouped: list[tuple[int, tuple[int, ...]]] = sorted(
+        (ci, tuple(sorted(targets))) for ci, targets in sub_targets.items()
+    )
+    idx = 0
+    while idx < len(grouped):
+        start_ci, targets = grouped[idx]
+        end = idx + 1
+        while (
+            end < len(grouped)
+            and grouped[end][0] == grouped[end - 1][0] + 1
+            and grouped[end][1] == targets
+        ):
+            end += 1
+        for qs, qe in _contiguous_runs(list(targets)):
+            ops.append(
+                EditOp(
+                    OpKind.SUBSTITUTE,
+                    (start_ci, grouped[end - 1][0] + 1),
+                    question_anchor=qs,
+                    question_range=(qs, qe),
+                )
+            )
+        idx = end
+    for anchor in sorted(ins_pairs):
+        for cs, ce in _contiguous_runs(sorted(ins_pairs[anchor])):
+            ops.append(EditOp(OpKind.INSERT, (cs, ce), question_anchor=anchor))
+    ops.sort(key=lambda op: (op.context_range, op.question_anchor, op.kind.value))
+    return ops
+
+
+def replay_ops(
+    question: Sequence[str], context: Sequence[str], ops: Sequence[EditOp]
+) -> tuple[str, ...]:
+    """Splice the ops' context ranges into the question: inserts before
+    their anchor, then substitutes replacing their range, each group in
+    context order; indices refer to the original question throughout."""
+    inserts_at: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    subs_at: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    replaced: set[int] = set()
+    for op in ops:
+        if op.kind is OpKind.INSERT:
+            inserts_at[op.question_anchor].append(op.context_range)
+        else:
+            qs, qe = op.question_range
+            subs_at[qs].append(op.context_range)
+            replaced.update(range(qs, qe))
+    for ranges in (*inserts_at.values(), *subs_at.values()):
+        ranges.sort()
+
+    out: list[str] = []
+    for idx in range(len(question) + 1):
+        for cs, ce in inserts_at.get(idx, ()):
+            out.extend(context[cs:ce])
+        if idx == len(question):
+            break
+        for cs, ce in subs_at.get(idx, ()):
+            out.extend(context[cs:ce])
+        if idx not in replaced:
+            out.append(question[idx])
+    return tuple(out)
+
+
+def reference_restore(
+    question: Sequence[str], context: Sequence[str], matrix: RewriteEditMatrix
+) -> tuple[str, ...]:
+    return replay_ops(question, context, recover_ops(matrix))
 
 
 # ---------------------------------------------------------------------------

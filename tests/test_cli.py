@@ -340,8 +340,10 @@ class TestMalformedInputs:
 
     def _assert_clean_failure(self, argv, capsys):
         assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     def test_truncated_matrix_file(self, tmp_path, capsys):
         matrix = tmp_path / "flights.json"
@@ -375,6 +377,14 @@ class TestMalformedInputs:
         corpus.write_text(json.dumps({
             "history": [["show", "cities"]], "question": "a", "rewrite": "a", "id": "x",
         }) + "\n")
+        self._assert_clean_failure(
+            ["roundtrip", "--corpus", str(corpus), "--report", str(tmp_path / "r.json")],
+            capsys,
+        )
+
+    def test_corpus_line_nested_too_deeply(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("[" * 100_000 + "]" * 100_000 + "\n")
         self._assert_clean_failure(
             ["roundtrip", "--corpus", str(corpus), "--report", str(tmp_path / "r.json")],
             capsys,

@@ -101,6 +101,32 @@ class TestInteractions:
         with pytest.raises(FormatVersionError):
             load_interactions(path)
 
+    @staticmethod
+    def _one_record(tmp_path, version=1, **fields):
+        path = tmp_path / "one.json"
+        record = {"utterances": ["show cities"], **fields}
+        path.write_text(json.dumps({"qurg_fmt": version, "interactions": [record]}))
+        return path
+
+    def test_boolean_version_rejected(self, tmp_path):
+        # ``True == 1`` in Python; JSON true is still not version 1.
+        with pytest.raises(FormatVersionError, match="version True"):
+            load_interactions(self._one_record(tmp_path, version=True))
+
+    def test_non_string_id_rejected(self, tmp_path):
+        with pytest.raises(DatasetError, match="id: expected a string"):
+            load_interactions(self._one_record(tmp_path, id=["a"]))
+
+    @pytest.mark.parametrize("rewrite", [0, [], False])
+    def test_non_string_rewrite_rejected(self, tmp_path, rewrite):
+        with pytest.raises(DatasetError, match="rewrite: expected a string"):
+            load_interactions(self._one_record(tmp_path, rewrite=rewrite))
+
+    @pytest.mark.parametrize("rewrite", ["", None])
+    def test_empty_or_null_rewrite_means_none(self, tmp_path, rewrite):
+        (loaded,) = load_interactions(self._one_record(tmp_path, rewrite=rewrite))
+        assert loaded.gold_rewrite is None
+
     def test_roundtrip(self, tmp_path, flights_interaction):
         path = tmp_path / "round.json"
         save_interactions(path, [flights_interaction])
@@ -167,6 +193,21 @@ class TestRewriteCorpus:
             '{"qurg_fmt": 9, "history": [], "question": "a", "rewrite": "a", "id": "x"}\n'
         )
         with pytest.raises(FormatVersionError):
+            load_rewrite_corpus(path)
+
+    def test_boolean_version_on_line(self, tmp_path):
+        path = tmp_path / "vtrue.jsonl"
+        path.write_text(
+            '{"qurg_fmt": true, "history": [], "question": "a", "rewrite": "a", "id": "x"}\n'
+        )
+        with pytest.raises(FormatVersionError, match=":1: unsupported format version True"):
+            load_rewrite_corpus(path)
+
+    def test_deeply_nested_line_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"history": [], "question": "a", "rewrite": "a", "id": "x"}\n'
+                        + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(DatasetError, match=":2: JSON nested too deeply"):
             load_rewrite_corpus(path)
 
 

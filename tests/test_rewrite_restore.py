@@ -1,52 +1,72 @@
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
 import generators
+import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
 from qurg.rewrite_diff import (
-    EditOp,
-    OpKind,
     RewriteEditMatrix,
     RewriteRelation,
     build_from_interaction,
     build_rewrite_matrix,
     extract_edit_ops,
 )
-from qurg.rewrite_restore import MalformedMatrixError, recover_ops, restore
+from qurg.rewrite_restore import MalformedMatrixError, restore
+
+
+def _restore(matrix: RewriteEditMatrix) -> tuple[str, ...]:
+    return restore(matrix.question_tokens, matrix.context_tokens, matrix).tokens
+
+
+def random_edit_matrix(rng: random.Random) -> RewriteEditMatrix:
+    """A valid hand-built matrix.  Each context row substitutes for a random
+    subset of the question, often non-contiguous and overlapping other
+    rows', or repeats the target set of the row above, and inserts before
+    a few random anchors, which rows share."""
+    n_ctx, n_q = rng.randint(1, 7), rng.randint(1, 7)
+    context = tuple(f"c{i}" for i in range(n_ctx))
+    question = tuple(f"q{j}" for j in range(n_q))
+    cells: dict[tuple[int, int], RewriteRelation] = {}
+    targets: set[int] = set()
+    for i in range(n_ctx):
+        roll = rng.random()
+        if roll < 0.3:
+            targets = {j for j in range(n_q) if rng.random() < 0.5}
+        elif roll < 0.5:
+            targets = set()
+        # otherwise the row above's target set is repeated
+        anchors = {rng.randrange(n_q) for _ in range(rng.randint(0, 2))} - targets
+        for j in targets:
+            cells[(i, n_ctx + j)] = RewriteRelation.C_Q_SUB
+            cells[(n_ctx + j, i)] = RewriteRelation.Q_C_SUB
+        for j in anchors:
+            cells[(i, n_ctx + j)] = RewriteRelation.C_Q_INS
+            cells[(n_ctx + j, i)] = RewriteRelation.Q_C_INS
+    return RewriteEditMatrix(context, question, cells)
 
 
 class TestRecoverOps:
-    def test_flights_example(self, flights_interaction):
-        matrix = build_from_interaction(flights_interaction)
-        ops = recover_ops(matrix)
-        assert len(ops) == 2
-        ins, sub = sorted(ops, key=lambda op: op.context_range)
-        assert ins.kind is OpKind.INSERT and ins.context_range == (2, 4)
-        assert ins.question_anchor == 5
-        assert sub.kind is OpKind.SUBSTITUTE and sub.context_range == (10, 11)
-        assert sub.question_range == (1, 2)
-
-    def test_all_none(self):
-        matrix = RewriteEditMatrix(("a", "b"), ("q",), {})
-        assert recover_ops(matrix) == []
+    """Reading edit operations back out of a matrix."""
 
     def test_roundtrip_identity_on_canonical_ops(self):
         rng = random.Random(5)
         for idx in range(60):
             ex = generators.make_splice_example(rng, idx)
             inter = ex.as_interaction()
-            ops = extract_edit_ops(inter.question, inter.flat_context(), ex.rewrite)
-            matrix = build_rewrite_matrix(ops, inter.flat_context(), inter.question)
-            assert sorted(recover_ops(matrix), key=repr) == sorted(ops, key=repr)
+            context = inter.flat_context()
+            ops = extract_edit_ops(inter.question, context, ex.rewrite)
+            matrix = build_rewrite_matrix(ops, context, inter.question)
+            assert _restore(matrix) == oracles.replay_ops(inter.question, context, ops)
 
     def test_symmetry_violation_detected(self):
         cells = {(0, 2): RewriteRelation.C_Q_SUB}  # mirror missing
         matrix = RewriteEditMatrix(("a", "b"), ("q",), cells)
         with pytest.raises(MalformedMatrixError):
-            recover_ops(matrix)
+            _restore(matrix)
 
     def test_mismatched_mirror_type_detected(self):
         cells = {
@@ -55,7 +75,7 @@ class TestRecoverOps:
         }
         matrix = RewriteEditMatrix(("a", "b"), ("q",), cells)
         with pytest.raises(MalformedMatrixError):
-            recover_ops(matrix)
+            _restore(matrix)
 
     def test_block_violation_detected(self):
         # a context-row relation placed inside the context block
@@ -65,7 +85,7 @@ class TestRecoverOps:
         }
         matrix = RewriteEditMatrix(("a", "b"), ("q",), cells)
         with pytest.raises(MalformedMatrixError):
-            recover_ops(matrix)
+            _restore(matrix)
 
 
 class TestRestore:
@@ -131,3 +151,25 @@ class TestRestore:
         matrix = RewriteEditMatrix(context, question, cells)
         restored = restore(question, context, matrix)
         assert restored.tokens == ("i", "s", "q1")
+
+    def test_matches_op_replay_on_random_matrices(self):
+        rng = random.Random(17)
+        seen = dict.fromkeys(
+            ("non-contiguous", "overlapping", "equal adjacent rows", "shared anchor"), 0
+        )
+        for _ in range(2000):
+            matrix = random_edit_matrix(rng)
+            question, context = matrix.question_tokens, matrix.context_tokens
+            assert _restore(matrix) == oracles.reference_restore(question, context, matrix)
+            rows: dict[int, set[int]] = defaultdict(set)  # row -> C-Q-Sub columns
+            anchors: Counter[int] = Counter()
+            for (i, j), rel in matrix.cells.items():
+                if rel is RewriteRelation.C_Q_SUB:
+                    rows[i].add(j)
+                elif rel is RewriteRelation.C_Q_INS:
+                    anchors[j] += 1
+            seen["non-contiguous"] += any(max(t) - min(t) >= len(t) for t in rows.values())
+            seen["overlapping"] += sum(map(len, rows.values())) > len(set().union(*rows.values()))
+            seen["equal adjacent rows"] += any(rows.get(i - 1) == t for i, t in rows.items())
+            seen["shared anchor"] += any(count > 1 for count in anchors.values())
+        assert min(seen.values()) >= 100, seen

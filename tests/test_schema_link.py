@@ -57,6 +57,18 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError, match="column 1"):
             Schema((("t",),), (Column(("c",), 0), Column(("a b",), 0)))
 
+    def test_column_name_not_a_sequence_rejected(self):
+        with pytest.raises(SchemaError, match="column 0"):
+            Schema((("t",),), (Column(5, 0),))
+
+    def test_plain_tuple_column_rejected(self):
+        with pytest.raises(SchemaError, match="column 1: expected a Column"):
+            Schema((("t",),), (Column(("c",), 0), (("c",), 0)))
+
+    def test_unhashable_column_type_rejected(self):
+        with pytest.raises(SchemaError, match="column 0 has unknown type"):
+            Schema((("t",),), (Column(("c",), 0, ["text"]),))
+
 
 class TestMatching:
     def test_single_word_exact_column_mirrored(self):
