@@ -10,8 +10,11 @@ reported as ``error: example <id>: ...`` on stderr and makes the exit code
 ``roundtrip`` report) are written last, through a temporary file that
 then replaces the target, so a run that fails or is interrupted never
 leaves a half-written one: an ``index.json`` that exists was written by a
-run that finished.  Nothing is synced to disk, so this does not hold
-across a power loss or a kernel crash.
+run that finished.  The output files of ``restore``, ``rouge``,
+``schema-link``, ``encode`` (``--out`` and ``--save-params``) and ``stats``
+are replaced the same way; only matrix files are written in place.
+Nothing is synced to disk, so this does not hold across a power loss or a
+kernel crash.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -165,6 +167,7 @@ def cmd_restore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Co
         dataset_io.write_json(
             args.out,
             {"qurg_fmt": dataset_io.FORMAT_VERSION, "tokens": list(restored.tokens)},
+            atomic=True,
         )
     return CommandResult(0, restored.text())
 
@@ -293,7 +296,7 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
             payload[key] = [
                 {"scores": t.scores.tolist(), "weights": t.weights.tolist()} for t in traces
             ]
-    dataset_io.write_json(args.out, payload)
+    dataset_io.write_json(args.out, payload, atomic=True)
     return CommandResult(
         0,
         f"encoded {states.n_question}+{states.n_context}+{states.n_schema} "
@@ -318,11 +321,10 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
         }
     if args.matrix:
         matrix = dataset_io.load_matrix(args.matrix)
-        counts = Counter(rel.value for rel in matrix.cells.values())
         payload["matrix"] = {
             "size": matrix.size,
             "cells": len(matrix.cells),
-            "relations": dict(sorted(counts.items())),
+            "relations": link_stats(matrix),
         }
     if args.link_matrix:
         link_matrix = dataset_io.load_link_matrix(args.link_matrix)
@@ -332,7 +334,7 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
             "relations": link_stats(link_matrix),
         }
     if args.out:
-        dataset_io.write_json(args.out, payload)
+        dataset_io.write_json(args.out, payload, atomic=True)
     return CommandResult(0, dataset_io.dump_canonical(payload).rstrip("\n"))
 
 

@@ -135,8 +135,9 @@ def write_json(path: str | Path, payload: Any, *, atomic: bool = False) -> None:
     file (``/dev/stdout``), is written in place: replacing it would replace
     the link or the device.  Replacing costs much more than overwriting in
     place: with every matrix file replaced, ``build-matrix --corpus`` took
-    about 40% more CPU per example on a 2-vCPU virtual machine.  So only
-    the files that record a finished run take it.
+    about 40% more CPU per example on a 2-vCPU virtual machine.  So the
+    matrix files are written in place, and a command's single output
+    files and the files that record a finished run are replaced.
     """
     path = Path(path)
     text = dump_canonical(payload)
@@ -344,17 +345,19 @@ def _cells_payload(matrix: RewriteEditMatrix | SchemaLinkMatrix) -> list[dict[st
 
 
 def _parse_cells(
-    payload: Mapping[str, Any], path: str | Path, size: int, relations: Mapping[str, Enum]
+    payload: Mapping[str, Any], path: str | Path, size: int, relations: type[Enum]
 ) -> dict[tuple[int, int], Any]:
     """The ``cells`` array of a matrix file, each an in-bounds ``(i, j)``
-    with a relation named in ``relations``; a repeated ``(i, j)`` is an error."""
+    with a relation of the family ``relations``, by name; a repeated
+    ``(i, j)`` is an error."""
     cells: dict[tuple[int, int], Any] = {}
     for pos, cell in enumerate(_field(payload, "cells", str(path), list)):
         _expect(cell, dict, f"{path}: cell {pos}")
         i, j, name = cell.get("i"), cell.get("j"), cell.get("rel")
-        rel = relations.get(name) if isinstance(name, str) else None
-        if rel is None:
-            raise DatasetError(f"{path}: cell ({i},{j}) has unknown relation {name!r}")
+        try:
+            rel = relations(name)
+        except ValueError:
+            raise DatasetError(f"{path}: cell ({i},{j}) has unknown relation {name!r}") from None
         if not (_is_index(i, size) and _is_index(j, size)):
             raise DatasetError(f"{path}: cell ({i},{j}) out of bounds for size {size}")
         if (i, j) in cells:
@@ -376,16 +379,13 @@ def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
     )
 
 
-_REWRITE_RELATIONS_BY_NAME = {rel.value: rel for rel in RewriteRelation}
-
-
 def load_matrix(path: str | Path) -> RewriteEditMatrix:
     payload = read_json(path)
     _check_version(payload, path)
     context = _tokens(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
     question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
     size = len(context) + len(question)
-    cells = _parse_cells(payload, path, size, _REWRITE_RELATIONS_BY_NAME)
+    cells = _parse_cells(payload, path, size, RewriteRelation)
     return RewriteEditMatrix(context, question, cells)
 
 
@@ -402,6 +402,7 @@ def _schema_payload(schema: Schema) -> dict[str, Any]:
 
 
 def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
+    """Write a linking matrix atomically: it is a run's one output file."""
     write_json(
         path,
         {
@@ -412,10 +413,8 @@ def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
             "relations": list(LINK_RELATION_NAMES),
             "cells": _cells_payload(matrix),
         },
+        atomic=True,
     )
-
-
-_LINK_RELATIONS_BY_NAME = {rel.value: rel for rel in LinkRelation}
 
 
 def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:
@@ -425,7 +424,7 @@ def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:
     question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
     context = _tokens(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
     matrix = SchemaLinkMatrix(question, context, schema)
-    matrix.cells.update(_parse_cells(payload, path, matrix.size, _LINK_RELATIONS_BY_NAME))
+    matrix.cells.update(_parse_cells(payload, path, matrix.size, LinkRelation))
     return matrix
 
 

@@ -88,10 +88,15 @@ __all__ = [
 LAYER_NORM_EPS = 1e-6
 
 # Relation-type id 0 is reserved for "no relation" in both streams; its
-# embedding rows are initialized to zero.
+# embedding rows are initialized to zero.  The rewrite stream reads an
+# append (``-App``, ``-Ins-App``) as the insert of its block, id 1 or 3.
+_RW_EDIT_IDS = {
+    RewriteRelation.Q_C_INS: 1, RewriteRelation.Q_C_SUB: 2,
+    RewriteRelation.C_Q_INS: 3, RewriteRelation.C_Q_SUB: 4,
+}
 RW_RELATION_IDS: dict[str, int] = {
     "None": 0,
-    **{rel.value: idx + 1 for idx, rel in enumerate(RewriteRelation)},
+    **{rel.value: _RW_EDIT_IDS.get(rel, 3 if rel.context_row else 1) for rel in RewriteRelation},
 }
 LINK_RELATION_IDS: dict[str, int] = {
     "None": 0,
@@ -119,7 +124,7 @@ class EncoderConfig:
     layers_rw: int = 4
     d_ff: int | None = None
     link_relation_count: int = len(LINK_RELATION_IDS)
-    rw_relation_count: int = len(RW_RELATION_IDS)
+    rw_relation_count: int = len(set(RW_RELATION_IDS.values()))
     seed: int = 0
     precision: str = "double"
     single_fc_ff: bool = False
@@ -964,7 +969,8 @@ def _layer_from_payload(
 
 
 def save_params(path, params: EncoderParams) -> None:
-    """Serialize a parameter set (versioned JSON, exact float round-trip)."""
+    """Serialize a parameter set (versioned JSON, exact float round-trip),
+    replacing ``path`` atomically."""
     write_json(
         path,
         {
@@ -974,6 +980,7 @@ def save_params(path, params: EncoderParams) -> None:
             "link_layers": [_layer_payload(layer) for layer in params.link_layers],
             "rw_layers": [_layer_payload(layer) for layer in params.rw_layers],
         },
+        atomic=True,
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 TokenSeq = tuple[str, ...]
@@ -30,6 +31,7 @@ __all__ = [
     "EditSpan",
     "OpKind",
     "EditOp",
+    "Relation",
     "RewriteRelation",
     "RewriteEditMatrix",
     "EditConflictError",
@@ -195,13 +197,48 @@ class EditOp:
                 raise ValueError("substitute anchor must equal question_range start")
 
 
-class RewriteRelation(Enum):
-    """Directional relation types between question and context tokens."""
+class Relation(Enum):
+    """Base of a relation family whose cells come in mirrored pairs.
 
-    Q_C_INS = "Q-C-Ins"
-    Q_C_SUB = "Q-C-Sub"
-    C_Q_INS = "C-Q-Ins"
-    C_Q_SUB = "C-Q-Sub"
+    A member is declared as ``(file name, mirror, *extra)``: the name that
+    files carry is its value, ``mirror`` names the member of the transposed
+    cell, and ``extra`` goes to the family's ``__init__``.
+    """
+
+    def __new__(cls, value: str, mirror: str, *extra: object) -> Relation:
+        member = object.__new__(cls)
+        member._value_ = value
+        member._mirror_name = mirror
+        return member
+
+    @cached_property
+    def mirror(self) -> Relation:
+        """The relation of the transposed cell, resolved on first use."""
+        return type(self)[self._mirror_name]
+
+
+class RewriteRelation(Relation):
+    """Directional relation types between question and context tokens,
+    each declared as ``(file name, mirror, context row)``.
+
+    ``C-Q-*`` cells sit in context rows and question columns, their
+    ``Q-C-*`` mirrors in question rows and context columns.  ``-App``
+    appends the context token after the last question token, and
+    ``-Ins-App`` both inserts it before the last token and appends it;
+    both occur only in the last question column.
+    """
+
+    Q_C_INS = "Q-C-Ins", "C_Q_INS", False
+    Q_C_SUB = "Q-C-Sub", "C_Q_SUB", False
+    C_Q_INS = "C-Q-Ins", "Q_C_INS", True
+    C_Q_SUB = "C-Q-Sub", "Q_C_SUB", True
+    Q_C_APP = "Q-C-App", "C_Q_APP", False
+    Q_C_INS_APP = "Q-C-Ins-App", "C_Q_INS_APP", False
+    C_Q_APP = "C-Q-App", "Q_C_APP", True
+    C_Q_INS_APP = "C-Q-Ins-App", "Q_C_INS_APP", True
+
+    def __init__(self, value: str, mirror: str, context_row: bool) -> None:
+        self.context_row = context_row
 
 
 @dataclass(frozen=True)
@@ -382,8 +419,11 @@ def build_rewrite_matrix(
 
     Each Substitute pairs every context token in its range with every
     question token in its range (C-Q-Sub one way, Q-C-Sub the other); each
-    Insert pairs its context tokens with the single anchor question token.
-    A virtual end-of-question anchor folds onto the final question token.
+    Insert pairs its context tokens with the single anchor question token
+    (C-Q-Ins/Q-C-Ins).  An Insert at the virtual end-of-question anchor
+    ``len(question)`` is an append, written as C-Q-App/Q-C-App in the last
+    question column; a context token both inserted before the last
+    question token and appended gets C-Q-Ins-App/Q-C-Ins-App there.
     Raises :class:`EditConflictError` when two ops disagree on one cell.
     """
     n_ctx, n_q = len(context), len(question)
@@ -393,12 +433,17 @@ def build_rewrite_matrix(
     cells: dict[tuple[int, int], RewriteRelation] = {}
 
     def put(i: int, j: int, rel: RewriteRelation) -> None:
+        # Cells are written in mirrored pairs, so one side tells both.
         existing = cells.get((i, j))
         if existing is not None and existing is not rel:
-            raise EditConflictError(
-                f"cell ({i},{j}) assigned both {existing.value} and {rel.value}"
-            )
+            if RewriteRelation.C_Q_SUB in (existing, rel):
+                raise EditConflictError(
+                    f"cell ({i},{j}) assigned both {existing.value} and {rel.value}"
+                )
+            # An insert before the last question token meets an append.
+            rel = RewriteRelation.C_Q_INS_APP
         cells[(i, j)] = rel
+        cells[(j, i)] = rel.mirror
 
     for op in ops:
         cs, ce = op.context_range
@@ -411,14 +456,15 @@ def build_rewrite_matrix(
             for ci in range(cs, ce):
                 for qi in range(qs, qe):
                     put(ci, n_ctx + qi, RewriteRelation.C_Q_SUB)
-                    put(n_ctx + qi, ci, RewriteRelation.Q_C_SUB)
         else:
             if not (0 <= op.question_anchor <= n_q):
                 raise ValueError(f"insert anchor {op.question_anchor} out of bounds")
-            anchor = min(op.question_anchor, n_q - 1)
+            if op.question_anchor == n_q:
+                anchor, rel = n_q - 1, RewriteRelation.C_Q_APP
+            else:
+                anchor, rel = op.question_anchor, RewriteRelation.C_Q_INS
             for ci in range(cs, ce):
-                put(ci, n_ctx + anchor, RewriteRelation.C_Q_INS)
-                put(n_ctx + anchor, ci, RewriteRelation.Q_C_INS)
+                put(ci, n_ctx + anchor, rel)
     return RewriteEditMatrix(context, question, cells)
 
 

@@ -1,10 +1,10 @@
 """Reconstruct a rewritten question from its edit matrix.
 
 The matrix stores which context tokens substitute for or insert before
-which question tokens; reading those cells over the original question
-recovers the rewrite up to surface-form differences (the matrix keeps the
-*context* surface forms, so "city" written by a rewriter may come back as
-the context's "cities").
+which question tokens, and which are appended after the last one; reading
+those cells over the original question recovers the rewrite up to
+surface-form differences (the matrix keeps the *context* surface forms, so
+"city" written by a rewriter may come back as the context's "cities").
 """
 
 from __future__ import annotations
@@ -30,36 +30,29 @@ class RestoredQuestion:
         return " ".join(self.tokens)
 
 
-_MIRROR = {
-    RewriteRelation.C_Q_SUB: RewriteRelation.Q_C_SUB,
-    RewriteRelation.Q_C_SUB: RewriteRelation.C_Q_SUB,
-    RewriteRelation.C_Q_INS: RewriteRelation.Q_C_INS,
-    RewriteRelation.Q_C_INS: RewriteRelation.C_Q_INS,
-}
-
-_CONTEXT_ROW = (RewriteRelation.C_Q_SUB, RewriteRelation.C_Q_INS)
+# The appends, which hold only in the last question column.
+_LAST_COLUMN = frozenset((RewriteRelation.C_Q_APP, RewriteRelation.Q_C_APP,
+                          RewriteRelation.C_Q_INS_APP, RewriteRelation.Q_C_INS_APP))
 
 
 def _validate(matrix: RewriteEditMatrix) -> None:
-    n_ctx = matrix.context_size
+    n_ctx, last = matrix.context_size, matrix.size - 1
     for (i, j), rel in matrix.cells.items():
-        if rel in _CONTEXT_ROW:
-            if not (i < n_ctx <= j):
-                raise MalformedMatrixError(
-                    f"cell ({i},{j}) carries {rel.value} outside the "
-                    "context-row/question-column block"
-                )
-        else:
-            if not (j < n_ctx <= i):
-                raise MalformedMatrixError(
-                    f"cell ({i},{j}) carries {rel.value} outside the "
-                    "question-row/context-column block"
-                )
-        mirrored = matrix.cells.get((j, i))
-        if mirrored is not _MIRROR[rel]:
+        ctx, q = (i, j) if rel.context_row else (j, i)
+        if not (ctx < n_ctx <= q):
+            block = ("context-row/question-column" if rel.context_row
+                     else "question-row/context-column")
+            raise MalformedMatrixError(
+                f"cell ({i},{j}) carries {rel.value} outside the {block} block"
+            )
+        if q != last and rel in _LAST_COLUMN:
+            raise MalformedMatrixError(
+                f"cell ({i},{j}) carries {rel.value} outside the last question column"
+            )
+        if matrix.cells.get((j, i)) is not rel.mirror:
             raise MalformedMatrixError(
                 f"cell ({i},{j})={rel.value} lacks its mirror "
-                f"{_MIRROR[rel].value} at ({j},{i})"
+                f"{rel.mirror.value} at ({j},{i})"
             )
 
 
@@ -71,11 +64,13 @@ def restore(
     """Apply the matrix's edits to the original question.
 
     Before each question token come the context tokens inserted before it
-    (``C-Q-Ins``), then those substituted at it, then the token itself
-    unless a ``C-Q-Sub`` cell replaces it.  A context token substitutes
-    once per run of consecutive question tokens it replaces, at the run's
-    first token.  Tokens placed at one index keep their context order.
-    Raises :class:`MalformedMatrixError` on symmetry or block violations.
+    (``C-Q-Ins``, and ``C-Q-Ins-App`` at the last token), then those
+    substituted at it, then the token itself unless a ``C-Q-Sub`` cell
+    replaces it.  A context token substitutes once per run of consecutive
+    question tokens it replaces, at the run's first token.  The appended
+    tokens (``C-Q-App``, ``C-Q-Ins-App``) come after everything else.
+    Tokens placed at one index keep their context order.  Raises
+    :class:`MalformedMatrixError` on symmetry or block violations.
     """
     question, context = tuple(question), tuple(context)
     if question != matrix.question_tokens or context != matrix.context_tokens:
@@ -85,6 +80,7 @@ def restore(
     inserts_at: dict[int, list[str]] = defaultdict(list)
     subs_at: dict[int, list[str]] = defaultdict(list)
     replaced: set[int] = set()
+    appended: list[str] = []
     for (i, j), rel in sorted(cells.items()):
         if rel is RewriteRelation.C_Q_INS:
             inserts_at[j - n_ctx].append(context[i])
@@ -92,6 +88,11 @@ def restore(
             replaced.add(j - n_ctx)
             if cells.get((i, j - 1)) is not RewriteRelation.C_Q_SUB:
                 subs_at[j - n_ctx].append(context[i])
+        elif rel is RewriteRelation.C_Q_APP:
+            appended.append(context[i])
+        elif rel is RewriteRelation.C_Q_INS_APP:
+            inserts_at[j - n_ctx].append(context[i])
+            appended.append(context[i])
 
     out: list[str] = []
     for idx, token in enumerate(question):
@@ -99,4 +100,5 @@ def restore(
         out.extend(subs_at.get(idx, ()))
         if idx not in replaced:
             out.append(token)
+    out.extend(appended)
     return RestoredQuestion(tuple(out))

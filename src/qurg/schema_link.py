@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .rewrite_diff import DEFAULT_POLICY, MatchPolicy, TokenSeq, token_seq
+from .rewrite_diff import (
+    DEFAULT_POLICY, MatchPolicy, Relation, RewriteEditMatrix, TokenSeq, token_seq
+)
 
 __all__ = [
     "SchemaError",
@@ -113,48 +114,30 @@ class Schema:
                 raise SchemaError(f"dangling foreign key {fk!r}")
 
 
-class LinkRelation(Enum):
-    """Relation vocabulary of the schema-linking matrix.
-
-    The ``-Rev`` variants are the transposed direction of the corresponding
-    utterance-to-schema match.
+class LinkRelation(Relation):
+    """Relation vocabulary of the schema-linking matrix, each member with
+    its mirror.  The ``-Rev`` variants are the transposed direction of the
+    corresponding utterance-to-schema match.
     """
 
-    EXACT_TABLE = "Exact-Table-Match"
-    EXACT_TABLE_REV = "Exact-Table-Match-Rev"
-    PARTIAL_TABLE = "Partial-Table-Match"
-    PARTIAL_TABLE_REV = "Partial-Table-Match-Rev"
-    EXACT_COLUMN = "Exact-Column-Match"
-    EXACT_COLUMN_REV = "Exact-Column-Match-Rev"
-    PARTIAL_COLUMN = "Partial-Column-Match"
-    PARTIAL_COLUMN_REV = "Partial-Column-Match-Rev"
-    COLUMN_BELONGS_TO_TABLE = "Column-Belongs-To-Table"
-    TABLE_HAS_COLUMN = "Table-Has-Column"
-    SAME_TABLE_COLUMNS = "Same-Table-Columns"
-    FOREIGN_KEY_FORWARD = "Foreign-Key-Forward"
-    FOREIGN_KEY_BACKWARD = "Foreign-Key-Backward"
-    PRIMARY_KEY_OF = "Primary-Key-Of"
-    HAS_PRIMARY_KEY = "Has-Primary-Key"
+    EXACT_TABLE = "Exact-Table-Match", "EXACT_TABLE_REV"
+    EXACT_TABLE_REV = "Exact-Table-Match-Rev", "EXACT_TABLE"
+    PARTIAL_TABLE = "Partial-Table-Match", "PARTIAL_TABLE_REV"
+    PARTIAL_TABLE_REV = "Partial-Table-Match-Rev", "PARTIAL_TABLE"
+    EXACT_COLUMN = "Exact-Column-Match", "EXACT_COLUMN_REV"
+    EXACT_COLUMN_REV = "Exact-Column-Match-Rev", "EXACT_COLUMN"
+    PARTIAL_COLUMN = "Partial-Column-Match", "PARTIAL_COLUMN_REV"
+    PARTIAL_COLUMN_REV = "Partial-Column-Match-Rev", "PARTIAL_COLUMN"
+    COLUMN_BELONGS_TO_TABLE = "Column-Belongs-To-Table", "TABLE_HAS_COLUMN"
+    TABLE_HAS_COLUMN = "Table-Has-Column", "COLUMN_BELONGS_TO_TABLE"
+    SAME_TABLE_COLUMNS = "Same-Table-Columns", "SAME_TABLE_COLUMNS"
+    FOREIGN_KEY_FORWARD = "Foreign-Key-Forward", "FOREIGN_KEY_BACKWARD"
+    FOREIGN_KEY_BACKWARD = "Foreign-Key-Backward", "FOREIGN_KEY_FORWARD"
+    PRIMARY_KEY_OF = "Primary-Key-Of", "HAS_PRIMARY_KEY"
+    HAS_PRIMARY_KEY = "Has-Primary-Key", "PRIMARY_KEY_OF"
 
 
-LINK_RELATION_MIRROR: dict[LinkRelation, LinkRelation] = {
-    LinkRelation.EXACT_TABLE: LinkRelation.EXACT_TABLE_REV,
-    LinkRelation.EXACT_TABLE_REV: LinkRelation.EXACT_TABLE,
-    LinkRelation.PARTIAL_TABLE: LinkRelation.PARTIAL_TABLE_REV,
-    LinkRelation.PARTIAL_TABLE_REV: LinkRelation.PARTIAL_TABLE,
-    LinkRelation.EXACT_COLUMN: LinkRelation.EXACT_COLUMN_REV,
-    LinkRelation.EXACT_COLUMN_REV: LinkRelation.EXACT_COLUMN,
-    LinkRelation.PARTIAL_COLUMN: LinkRelation.PARTIAL_COLUMN_REV,
-    LinkRelation.PARTIAL_COLUMN_REV: LinkRelation.PARTIAL_COLUMN,
-    LinkRelation.COLUMN_BELONGS_TO_TABLE: LinkRelation.TABLE_HAS_COLUMN,
-    LinkRelation.TABLE_HAS_COLUMN: LinkRelation.COLUMN_BELONGS_TO_TABLE,
-    LinkRelation.SAME_TABLE_COLUMNS: LinkRelation.SAME_TABLE_COLUMNS,
-    LinkRelation.FOREIGN_KEY_FORWARD: LinkRelation.FOREIGN_KEY_BACKWARD,
-    LinkRelation.FOREIGN_KEY_BACKWARD: LinkRelation.FOREIGN_KEY_FORWARD,
-    LinkRelation.PRIMARY_KEY_OF: LinkRelation.HAS_PRIMARY_KEY,
-    LinkRelation.HAS_PRIMARY_KEY: LinkRelation.PRIMARY_KEY_OF,
-}
-
+LINK_RELATION_MIRROR = {rel: rel.mirror for rel in LinkRelation}
 LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
 
 
@@ -285,7 +268,7 @@ def _put_structure(
 
     def put(i: int, j: int, rel: LinkRelation) -> None:
         cells[(i, j)] = rel
-        cells[(j, i)] = LINK_RELATION_MIRROR[rel]
+        cells[(j, i)] = rel.mirror
 
     columns = tables + len(schema.tables)
     for src, dst in sorted(schema.foreign_keys):
@@ -350,7 +333,7 @@ def build_schema_link_matrix(
     multi-word element name, unless an exact match already covers that
     (token, element) pair.  N-grams never span the question/context boundary.
     Tables and columns are matched independently of each other.  Every
-    cell (i, j) has its mirror cell (j, i) carrying ``LINK_RELATION_MIRROR``.
+    cell (i, j) has its mirror cell (j, i) carrying the relation's ``mirror``.
     """
     question = token_seq(question)
     context = token_seq(context)
@@ -372,8 +355,8 @@ def build_schema_link_matrix(
     # on a reused schema.
     for family in families:
         offset = tables + family.base
-        exact, exact_rev = family.exact, LINK_RELATION_MIRROR[family.exact]
-        partial, partial_rev = family.partial, LINK_RELATION_MIRROR[family.partial]
+        exact, exact_rev = family.exact, family.exact.mirror
+        partial, partial_rev = family.partial, family.partial.mirror
         covered = set(_exact_match_pass(segments, family))
         for pos, elem in covered:
             cells[(pos, offset + elem)] = exact
@@ -401,7 +384,7 @@ def build_schema_link_matrix(
     return matrix
 
 
-def link_stats(matrix: SchemaLinkMatrix) -> dict[str, int]:
-    """Count non-empty cells per relation type."""
+def link_stats(matrix: SchemaLinkMatrix | RewriteEditMatrix) -> dict[str, int]:
+    """Count non-empty cells per relation type, sorted by relation name."""
     counts: Counter[str] = Counter(rel.value for rel in matrix.cells.values())
     return dict(sorted(counts.items()))

@@ -298,16 +298,20 @@ def _contiguous_runs(indices: list[int]) -> list[tuple[int, int]]:
 def recover_ops(matrix: RewriteEditMatrix) -> list[EditOp]:
     """Group matrix cells back into edit operations: contiguous context
     tokens sharing one relation type and one question target set form one
-    op, with one substitute per contiguous run of the targets."""
+    op, with one substitute per contiguous run of the targets.  An append
+    cell is an insert anchored at ``len(question)``; an insert-and-append
+    cell is both that and an insert before the last question token."""
     _validate(matrix)
-    n_ctx = matrix.context_size
+    n_ctx, n_q = matrix.context_size, matrix.question_size
     sub_targets: dict[int, list[int]] = defaultdict(list)
     ins_pairs: dict[int, list[int]] = defaultdict(list)  # anchor -> context indices
     for (i, j), rel in matrix.cells.items():
         if rel is RewriteRelation.C_Q_SUB:
             sub_targets[i].append(j - n_ctx)
-        elif rel is RewriteRelation.C_Q_INS:
+        if rel in (RewriteRelation.C_Q_INS, RewriteRelation.C_Q_INS_APP):
             ins_pairs[j - n_ctx].append(i)
+        if rel in (RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP):
+            ins_pairs[n_q].append(i)
 
     ops: list[EditOp] = []
     grouped: list[tuple[int, tuple[int, ...]]] = sorted(

@@ -100,17 +100,31 @@ def test_c03_symmetry_and_block_purity():
         RewriteRelation.Q_C_SUB: RewriteRelation.C_Q_SUB,
         RewriteRelation.C_Q_INS: RewriteRelation.Q_C_INS,
         RewriteRelation.Q_C_INS: RewriteRelation.C_Q_INS,
+        RewriteRelation.C_Q_APP: RewriteRelation.Q_C_APP,
+        RewriteRelation.Q_C_APP: RewriteRelation.C_Q_APP,
+        RewriteRelation.C_Q_INS_APP: RewriteRelation.Q_C_INS_APP,
+        RewriteRelation.Q_C_INS_APP: RewriteRelation.C_Q_INS_APP,
     }
+    context_row = (
+        RewriteRelation.C_Q_SUB, RewriteRelation.C_Q_INS,
+        RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP,
+    )
+    last_column = (
+        RewriteRelation.C_Q_APP, RewriteRelation.Q_C_APP,
+        RewriteRelation.C_Q_INS_APP, RewriteRelation.Q_C_INS_APP,
+    )
     ok = True
     for _ in range(1000):
         interaction, rewrite = generators.random_triple(rng)
         matrix = build_from_interaction(interaction, rewrite)
         n_ctx = matrix.context_size
         for (i, j), rel in matrix.cells.items():
-            if rel in (RewriteRelation.C_Q_SUB, RewriteRelation.C_Q_INS):
+            if rel in context_row:
                 ok = ok and i < n_ctx <= j
             else:
                 ok = ok and j < n_ctx <= i
+            if rel in last_column:
+                ok = ok and max(i, j) == matrix.size - 1
             ok = ok and matrix.cells.get((j, i)) is mirror[rel]
         if not ok:
             break

@@ -114,6 +114,21 @@ class TestRestore:
         assert run(["restore", "--matrix", str(matrix_path), "--out", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["tokens"] == ["show", "all", "flights", "."]
 
+    def test_appended_phrase_comes_back_last(self, tmp_path, capsys):
+        matrix_path = tmp_path / "append.json"
+        assert run([
+            "build-matrix", "show the flights",
+            "--context", "from boston",
+            "--rewrite", "show the flights from boston",
+            "--out", str(matrix_path),
+        ]) == 0
+        assert {cell["rel"] for cell in json.loads(matrix_path.read_text())["cells"]} == {
+            "C-Q-App", "Q-C-App",
+        }
+        capsys.readouterr()
+        assert run(["restore", "--matrix", str(matrix_path)]) == 0
+        assert capsys.readouterr().out == "show the flights from boston\n"
+
     def test_malformed_matrix_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -357,6 +372,19 @@ class TestMalformedInputs:
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), (cut, captured.err)
             assert "Traceback" not in captured.err + captured.out, cut
+
+    @pytest.mark.parametrize(
+        ("rel", "mirror"), [("C-Q-App", "Q-C-App"), ("C-Q-Ins-App", "Q-C-Ins-App")]
+    )
+    def test_append_outside_last_column(self, tmp_path, capsys, rel, mirror):
+        matrix = tmp_path / "append.json"
+        matrix.write_text(json.dumps({
+            "qurg_fmt": 1,
+            "context_tokens": ["a"],
+            "question_tokens": ["q", "r"],
+            "cells": [{"i": 0, "j": 1, "rel": rel}, {"i": 1, "j": 0, "rel": mirror}],
+        }))
+        self._assert_clean_failure(["restore", "--matrix", str(matrix)], capsys)
 
     def test_schema_table_index_not_integer(self, tmp_path, fixtures_dir, capsys):
         schema = tmp_path / "schema.json"

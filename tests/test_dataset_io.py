@@ -28,7 +28,12 @@ from qurg.dataset_io import (
     tokenize,
     write_json,
 )
-from qurg.rewrite_diff import RewriteEditMatrix, build_from_interaction
+from qurg.rewrite_diff import (
+    Interaction,
+    RewriteEditMatrix,
+    RewriteRelation,
+    build_from_interaction,
+)
 from qurg.rouge_eval import corpus_rouge
 from qurg.schema_link import SchemaError, build_schema_link_matrix
 
@@ -229,6 +234,31 @@ class TestMatrixSerialization:
         path = tmp_path / "none.json"
         save_matrix(path, RewriteEditMatrix(("a",), ("q",), {}))
         assert json.loads(path.read_text())["cells"] == []
+
+    def test_append_cells_roundtrip(self, tmp_path):
+        inter = Interaction((("from", "boston"),), ("flights",))
+        matrix = build_from_interaction(inter, ("boston", "flights", "from", "boston"))
+        assert set(matrix.cells.values()) == {
+            RewriteRelation.C_Q_APP, RewriteRelation.Q_C_APP,
+            RewriteRelation.C_Q_INS_APP, RewriteRelation.Q_C_INS_APP,
+        }
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(first, matrix)
+        assert load_matrix(first) == matrix
+        save_matrix(second, load_matrix(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name", ["C_Q_INS", "c-q-ins", "Exact-Table-Match", ["C-Q-Ins"], {"C-Q-Ins": 1}, 3, None]
+    )
+    def test_relation_outside_the_family_rejected(self, tmp_path, name):
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps({
+            "qurg_fmt": 1, "context_tokens": ["a"], "question_tokens": ["q"],
+            "cells": [{"i": 0, "j": 1, "rel": name}],
+        }))
+        with pytest.raises(DatasetError, match=r"\(0,1\) has unknown relation"):
+            load_matrix(path)
 
     def test_corrupted_relation_names_cell(self, fixtures_dir):
         with pytest.raises(DatasetError, match=r"\(0,2\)"):

@@ -598,6 +598,21 @@ class TestRelationIdMatrices:
         assert ids[1, 0] == RW_RELATION_IDS["C-Q-Sub"]  # "c" now first ctx row
         assert ids[0, 1] == RW_RELATION_IDS["Q-C-Sub"]
 
+    def test_appends_reach_the_stream_as_inserts(self):
+        from qurg.rewrite_diff import RewriteRelation
+
+        # (a, q1) appends, (b, q1) inserts before q1 and appends.
+        cells = {
+            (0, 3): RewriteRelation.C_Q_APP,
+            (3, 0): RewriteRelation.Q_C_APP,
+            (1, 3): RewriteRelation.C_Q_INS_APP,
+            (3, 1): RewriteRelation.Q_C_INS_APP,
+        }
+        ids = rewrite_relation_ids(RewriteEditMatrix(("a", "b"), ("q0", "q1"), cells))
+        assert ids[2, 1] == ids[3, 1] == RW_RELATION_IDS["C-Q-Ins"]
+        assert ids[1, 2] == ids[1, 3] == RW_RELATION_IDS["Q-C-Ins"]
+        assert EncoderConfig().rw_relation_count == len(set(RW_RELATION_IDS.values())) == 5
+
     def test_bad_permutation_rejected(self):
         matrix = RewriteEditMatrix(("a", "b"), ("q",), {})
         with pytest.raises(ValueError):

@@ -245,10 +245,30 @@ class TestBuildRewriteMatrix:
         with pytest.raises(ValueError):
             build_rewrite_matrix(ops, ("c",), ("q",))
 
-    def test_virtual_end_anchor_folds_to_last_token(self):
+    def test_end_anchor_appends_in_last_column(self):
         ops = [EditOp(OpKind.INSERT, (0, 1), question_anchor=2)]
         matrix = build_rewrite_matrix(ops, ("c",), ("q", "r"))
-        assert matrix.relation_at(0, 1 + 1) is RewriteRelation.C_Q_INS
+        assert matrix.cells == {
+            (0, 1 + 1): RewriteRelation.C_Q_APP,
+            (1 + 1, 0): RewriteRelation.Q_C_APP,
+        }
+
+    @pytest.mark.parametrize("anchors", [(1, 2), (2, 1), (1, 2, 1), (2, 1, 2)])
+    def test_insert_before_last_and_append_share_a_cell(self, anchors):
+        ops = [EditOp(OpKind.INSERT, (0, 1), question_anchor=a) for a in anchors]
+        matrix = build_rewrite_matrix(ops, ("c",), ("q", "r"))
+        assert matrix.cells == {
+            (0, 1 + 1): RewriteRelation.C_Q_INS_APP,
+            (1 + 1, 0): RewriteRelation.Q_C_INS_APP,
+        }
+
+    def test_substitute_and_append_conflict(self):
+        ops = [
+            EditOp(OpKind.SUBSTITUTE, (0, 1), question_anchor=1, question_range=(1, 2)),
+            EditOp(OpKind.INSERT, (0, 1), question_anchor=2),
+        ]
+        with pytest.raises(EditConflictError, match=r"cell \(0,2\) assigned both C-Q-Sub and C-Q-App"):
+            build_rewrite_matrix(ops, ("c",), ("q", "r"))
 
 
 class TestBuildFromInteraction:
@@ -287,14 +307,28 @@ def assert_matrix_invariants(matrix) -> None:
         RewriteRelation.Q_C_SUB: RewriteRelation.C_Q_SUB,
         RewriteRelation.C_Q_INS: RewriteRelation.Q_C_INS,
         RewriteRelation.Q_C_INS: RewriteRelation.C_Q_INS,
+        RewriteRelation.C_Q_APP: RewriteRelation.Q_C_APP,
+        RewriteRelation.Q_C_APP: RewriteRelation.C_Q_APP,
+        RewriteRelation.C_Q_INS_APP: RewriteRelation.Q_C_INS_APP,
+        RewriteRelation.Q_C_INS_APP: RewriteRelation.C_Q_INS_APP,
     }
+    context_row = (
+        RewriteRelation.C_Q_SUB, RewriteRelation.C_Q_INS,
+        RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP,
+    )
+    last_column = (
+        RewriteRelation.C_Q_APP, RewriteRelation.Q_C_APP,
+        RewriteRelation.C_Q_INS_APP, RewriteRelation.Q_C_INS_APP,
+    )
     for (i, j), rel in matrix.cells.items():
         in_context = (i < n_ctx, j < n_ctx)
         assert in_context in ((True, False), (False, True)), "block purity violated"
-        if rel in (RewriteRelation.C_Q_SUB, RewriteRelation.C_Q_INS):
+        if rel in context_row:
             assert i < n_ctx <= j
         else:
             assert j < n_ctx <= i
+        if rel in last_column:
+            assert max(i, j) == matrix.size - 1, "append outside the last column"
         assert matrix.cells.get((j, i)) is mirror[rel], "mirror cell missing"
 
 

@@ -9,6 +9,8 @@ import generators
 import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
 from qurg.rewrite_diff import (
+    Interaction,
+    OpKind,
     RewriteEditMatrix,
     RewriteRelation,
     build_from_interaction,
@@ -25,8 +27,9 @@ def _restore(matrix: RewriteEditMatrix) -> tuple[str, ...]:
 def random_edit_matrix(rng: random.Random) -> RewriteEditMatrix:
     """A valid hand-built matrix.  Each context row substitutes for a random
     subset of the question, often non-contiguous and overlapping other
-    rows', or repeats the target set of the row above, and inserts before
-    a few random anchors, which rows share."""
+    rows', or repeats the target set of the row above, inserts before a
+    few random anchors, which rows share, and may append after the last
+    question token, also when it inserts before that token."""
     n_ctx, n_q = rng.randint(1, 7), rng.randint(1, 7)
     context = tuple(f"c{i}" for i in range(n_ctx))
     question = tuple(f"q{j}" for j in range(n_q))
@@ -46,6 +49,14 @@ def random_edit_matrix(rng: random.Random) -> RewriteEditMatrix:
         for j in anchors:
             cells[(i, n_ctx + j)] = RewriteRelation.C_Q_INS
             cells[(n_ctx + j, i)] = RewriteRelation.Q_C_INS
+        if n_q - 1 not in targets and rng.random() < 0.3:
+            last = n_ctx + n_q - 1
+            if n_q - 1 in anchors:
+                cells[(i, last)] = RewriteRelation.C_Q_INS_APP
+                cells[(last, i)] = RewriteRelation.Q_C_INS_APP
+            else:
+                cells[(i, last)] = RewriteRelation.C_Q_APP
+                cells[(last, i)] = RewriteRelation.Q_C_APP
     return RewriteEditMatrix(context, question, cells)
 
 
@@ -85,6 +96,24 @@ class TestRecoverOps:
         }
         matrix = RewriteEditMatrix(("a", "b"), ("q",), cells)
         with pytest.raises(MalformedMatrixError):
+            _restore(matrix)
+
+    @pytest.mark.parametrize(
+        "rel", [RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP]
+    )
+    def test_append_outside_last_column_detected(self, rel):
+        cells = {(0, 1): rel, (1, 0): rel.mirror}
+        matrix = RewriteEditMatrix(("a",), ("q", "r"), cells)
+        with pytest.raises(MalformedMatrixError, match="outside the last question column"):
+            _restore(matrix)
+
+    @pytest.mark.parametrize(
+        "rel", [RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP]
+    )
+    def test_append_with_insert_mirror_detected(self, rel):
+        cells = {(0, 2): rel, (2, 0): RewriteRelation.Q_C_INS}
+        matrix = RewriteEditMatrix(("a",), ("q", "r"), cells)
+        with pytest.raises(MalformedMatrixError, match="lacks its mirror"):
             _restore(matrix)
 
 
@@ -133,6 +162,53 @@ class TestRestore:
         restored = restore(question, context, matrix)
         assert restored.tokens == ("q0", "u", "x", "q1")
 
+    def test_append_after_last_token(self):
+        inter = Interaction((("from", "boston"),), ("show", "the", "flights"))
+        rewrite = ("show", "the", "flights", "from", "boston")
+        matrix = build_from_interaction(inter, rewrite)
+        assert restore(inter.question, inter.flat_context(), matrix).tokens == rewrite
+
+    def test_insert_before_last_token_and_append_keep_both_copies(self):
+        inter = Interaction((("boston",),), ("flights",))
+        rewrite = ("boston", "flights", "boston")
+        matrix = build_from_interaction(inter, rewrite)
+        assert matrix.cells == {
+            (0, 1): RewriteRelation.C_Q_INS_APP,
+            (1, 0): RewriteRelation.Q_C_INS_APP,
+        }
+        assert restore(inter.question, inter.flat_context(), matrix).tokens == rewrite
+
+    def test_appends_after_substitute_at_last_token(self):
+        # "a" substitutes for q1, "b" is inserted before it, "c" and "d"
+        # are appended; "d" is also inserted before q1.
+        context = ("a", "b", "c", "d")
+        question = ("q0", "q1")
+        cells = {
+            (0, 5): RewriteRelation.C_Q_SUB,
+            (1, 5): RewriteRelation.C_Q_INS,
+            (2, 5): RewriteRelation.C_Q_APP,
+            (3, 5): RewriteRelation.C_Q_INS_APP,
+        }
+        cells.update({(j, i): rel.mirror for (i, j), rel in list(cells.items())})
+        matrix = RewriteEditMatrix(context, question, cells)
+        assert restore(question, context, matrix).tokens == ("q0", "b", "d", "a", "c", "d")
+
+    def test_matches_op_replay_on_random_triples(self):
+        # Appends come from the triples whose rewrite ends in context words.
+        rng = random.Random(7)
+        appends = 0
+        for _ in range(3000):
+            inter, rewrite = generators.random_triple(rng)
+            context = inter.flat_context()
+            ops = extract_edit_ops(inter.question, context, rewrite)
+            matrix = build_rewrite_matrix(ops, context, inter.question)
+            assert restore(inter.question, context, matrix).tokens == oracles.replay_ops(
+                inter.question, context, ops
+            ), (inter, rewrite)
+            appends += any(op.question_anchor == len(inter.question) for op in ops
+                           if op.kind is OpKind.INSERT)
+        assert appends >= 300
+
     def test_token_mismatch_rejected(self):
         matrix = RewriteEditMatrix(("a",), ("q",), {})
         with pytest.raises(ValueError):
@@ -155,7 +231,11 @@ class TestRestore:
     def test_matches_op_replay_on_random_matrices(self):
         rng = random.Random(17)
         seen = dict.fromkeys(
-            ("non-contiguous", "overlapping", "equal adjacent rows", "shared anchor"), 0
+            (
+                "non-contiguous", "overlapping", "equal adjacent rows", "shared anchor",
+                "append", "insert and append",
+            ),
+            0,
         )
         for _ in range(2000):
             matrix = random_edit_matrix(rng)
@@ -172,4 +252,7 @@ class TestRestore:
             seen["overlapping"] += sum(map(len, rows.values())) > len(set().union(*rows.values()))
             seen["equal adjacent rows"] += any(rows.get(i - 1) == t for i, t in rows.items())
             seen["shared anchor"] += any(count > 1 for count in anchors.values())
+            relations = set(matrix.cells.values())
+            seen["append"] += RewriteRelation.C_Q_APP in relations
+            seen["insert and append"] += RewriteRelation.C_Q_INS_APP in relations
         assert min(seen.values()) >= 100, seen
