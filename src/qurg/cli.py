@@ -14,7 +14,8 @@ run that finished.  The output files of ``restore``, ``rouge``,
 ``schema-link``, ``encode`` (``--out`` and ``--save-params``) and ``stats``
 are replaced the same way; only matrix files are written in place.
 Nothing is synced to disk, so this does not hold across a power loss or a
-kernel crash.
+kernel crash.  Only ``encode`` imports the encoder and numpy; the other
+commands never load them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
-from . import dataset_io, rat_encoder, rewrite_restore, rouge_eval
+from . import dataset_io, rewrite_restore, rouge_eval
 from .dataset_io import DatasetError
 from .rewrite_diff import (
     EditConflictError,
@@ -194,8 +193,12 @@ def cmd_roundtrip(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _read_utterance_lines(path: str) -> list[tuple[str, ...]]:
-    text = Path(path).read_text(encoding="utf-8")
-    return [tuple(line.split()) for line in text.splitlines()]
+    # Lines end at newlines only: ``splitlines`` would also end one at the
+    # separators U+2028, U+0085 and the like, which split tokens, not lines.
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [tuple(line.split()) for line in lines]
 
 
 def cmd_rouge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
@@ -237,6 +240,10 @@ def cmd_schema_link(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
+    import numpy as np
+
+    from . import rat_encoder
+
     if args.config:
         config = rat_encoder.EncoderConfig.from_dict(dataset_io.read_json(args.config))
     else:
@@ -420,13 +427,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.func(args, parser)
+        for example_id, message in result.failures:
+            print(f"error: example {example_id}: {message}", file=sys.stderr)
+        # A summary can hold tokens that standard output cannot encode, such
+        # as a lone surrogate read from a JSON escape.
+        if result.summary:
+            print(result.summary)
     except _OPERATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for example_id, message in result.failures:
-        print(f"error: example {example_id}: {message}", file=sys.stderr)
-    if result.summary:
-        print(result.summary)
     return 1 if result.failures else result.exit_code
 
 

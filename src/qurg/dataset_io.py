@@ -27,6 +27,8 @@ from .rewrite_diff import (
     RewriteEditMatrix,
     RewriteRelation,
     TokenSeq,
+    _check_question,
+    _prevalidated,
     token_seq,
 )
 from .rouge_eval import NORMALIZATION, CorpusRougeReport, RougeScore
@@ -112,8 +114,14 @@ class RewriteExample:
             raise ValueError("rewrite must be non-empty")
 
     def as_interaction(self) -> Interaction:
-        return Interaction(
-            self.history, self.question, self.rewrite, interaction_id=self.example_id
+        # The tokens were validated when this example was made.
+        _check_question(self.question)
+        return _prevalidated(
+            Interaction,
+            context_turns=self.history,
+            question=self.question,
+            gold_rewrite=self.rewrite,
+            interaction_id=self.example_id,
         )
 
 
@@ -386,7 +394,10 @@ def load_matrix(path: str | Path) -> RewriteEditMatrix:
     question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
     size = len(context) + len(question)
     cells = _parse_cells(payload, path, size, RewriteRelation)
-    return RewriteEditMatrix(context, question, cells)
+    # ``_tokens`` and ``_parse_cells`` did the checks of the constructor.
+    return _prevalidated(
+        RewriteEditMatrix, context_tokens=context, question_tokens=question, cells=cells
+    )
 
 
 def _schema_payload(schema: Schema) -> dict[str, Any]:
@@ -489,10 +500,14 @@ def load_rouge_report(path: str | Path) -> CorpusRougeReport:
 
     def score(key: str) -> RougeScore:
         block = _expect(_field(payload, key, where), dict, f"{where}: {key}")
-        return RougeScore(
-            *(float(_field(block, name, f"{where}: {key}", _NUMBER))
-              for name in ("precision", "recall", "f1"))
-        )
+        values = []
+        for name in ("precision", "recall", "f1"):
+            value = _field(block, name, f"{where}: {key}", _NUMBER)
+            # Also keeps NaN out, and integers too large for a float.
+            if not 0 <= value <= 1:
+                raise DatasetError(f"{where}: {key}: {name} must be in [0, 1], got {value!r:.40}")
+            values.append(float(value))
+        return RougeScore(*values)
 
     pairs = _expect(_field(payload, "pairs", where), int, f"{where}: pairs")
     if pairs < 0:

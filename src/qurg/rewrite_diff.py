@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 TokenSeq = tuple[str, ...]
+_T = TypeVar("_T")
 
 __all__ = [
     "TokenSeq",
@@ -62,6 +63,21 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
         if tok.split() != [tok]:  # the same test as any(ch.isspace() for ch in tok), faster
             raise ValueError(f"token contains whitespace: {tok!r}")
     return out
+
+
+def _prevalidated(cls: type[_T], **fields: object) -> _T:
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, made
+    without ``__post_init__``: for values that an earlier constructor or
+    loader already validated, so that each token sequence is checked once,
+    where it enters."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _check_question(question: TokenSeq) -> None:
+    if not question:
+        raise ValueError("interaction question must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -120,8 +136,7 @@ class Interaction:
         object.__setattr__(self, "question", token_seq(self.question))
         if self.gold_rewrite is not None:
             object.__setattr__(self, "gold_rewrite", token_seq(self.gold_rewrite))
-        if not self.question:
-            raise ValueError("interaction question must be non-empty")
+        _check_question(self.question)
 
     @property
     def turn_index(self) -> int:
@@ -426,7 +441,14 @@ def build_rewrite_matrix(
     question token and appended gets C-Q-Ins-App/Q-C-Ins-App there.
     Raises :class:`EditConflictError` when two ops disagree on one cell.
     """
-    n_ctx, n_q = len(context), len(question)
+    return RewriteEditMatrix(context, question, _edit_cells(ops, len(context), len(question)))
+
+
+def _edit_cells(
+    ops: Iterable[EditOp], n_ctx: int, n_q: int
+) -> dict[tuple[int, int], RewriteRelation]:
+    """The cells of :func:`build_rewrite_matrix`, each op checked against
+    the context and question lengths."""
     ops = list(ops)
     if ops and n_q == 0:
         raise ValueError("an empty question cannot host edit operations")
@@ -465,7 +487,7 @@ def build_rewrite_matrix(
                 anchor, rel = op.question_anchor, RewriteRelation.C_Q_INS
             for ci in range(cs, ce):
                 put(ci, n_ctx + anchor, rel)
-    return RewriteEditMatrix(context, question, cells)
+    return cells
 
 
 def build_from_interaction(
@@ -483,6 +505,12 @@ def build_from_interaction(
         rewrite = interaction.gold_rewrite
         if rewrite is None:
             raise ValueError("interaction has no gold rewrite and none was given")
-    context = interaction.flat_context()
-    ops = extract_edit_ops(interaction.question, context, rewrite, policy, occurrence)
-    return build_rewrite_matrix(ops, context, interaction.question)
+    context, question = interaction.flat_context(), interaction.question
+    ops = extract_edit_ops(question, context, rewrite, policy, occurrence)
+    # The interaction's tokens are validated, and the cells are in bounds.
+    return _prevalidated(
+        RewriteEditMatrix,
+        context_tokens=context,
+        question_tokens=question,
+        cells=_edit_cells(ops, len(context), len(question)),
+    )

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from qurg.rewrite_diff import Interaction
+from qurg.rewrite_diff import Interaction, build_from_interaction
 from qurg.schema_link import Column, Schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -12,6 +13,24 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FLIGHTS_CONTEXT = tuple("how many arriving flights are there in each of the cities ?".split())
 FLIGHTS_QUESTION = tuple("which one has the most ?".split())
 FLIGHTS_REWRITE = tuple("which city has the most arriving flights ?".split())
+
+
+def flights_matrix_payload() -> dict:
+    """The matrix file of the flights example, as a JSON value."""
+    matrix = build_from_interaction(
+        Interaction((FLIGHTS_CONTEXT,), FLIGHTS_QUESTION), FLIGHTS_REWRITE
+    )
+    return {
+        "qurg_fmt": 1,
+        "context_tokens": list(FLIGHTS_CONTEXT),
+        "question_tokens": list(FLIGHTS_QUESTION),
+        "cells": [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()],
+    }
+
+
+def corpus_record() -> dict:
+    """The first example of ``corpus_small.jsonl``, as a JSON value."""
+    return json.loads((FIXTURES / "corpus_small.jsonl").read_text().splitlines()[0])
 
 
 @pytest.fixture

@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 
 import generators
 import json_strategies
-from conftest import FIXTURES
+from conftest import FIXTURES, corpus_record, flights_matrix_payload
 from qurg.cli import main
-from qurg.dataset_io import load_matrix, load_rouge_report, save_rewrite_corpus
+from qurg.dataset_io import (
+    load_matrix,
+    load_rewrite_corpus,
+    load_rouge_report,
+    save_rewrite_corpus,
+)
 
 
 def run(argv: list[str]) -> int:
@@ -316,6 +321,14 @@ class TestRouge:
         # pair 1 covers 7/8 reference unigrams, pair 2 covers 4/6
         assert report.r1.recall == pytest.approx((7 / 8 + 4 / 6) / 2)
 
+    @pytest.mark.parametrize("separator", ["\x85", "\x1c", "\u2028", "\u2029"])
+    def test_lines_end_at_newlines_only(self, tmp_path, capsys, separator):
+        cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+        cand.write_text(f"show the{separator}flights\nall cities", encoding="utf-8")
+        ref.write_text("show the flights\r\nall cities\n")
+        assert run(["rouge", "--cand", str(cand), "--ref", str(ref)]) == 0
+        assert capsys.readouterr().out == "2 pairs: R1 100.0 / R2 100.0 / RL 100.0\n"
+
     def test_line_count_mismatch(self, tmp_path, fixtures_dir, capsys):
         short = tmp_path / "short.txt"
         short.write_text("only one line\n")
@@ -385,6 +398,15 @@ class TestMalformedInputs:
             "cells": [{"i": 0, "j": 1, "rel": rel}, {"i": 1, "j": 0, "rel": mirror}],
         }))
         self._assert_clean_failure(["restore", "--matrix", str(matrix)], capsys)
+
+    def test_summary_standard_output_cannot_encode(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(
+            '{"qurg_fmt":1,"context_tokens":[],"question_tokens":["a\\ud800"],"cells":[]}'
+        )
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            self._assert_clean_failure(["restore", "--matrix", str(matrix)], capsys)
 
     def test_schema_table_index_not_integer(self, tmp_path, fixtures_dir, capsys):
         schema = tmp_path / "schema.json"
@@ -519,6 +541,48 @@ class TestMalformedInputs:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("command", ["restore", "roundtrip", "rouge"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rewrite_commands_on_any_json(self, tmp_path_factory, command, data):
+        """``restore`` and ``roundtrip`` on any JSON value as their input
+        file, and ``rouge`` on the text of one, succeed or print one
+        ``error:`` line and exit 1.  A file the loader rejects always fails
+        with the loader's message; two one-line texts always make one pair."""
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / "input"
+        rejection = None
+        if command == "rouge":
+            value = data.draw(json_strategies.json_values)
+            path.write_text(json.dumps(value, ensure_ascii=False) + "\n", encoding="utf-8")
+            (work / "ref").write_text(json.dumps(value) + "\n")
+            argv = ["rouge", "--cand", str(path), "--ref", str(work / "ref")]
+        else:
+            if command == "restore":
+                base, loader, flags = flights_matrix_payload(), load_matrix, ["--matrix", "--out"]
+            else:
+                base, loader, flags = corpus_record(), load_rewrite_corpus, ["--corpus", "--report"]
+            path.write_text(json.dumps(data.draw(json_strategies.json_files(base))) + "\n")
+            try:
+                loader(path)
+            except ValueError as exc:
+                rejection = f"error: {exc}"
+            argv = [command, flags[0], str(path), flags[1], str(work / "out.json")]
+        # Standard output as on a UTF-8 terminal: text it cannot encode fails.
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and rejection is None
+            assert (work / "out.json").exists() or command == "rouge"
+        else:
+            assert code == 1 and command != "rouge"
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert rejection in (None, lines[0])
+        assert "Traceback" not in err.getvalue()
 
 
 TINY_CONFIG = {

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import json_strategies
-from conftest import FIXTURES, FLIGHTS_CONTEXT, FLIGHTS_QUESTION
+from conftest import (
+    FIXTURES,
+    FLIGHTS_CONTEXT,
+    FLIGHTS_QUESTION,
+    corpus_record,
+    flights_matrix_payload,
+)
+from qurg import dataset_io
 from qurg.dataset_io import (
     DatasetError,
     FormatVersionError,
@@ -33,8 +40,9 @@ from qurg.rewrite_diff import (
     RewriteEditMatrix,
     RewriteRelation,
     build_from_interaction,
+    build_rewrite_matrix,
 )
-from qurg.rouge_eval import corpus_rouge
+from qurg.rouge_eval import RougeScore, corpus_rouge
 from qurg.schema_link import SchemaError, build_schema_link_matrix
 
 
@@ -60,6 +68,51 @@ class TestTokenize:
     def test_bare_punctuation(self):
         assert tokenize("?") == ("?",)
         assert tokenize("") == ()
+
+
+class TestTokensValidatedOnce:
+    """Each token sequence is validated where it enters, by a loader or a
+    public constructor; the objects built from it do not check it again."""
+
+    def test_roundtrip_validates_each_sequence_once(self, monkeypatch):
+        from qurg import rewrite_diff, rewrite_restore
+
+        calls, token_seq = [], rewrite_diff.token_seq
+
+        def counting(tokens):
+            calls.append(tokens)
+            return token_seq(tokens)
+
+        for module in (rewrite_diff, dataset_io):
+            monkeypatch.setattr(module, "token_seq", counting)
+        examples = load_rewrite_corpus(FIXTURES / "corpus_small.jsonl")
+        assert len(calls) == sum(len(ex.history) + 2 for ex in examples)
+        calls.clear()
+        for ex in examples:
+            interaction = ex.as_interaction()
+            matrix = build_from_interaction(interaction, ex.rewrite)
+            rewrite_restore.restore(interaction.question, interaction.flat_context(), matrix)
+        assert calls == []
+
+    def test_hand_offs_reject_what_they_rejected(self):
+        example = RewriteExample((), (), ("a",), "x")
+        with pytest.raises(ValueError, match="^interaction question must be non-empty$"):
+            example.as_interaction()
+        with pytest.raises(ValueError, match="^expected a sequence of tokens, got the string 'ab'$"):
+            build_rewrite_matrix([], ("a",), "ab")
+
+    def test_hand_offs_build_what_the_constructors_build(self, flights_interaction):
+        example = RewriteExample(
+            flights_interaction.context_turns,
+            flights_interaction.question,
+            flights_interaction.gold_rewrite,
+            "flights-t2",
+        )
+        assert example.as_interaction() == flights_interaction
+        matrix = build_from_interaction(flights_interaction)
+        assert matrix == RewriteEditMatrix(
+            matrix.context_tokens, matrix.question_tokens, dict(matrix.cells)
+        )
 
 
 class TestInteractions:
@@ -390,8 +443,18 @@ def _link_matrix_payload() -> dict:
     return payload
 
 
-# Each schema-side loader with a valid payload for it to start from.
-_SCHEMA_SIDE_LOADERS = {
+def _rouge_report_payload() -> dict:
+    return {
+        "qurg_fmt": 1,
+        "normalization": "lowercase, no stemming",
+        **{key: {"precision": 0.5, "recall": 0.25, "f1": 1 / 3} for key in ("r1", "r2", "rl")},
+        "pairs": 2,
+    }
+
+
+# Each loader with a valid payload for it to start from.  A rewrite corpus
+# is JSON lines; the one-line text of a JSON value is such a file.
+_FUZZED_LOADERS = {
     "schema": (load_schema, json.loads((FIXTURES / "schema_flights.json").read_text())),
     "link-matrix": (load_link_matrix, _link_matrix_payload()),
     "native": (
@@ -401,25 +464,28 @@ _SCHEMA_SIDE_LOADERS = {
         lambda path: load_interactions(path, format="sparc"),
         json.loads((FIXTURES / "sparc_sample.json").read_text()),
     ),
+    "matrix": (load_matrix, flights_matrix_payload()),
+    "corpus": (load_rewrite_corpus, corpus_record()),
+    "rouge-report": (load_rouge_report, _rouge_report_payload()),
 }
 
 
 class TestLoaderFuzz:
-    """Any JSON value in a schema-side input file either loads or fails with
-    ``DatasetError``, ``SchemaError`` or ``ValueError``, never with another
-    exception."""
+    """Any JSON value in an input file either loads or fails with
+    ``DatasetError`` (``FormatVersionError`` among them), ``SchemaError`` or
+    ``ValueError``, never with another exception."""
 
     def test_bases_load(self, tmp_path):
-        for name, (loader, base) in _SCHEMA_SIDE_LOADERS.items():
+        for name, (loader, base) in _FUZZED_LOADERS.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(base))
             loader(path)
 
-    @pytest.mark.parametrize("name", sorted(_SCHEMA_SIDE_LOADERS))
+    @pytest.mark.parametrize("name", sorted(_FUZZED_LOADERS))
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_any_json_loads_or_fails_cleanly(self, tmp_path_factory, name, data):
-        loader, base = _SCHEMA_SIDE_LOADERS[name]
+        loader, base = _FUZZED_LOADERS[name]
         path = tmp_path_factory.mktemp("fuzz") / "input.json"
         path.write_text(json.dumps(data.draw(json_strategies.json_files(base))))
         try:
@@ -489,6 +555,28 @@ class TestReportSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(DatasetError):
             load_rouge_report(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        [-0.5, 1.5, float("nan"), float("inf"), 10**400],
+        ids=["negative", "above-one", "nan", "inf", "too-large-for-a-float"],
+    )
+    def test_score_out_of_range_rejected(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        save_rouge_report(path, corpus_rouge([(("a", "b"), ("a", "c"))]))
+        payload = json.loads(path.read_text())
+        payload["r2"]["recall"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match=r"r2: recall must be in \[0, 1\]"):
+            load_rouge_report(path)
+
+    def test_score_bounds_accepted(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_rouge_report(path, corpus_rouge([(("a",), ("a",)), (("b",), ("c",))]))
+        payload = json.loads(path.read_text())
+        payload["r1"] = {"precision": 0, "recall": 1, "f1": 0.0}
+        path.write_text(json.dumps(payload))
+        assert load_rouge_report(path).r1 == RougeScore(0.0, 1.0, 0.0)
 
     def test_missing_report_field_rejected(self, tmp_path):
         path = tmp_path / "report.json"
