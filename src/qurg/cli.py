@@ -28,23 +28,13 @@ from typing import Callable, Sequence
 
 from . import dataset_io, rewrite_restore, rouge_eval
 from .dataset_io import DatasetError
-from .rewrite_diff import (
-    EditConflictError,
-    Interaction,
-    MatchPolicy,
-    build_from_interaction,
-)
-from .rewrite_restore import MalformedMatrixError
-from .schema_link import SchemaError, build_schema_link_matrix, link_stats
+from .rewrite_diff import Interaction, MatchPolicy, build_from_interaction
+from .schema_link import build_schema_link_matrix, link_stats
 
-_OPERATION_ERRORS = (
-    DatasetError,
-    SchemaError,
-    MalformedMatrixError,
-    EditConflictError,
-    ValueError,
-    OSError,
-)
+# What an operation raises on bad input: the package's own errors
+# (DatasetError, SchemaError, MalformedMatrixError, EditConflictError) are
+# all ValueErrors.
+_OPERATION_ERRORS = (ValueError, OSError)
 
 
 @dataclasses.dataclass
@@ -195,7 +185,7 @@ def cmd_roundtrip(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _read_utterance_lines(path: str) -> list[tuple[str, ...]]:
     # Lines end at newlines only: ``splitlines`` would also end one at the
     # separators U+2028, U+0085 and the like, which split tokens, not lines.
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = dataset_io.read_text(path).split("\n")
     if lines[-1] == "":
         lines.pop()
     return [tuple(line.split()) for line in lines]

@@ -63,6 +63,7 @@ __all__ = [
     "dump_canonical",
     "write_json",
     "read_json",
+    "read_text",
 ]
 
 FORMAT_VERSION = 1
@@ -172,14 +173,26 @@ def _parse_json(text: str, path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than Python converts
+        raise DatasetError(f"{path}: unreadable JSON: {exc}") from None
     except RecursionError:
         raise DatasetError(f"{path}: JSON nested too deeply") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; any other file is a ``DatasetError`` naming
+    the file and the line of the first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # decoded whole, so ``start`` counts from byte 0
+        line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_json(path: str | Path) -> Any:
     """The JSON value in ``path``; malformed JSON is a ``DatasetError``
     naming the file."""
-    return _parse_json(Path(path).read_text(encoding="utf-8"), path)
+    return _parse_json(read_text(path), path)
 
 
 def _check_version(payload: Any, path: str | Path) -> None:
@@ -226,7 +239,7 @@ def load_interactions(path: str | Path, format: str = "native") -> list[Interact
     """
     if format not in ("native", "sparc"):
         raise ValueError(f"unknown interactions format {format!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if not text.strip():
         return []
     payload = _parse_json(text, path)
@@ -306,29 +319,28 @@ def load_rewrite_corpus(path: str | Path) -> list[RewriteExample]:
     """
     examples: list[RewriteExample] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            record = _expect(_parse_json(line, where), dict, where)
-            if "qurg_fmt" in record:
-                _check_version(record, where)
-            history = [
-                tokenize(_expect(turn, str, f"{where}: history"))
-                for turn in _field(record, "history", where, list)
-            ]
-            question = tokenize(_field(record, "question", where, str))
-            rewrite = tokenize(_field(record, "rewrite", where, str))
-            example_id = str(_field(record, "id", where))
-            if example_id in seen:
-                raise DatasetError(f"{where}: duplicate example id {example_id!r}")
-            seen.add(example_id)
-            if not question:
-                raise DatasetError(f"{where}: question has no tokens")
-            if not rewrite:
-                raise DatasetError(f"{where}: rewrite has no tokens")
-            examples.append(RewriteExample(tuple(history), question, rewrite, example_id))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        record = _expect(_parse_json(line, where), dict, where)
+        if "qurg_fmt" in record:
+            _check_version(record, where)
+        history = [
+            tokenize(_expect(turn, str, f"{where}: history"))
+            for turn in _field(record, "history", where, list)
+        ]
+        question = tokenize(_field(record, "question", where, str))
+        rewrite = tokenize(_field(record, "rewrite", where, str))
+        example_id = _expect(_field(record, "id", where), str, f"{where}: id")
+        if example_id in seen:
+            raise DatasetError(f"{where}: duplicate example id {example_id!r}")
+        seen.add(example_id)
+        if not question:
+            raise DatasetError(f"{where}: question has no tokens")
+        if not rewrite:
+            raise DatasetError(f"{where}: rewrite has no tokens")
+        examples.append(RewriteExample(tuple(history), question, rewrite, example_id))
     return examples
 
 

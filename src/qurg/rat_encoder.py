@@ -13,25 +13,20 @@ and a second stack over ``[question; context]`` with the rewrite-edit
 relations, then sums the two streams position-wise for utterance rows and
 keeps the linking stream's schema rows.
 
-Numerical policy: reductions across sequence positions (softmax
-denominators, attention value sums) sort their summands before adding
-them, and matrix products use broadcast-multiply reductions, so forward
-passes are bitwise deterministic, independent of thread count, and exactly
-equivariant under position permutations.  A sorted-order sum is not itself
-exactly rounded; it stays within 1e-12 of the exactly rounded sum at the
-sizes the encoder runs.  Backward passes carry analytic gradients for the
-inputs, every weight, and both relation tables.
+Numerical policy: every sum over positions, the head width or a product's
+inner dimension names its order of addition (``_sum_terms``), and the two
+attention sums over positions sort their terms first, so forward passes are
+bitwise deterministic, use no BLAS, and are exactly equivariant under
+position permutations.  A sorted-order sum stays within 1e-12 of the
+exactly rounded sum at the sizes the encoder runs.  Backward passes carry
+analytic gradients for the inputs, every weight, and both relation tables.
 
 One layer processes all heads together: one projection for every head's
 q, k and v, one gather of each relation table, and one pass each for the
-scores, the softmax and the value sum.  The two position sums associate
-differently.  The value sum adds its sorted terms one after another,
-because the head-width axis is innermost in memory; the softmax
-denominator is numpy's pairwise sum of the sorted row.  Both orders depend
-on the values alone, but ``_sum_positions`` takes its association from the
-memory layout of its input, so every reduction here keeps the layout the
-per-head layer had, and the results are bit for bit those of running the
-heads one at a time.
+scores, the softmax and the value sum.  The layer that runs the heads one
+at a time with numpy's own ``.sum`` stays the bitwise reference: each
+named order is the one numpy used there, so outputs, traces and gradients
+are bit for bit those of the per-head layer.
 """
 
 from __future__ import annotations
@@ -323,41 +318,32 @@ class EncodedStates:
     rw_traces: tuple[AttentionTrace, ...] | None = None
 
 
-def _matmul_stable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (p,q) @ (q,r) without BLAS: per-element reduction trees are identical
-    # for every output row, so row results do not depend on row position.
-    return (a[:, :, None] * b[None, :, :]).sum(axis=1)
-
-
-def _sum_positions(terms: np.ndarray) -> np.ndarray:
-    # Sum over the last axis (sequence positions) in sorted order: the
-    # summation order depends only on the values, not on where they sit, so
-    # results are bitwise deterministic and exactly permutation-equivariant.
-    # numpy adds the sorted terms pairwise when the last axis is innermost in
-    # memory, and one after another when another axis is.  Sorts ``terms``
-    # in place.
-    terms.sort(axis=-1)
-    return terms.sum(axis=-1)
-
-
-def _sum_width(term: Callable[[int], np.ndarray], width: int) -> np.ndarray:
-    # sum(term(c) for c in range(width)), associated exactly as numpy's
-    # .sum(-1) adds a contiguous axis of that length: from +0.0, pairwise with
-    # eight interleaved accumulators (left to right below eight terms), so a
-    # reduction over the head width can run over width slices bit for bit.
-    total = _pairwise(term, 0, width)
-    total += 0.0
+def _sum_terms(term: Callable[[int], np.ndarray], count: int, pairwise: bool) -> np.ndarray:
+    # sum(term(c) for c in range(count)) from +0.0, in one of numpy's two
+    # orders: pairwise, as .sum adds an axis that is innermost in memory, or
+    # one term after another, as it adds any other axis.  Never writes into
+    # the arrays term returns.
+    if pairwise:
+        total = _pairwise(term, 0, count)
+        total += 0.0
+        return total
+    total = term(0) + 0.0
+    for c in range(1, count):
+        total += term(c)
     return total
 
 
 def _pairwise(term: Callable[[int], np.ndarray], start: int, count: int) -> np.ndarray:
+    # numpy's pairwise summation, into a new array: left to right from -0.0
+    # below eight terms, eight interleaved accumulators up to 128 terms,
+    # halves (at a multiple of eight) above.
     if count < 8:
-        total = term(start)
+        total = -0.0 + term(start)
         for c in range(start + 1, start + count):
             total += term(c)
         return total
     if count <= 128:
-        acc = [term(start + r) for r in range(8)]
+        acc = [-0.0 + term(start + r) for r in range(8)]
         stop = start + count - count % 8
         for block in range(start + 8, stop, 8):
             for r in range(8):
@@ -370,15 +356,10 @@ def _pairwise(term: Callable[[int], np.ndarray], start: int, count: int) -> np.n
     return _pairwise(term, start, half) + _pairwise(term, start + half, count - half)
 
 
-def _project(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # (G, n, w): x times each (d_x, w) block of weights (G, d_x, w), with the
-    # d_x sum associated as in a product with one block: numpy adds its terms
-    # one after another, but pairwise when the block has a single column.
-    groups, d_x, width = weights.shape
-    if width == 1:
-        return (x[None, :, :, None] * weights[:, None, :, :]).sum(axis=2)
-    flat = _matmul_stable(x, weights.transpose(1, 0, 2).reshape(d_x, groups * width))
-    return np.ascontiguousarray(flat.reshape(-1, groups, width).transpose(1, 0, 2))
+def _product(a: np.ndarray, b: np.ndarray, pairwise: bool) -> np.ndarray:
+    # a @ b without BLAS (either may stack matrices), summed over the inner
+    # dimension in the named order, the same for every output row.
+    return _sum_terms(lambda k: a[..., k, None] * b[..., None, k, :], a.shape[-1], pairwise)
 
 
 def _relation_tables(
@@ -393,25 +374,18 @@ def _relation_tables(
     )
 
 
-def _cell_slice(per_position: np.ndarray, table: np.ndarray | None, c: int) -> np.ndarray:
-    # Width slice c of the keys or values seen from each query row:
-    # per_position[h, c, j] (+ table[c, i, j]), broadcast to (H, n, n).
-    column = per_position[:, c, None, :]
-    return column if table is None else column + table[c]
-
-
-def _cell_terms(per_position: np.ndarray, table: np.ndarray | None) -> np.ndarray:
-    # Every width slice at once, (H, w, n, n), with the width axis innermost
-    # in memory as in the per-head products: numpy then sums over j one term
-    # after another (pairwise when w == 1), whatever the number of heads.
-    heads, width, n = per_position.shape
-    dtype = per_position.dtype if table is None else np.result_type(per_position, table)
-    out = np.empty((heads, n, n, width), dtype=dtype).transpose(0, 3, 1, 2)
+def _weighted_cells(
+    weight: np.ndarray, per_position: np.ndarray, table: np.ndarray | None, c=slice(None)
+) -> np.ndarray:
+    # Width slice c (every width by default) of the keys or values seen from
+    # each query row, times weight, as a new array:
+    # weight * (per_position[h, c, j] (+ table[c, i, j])).
+    cells = per_position[:, c, None, :]
     if table is None:
-        out[...] = per_position[:, :, None, :]
-    else:
-        np.add(per_position[:, :, None, :], table, out=out)
-    return out
+        return weight * cells
+    cells = cells + table[c]
+    cells *= weight
+    return cells
 
 
 def _layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -463,25 +437,35 @@ def _layer_forward(
         relations = _check_relations(relations, n, layer.relation_count)
     scale = math.sqrt(width)  # the per-head attention width d_z / H
 
-    q, k, v = np.split(_project(x, np.concatenate((layer.w_q, layer.w_k, layer.w_v))), 3)
+    # Products run in order over the inner dimension, except that a product
+    # with one column is one dot product per row, which numpy adds pairwise.
+    w_qkv = np.concatenate((layer.w_q, layer.w_k, layer.w_v))
+    q, k, v = np.split(_product(x, w_qkv, pairwise=width == 1), 3)
     k_t, v_t = k.transpose(0, 2, 1), v.transpose(0, 2, 1)
     rel_key, rel_value = _relation_tables(layer, relations)
 
-    scores = _sum_width(lambda c: q[:, :, c, None] * _cell_slice(k_t, rel_key, c), width)
+    scores = _sum_terms(
+        lambda c: _weighted_cells(q[:, :, c, None], k_t, rel_key, c), width, pairwise=True
+    )
     scores /= scale
-    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = ex / _sum_positions(ex.copy())[:, :, None]
-    valued = _cell_terms(v_t, rel_value)
-    valued *= weights[:, None, :, :]
-    z = _sum_positions(valued).transpose(2, 0, 1).reshape(n, heads * width)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    # The sorted row is contiguous, so numpy's .sum adds it pairwise.
+    weights /= np.sort(weights, axis=-1).sum(axis=-1)[:, :, None]
+    # The value terms (H, w, i, j), sorted along j; in order over j, but
+    # pairwise at width 1, where the per-head layer had j innermost.
+    valued = _weighted_cells(weights[:, None, :, :], v_t, rel_value)
+    valued.sort(axis=-1)
+    z = _sum_terms(lambda j: valued[..., j], n, pairwise=width == 1)
+    z = z.transpose(2, 0, 1).reshape(n, heads * width)
 
     y_mid, ln1_xhat, ln1_inv = _layer_norm(x + z, layer.ln1_gain, layer.ln1_bias)
     if layer.single_fc:
         ff_hidden = None
-        ff_out = _matmul_stable(np.maximum(y_mid, 0.0), layer.ff_w1) + layer.ff_b1
+        ff_out = _product(np.maximum(y_mid, 0.0), layer.ff_w1, pairwise=False) + layer.ff_b1
     else:
-        ff_hidden = _matmul_stable(y_mid, layer.ff_w1) + layer.ff_b1
-        ff_out = _matmul_stable(np.maximum(ff_hidden, 0.0), layer.ff_w2) + layer.ff_b2
+        ff_hidden = _product(y_mid, layer.ff_w1, pairwise=layer.ff_w1.shape[1] == 1) + layer.ff_b1
+        relu_out = np.maximum(ff_hidden, 0.0)
+        ff_out = _product(relu_out, layer.ff_w2, pairwise=layer.d_x == 1) + layer.ff_b2
     y, ln2_xhat, ln2_inv = _layer_norm(y_mid + ff_out, layer.ln2_gain, layer.ln2_bias)
 
     trace = AttentionTrace(
@@ -551,68 +535,73 @@ def layer_backward(
         "rel_value": np.zeros_like(layer.rel_value),
     }
 
+    def over_positions(term: Callable[[int], np.ndarray]) -> np.ndarray:
+        # One position after another, as numpy adds the leading axis of a
+        # row-major array; single-element terms it adds pairwise.
+        return _sum_terms(term, n, pairwise=np.size(term(0)) == 1)
+
     # Second layer norm.
-    grads["ln2_gain"] = (grad_y * trace.ln2_xhat).sum(axis=0)
-    grads["ln2_bias"] = grad_y.sum(axis=0)
+    grads["ln2_gain"] = over_positions(lambda i: grad_y[i] * trace.ln2_xhat[i])
+    grads["ln2_bias"] = over_positions(lambda i: grad_y[i])
     d_u = _layer_norm_backward(grad_y, trace.ln2_xhat, trace.ln2_inv, layer.ln2_gain)
     d_y_mid = d_u.copy()
     d_ff_out = d_u
 
-    # Feed-forward block.
+    # Feed-forward block.  Weight gradients are products in order over the
+    # positions.  A product with a transposed weight had its inner dimension
+    # innermost in the per-head layer, so numpy added it pairwise.
     if layer.single_fc:
         relu_in = trace.y_mid
         relu_out = np.maximum(relu_in, 0.0)
-        grads["ff_w1"] = _matmul_stable(relu_out.T, d_ff_out)
-        grads["ff_b1"] = d_ff_out.sum(axis=0)
-        d_y_mid += _matmul_stable(d_ff_out, layer.ff_w1.T) * (relu_in > 0)
+        grads["ff_w1"] = _product(relu_out.T, d_ff_out, pairwise=False)
+        grads["ff_b1"] = over_positions(lambda i: d_ff_out[i])
+        d_y_mid += _product(d_ff_out, layer.ff_w1.T, pairwise=True) * (relu_in > 0)
     else:
         hidden = trace.ff_hidden
         relu_out = np.maximum(hidden, 0.0)
-        grads["ff_w2"] = _matmul_stable(relu_out.T, d_ff_out)
-        grads["ff_b2"] = d_ff_out.sum(axis=0)
-        d_hidden = _matmul_stable(d_ff_out, layer.ff_w2.T) * (hidden > 0)
-        grads["ff_w1"] = _matmul_stable(trace.y_mid.T, d_hidden)
-        grads["ff_b1"] = d_hidden.sum(axis=0)
-        d_y_mid += _matmul_stable(d_hidden, layer.ff_w1.T)
+        grads["ff_w2"] = _product(relu_out.T, d_ff_out, pairwise=False)
+        grads["ff_b2"] = over_positions(lambda i: d_ff_out[i])
+        d_hidden = _product(d_ff_out, layer.ff_w2.T, pairwise=True) * (hidden > 0)
+        grads["ff_w1"] = _product(trace.y_mid.T, d_hidden, pairwise=False)
+        grads["ff_b1"] = over_positions(lambda i: d_hidden[i])
+        d_y_mid += _product(d_hidden, layer.ff_w1.T, pairwise=True)
 
     # First layer norm; its input is x + z.
-    grads["ln1_gain"] = (d_y_mid * trace.ln1_xhat).sum(axis=0)
-    grads["ln1_bias"] = d_y_mid.sum(axis=0)
+    grads["ln1_gain"] = over_positions(lambda i: d_y_mid[i] * trace.ln1_xhat[i])
+    grads["ln1_bias"] = over_positions(lambda i: d_y_mid[i])
     d_p = _layer_norm_backward(d_y_mid, trace.ln1_xhat, trace.ln1_inv, layer.ln1_gain)
     d_x = d_p.copy()
 
-    # Attention, all heads at once; each sum keeps the association the
-    # per-head products had.
+    # Attention, all heads at once, each sum in the order the per-head layer used.
     alpha = trace.weights
     d_z = np.ascontiguousarray(d_p.reshape(n, heads, width).transpose(1, 0, 2))
     k_t, v_t = trace.k.transpose(0, 2, 1), trace.v.transpose(0, 2, 1)
     rel_key, rel_value = _relation_tables(layer, relations)
 
-    d_alpha = _sum_width(lambda c: d_z[:, :, c, None] * _cell_slice(v_t, rel_value, c), width)
+    d_alpha = _sum_terms(
+        lambda c: _weighted_cells(d_z[:, :, c, None], v_t, rel_value, c), width, pairwise=True
+    )
     value_terms = alpha[:, :, :, None] * d_z[:, :, None, :]
-    d_v = value_terms.sum(axis=1)
+    d_v = over_positions(lambda i: value_terms[:, i])
 
-    d_e = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True))
+    weighted = alpha * d_alpha
+    d_e = alpha * (d_alpha - _sum_terms(lambda j: weighted[..., j, None], n, pairwise=True))
     d_s = d_e / scale
-    keyed = _cell_terms(k_t, rel_key)
-    keyed *= d_s[:, None, :, :]
-    d_q = keyed.sum(axis=-1).transpose(0, 2, 1)
+    keyed = _weighted_cells(d_s[:, None, :, :], k_t, rel_key)
+    d_q = _sum_terms(lambda j: keyed[..., j], n, pairwise=width == 1).transpose(0, 2, 1)
     key_terms = d_s[:, :, :, None] * trace.q[:, :, None, :]
-    d_k = key_terms.sum(axis=1)
+    d_k = over_positions(lambda i: key_terms[:, i])
     if relations is not None:
         # Head-major, as the per-head loop added them.
         cells = np.broadcast_to(relations, (heads, n, n))
         np.add.at(grads["rel_value"], cells, value_terms)
         np.add.at(grads["rel_key"], cells, key_terms)
 
-    # The q/k/v gradients, stacked head-major like the forward projection;
-    # the weight gradients' n sum runs one term after another, as it did per head.
+    # The q/k/v gradients, stacked head-major like the forward projection.
     d_qkv = np.concatenate((d_q, d_k, d_v))
+    grads["w_q"], grads["w_k"], grads["w_v"] = np.split(_product(x.T, d_qkv, pairwise=False), 3)
     w_qkv = np.concatenate((layer.w_q, layer.w_k, layer.w_v))
-    d_w = _matmul_stable(x.T, d_qkv.transpose(1, 0, 2).reshape(n, 3 * heads * width))
-    d_w = d_w.reshape(layer.d_x, 3 * heads, width).transpose(1, 0, 2)
-    grads["w_q"], grads["w_k"], grads["w_v"] = map(np.ascontiguousarray, np.split(d_w, 3))
-    d_x_terms = _sum_width(lambda c: d_qkv[:, :, c, None] * w_qkv[:, None, :, c], width)
+    d_x_terms = _product(d_qkv, w_qkv.transpose(0, 2, 1), pairwise=True)
     for h in range(heads):
         for term in d_x_terms[h :: heads]:  # q, k, v of head h, as the per-head loop
             d_x += term

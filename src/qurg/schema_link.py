@@ -30,7 +30,6 @@ __all__ = [
     "Column",
     "Schema",
     "LinkRelation",
-    "LINK_RELATION_MIRROR",
     "SchemaLinkMatrix",
     "build_schema_link_matrix",
     "link_stats",
@@ -137,7 +136,6 @@ class LinkRelation(Relation):
     HAS_PRIMARY_KEY = "Has-Primary-Key", "PRIMARY_KEY_OF"
 
 
-LINK_RELATION_MIRROR = {rel: rel.mirror for rel in LinkRelation}
 LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
 
 

@@ -372,6 +372,7 @@ class TestMalformedInputs:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
         assert "Traceback" not in captured.err + captured.out
+        return lines[0]
 
     def test_truncated_matrix_file(self, tmp_path, capsys):
         matrix = tmp_path / "flights.json"
@@ -439,6 +440,48 @@ class TestMalformedInputs:
             ["roundtrip", "--corpus", str(corpus), "--report", str(tmp_path / "r.json")],
             capsys,
         )
+
+    # Each reader of an input file, with the arguments that make it read ``path``.
+    READERS = {
+        "matrix": lambda path, tmp: ["restore", "--matrix", path],
+        "corpus": lambda path, tmp: [
+            "roundtrip", "--corpus", path, "--report", str(tmp / "r.json")
+        ],
+        "interactions": lambda path, tmp: [
+            "schema-link", "--interactions", path,
+            "--schema", str(FIXTURES / "schema_flights.json"), "--out", str(tmp / "x.json"),
+        ],
+        "config": lambda path, tmp: [
+            "encode", "--interactions", str(FIXTURES / "interactions_flights.json"),
+            "--schema", str(FIXTURES / "schema_flights.json"), "--config", path,
+        ],
+        "utterances": lambda path, tmp: ["rouge", "--cand", path, "--ref", path],
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_file_not_utf8_names_the_file_and_line(self, tmp_path, capsys, reader):
+        path = tmp_path / "input"
+        path.write_bytes(b"{\n\xff\xfe}\n")
+        line = self._assert_clean_failure(self.READERS[reader](str(path), tmp_path), capsys)
+        assert line.startswith(f"error: {path}:2: not UTF-8 text"), line
+
+    @pytest.mark.parametrize("reader", ["matrix", "corpus", "interactions", "config"])
+    def test_json_integer_too_long_names_the_file(self, tmp_path, capsys, reader):
+        path = tmp_path / "input"
+        path.write_text('{"qurg_fmt": 1, "big": ' + "9" * 5000 + "}\n")
+        line = self._assert_clean_failure(self.READERS[reader](str(path), tmp_path), capsys)
+        assert line.startswith(f"error: {path}"), line
+
+    def test_corpus_id_that_is_not_a_string(self, tmp_path, capsys):
+        # An object id once named a matrix file "{'k': [1]}.matrix.json".
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({**corpus_record(), "id": {"k": [1]}}) + "\n")
+        out_dir = tmp_path / "out"
+        line = self._assert_clean_failure(
+            ["build-matrix", "--corpus", str(corpus), "--out-dir", str(out_dir)], capsys
+        )
+        assert line.startswith(f"error: {corpus}:1: id: expected a string"), line
+        assert not out_dir.exists()
 
     def test_sparc_turn_not_an_object(self, tmp_path, fixtures_dir, capsys):
         sparc = tmp_path / "sparc.json"

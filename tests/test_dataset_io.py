@@ -236,6 +236,36 @@ class TestRewriteCorpus:
         with pytest.raises(DatasetError, match="duplicate"):
             load_rewrite_corpus(path)
 
+    @pytest.mark.parametrize("example_id", [1, {"k": [1]}, None, True])
+    def test_non_string_id_rejected(self, tmp_path, example_id):
+        path = tmp_path / "ids.jsonl"
+        path.write_text(json.dumps({**corpus_record(), "id": example_id}) + "\n")
+        with pytest.raises(DatasetError, match=":1: id: expected a string"):
+            load_rewrite_corpus(path)
+
+    def test_numeric_id_is_not_a_duplicate_of_its_string(self, tmp_path):
+        # 1 and "1" once both became the id "1"; now the number is refused.
+        path = tmp_path / "ids.jsonl"
+        path.write_text("".join(
+            json.dumps({**corpus_record(), "id": example_id}) + "\n" for example_id in ("1", 1)
+        ))
+        with pytest.raises(DatasetError, match=":2: id: expected a string, got 1"):
+            load_rewrite_corpus(path)
+
+    def test_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        line = json.dumps(corpus_record()) + "\n"
+        path.write_bytes(line.encode() + b"\r\n" + "caf\u00e9".encode("latin-1") + b"\n")
+        with pytest.raises(DatasetError, match=r":3: not UTF-8 text \(invalid continuation"):
+            load_rewrite_corpus(path)
+
+    def test_line_ends_read_as_open_reads_them(self, tmp_path):
+        path = tmp_path / "ends.jsonl"
+        line = json.dumps(corpus_record())
+        path.write_bytes(f"{line}\r\n\r{line}\r".encode())
+        with pytest.raises(DatasetError, match=":3: duplicate example id"):
+            load_rewrite_corpus(path)
+
     def test_save_load_roundtrip(self, tmp_path):
         examples = [
             RewriteExample((("a", "b"),), ("q", "?"), ("q", "a", "?"), "r1"),
@@ -425,6 +455,20 @@ class TestLoaderTotality:
             load_schema(fixtures_dir / "schema_bad_table_index.json")
         with pytest.raises(DatasetError):
             load_matrix(fixtures_dir / "matrix_bad_relation.json")
+
+    def test_integer_too_long_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text("[" + "9" * 5000 + "]")
+        with pytest.raises(DatasetError, match="big.json: unreadable JSON: Exceeds the limit"):
+            read_json(path)
+
+    def test_not_utf8_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_text('{"a": 1}', encoding="utf-16")
+        with pytest.raises(DatasetError, match=r"utf16.json:1: not UTF-8 text"):
+            read_json(path)
+        with pytest.raises(DatasetError, match=r"utf16.json:1: not UTF-8 text"):
+            load_interactions(path)
 
     def test_deeply_nested_json_is_a_dataset_error(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -34,6 +34,7 @@ from qurg.rat_encoder import (
     two_stream_encode,
     vanilla_layer_forward,
 )
+from qurg.rat_encoder import _sum_terms
 
 TINY = EncoderConfig(d_x=8, d_z=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
 
@@ -426,6 +427,33 @@ def assert_matches_per_head(x, relations, layer, grad_y, case):
         assert_bitwise(grads[name], grads_ref[name], f"{case}: grad {name}")
 
 
+class TestSumTerms:
+    """``_sum_terms`` adds in numpy's two orders: pairwise as ``.sum`` adds a
+    contiguous axis, one term after another as it adds a strided one."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_numpy(self, dtype):
+        rng = np.random.default_rng(13)
+        orders_differ = 0
+        for count in range(1, 301):
+            # Magnitudes over 16 decades, so that the order of addition shows.
+            values = rng.standard_normal((3, count)) * 10.0 ** rng.integers(-8, 8, (3, count))
+            for terms in (values.astype(dtype), np.full((3, count), -0.0, dtype)):
+                pairwise = _sum_terms(lambda c: terms[:, c], count, pairwise=True)
+                assert_bitwise(pairwise, terms.sum(-1), f"pairwise, {count} terms")
+                rows = np.ascontiguousarray(terms.T)
+                in_order = _sum_terms(lambda c: rows[c], count, pairwise=False)
+                assert_bitwise(in_order, rows.sum(0), f"in order, {count} terms")
+                orders_differ += not np.array_equal(pairwise, in_order)
+        assert orders_differ > 100
+
+    def test_never_writes_into_the_terms(self):
+        terms = np.arange(300.0).reshape(3, 100)
+        for pairwise in (False, True):
+            _sum_terms(lambda c: terms[:, c], 100, pairwise)
+            assert np.array_equal(terms, np.arange(300.0).reshape(3, 100))
+
+
 class TestHeadBatchedMatchesPerHead:
     """The layer processes all heads together; it must reproduce the layer
     that ran one head at a time bit for bit, so that a change of memory
@@ -448,6 +476,25 @@ class TestHeadBatchedMatchesPerHead:
             relations = rng.integers(0, 7, size=(n, n)) if with_relations else None
             grad_y = rng.standard_normal((n, 16)).astype(dtype)
             case = f"relations={with_relations} {np.dtype(dtype)} single_fc={single_fc}"
+            assert_matches_per_head(x, relations, layer, grad_y, case)
+
+    @pytest.mark.parametrize(
+        ("d_x", "heads", "d_ff"), [(16, 4, 200), (16, 16, 129), (16, 4, 1), (1, 1, 9)]
+    )
+    def test_feed_forward_widths(self, d_x, heads, d_ff):
+        # d_ff above 128, or 130 positions at width 1, reach the halving step
+        # of the pairwise sum; a product with one column (d_ff 1, or d_x 1)
+        # and a sum over positions of one-element rows (d_x 1) are pairwise.
+        rng = np.random.default_rng(d_x + heads + d_ff)
+        for with_relations, dtype in itertools.product((False, True), (np.float64, np.float32)):
+            layer = random_layer_params(rng, d_x=d_x, heads=heads, d_ff=d_ff, relation_count=7)
+            layer = dataclasses.replace(
+                layer, **{name: arr.astype(dtype) for name, arr in layer.named_arrays()}
+            )
+            x = rng.standard_normal((130, d_x)).astype(dtype)
+            relations = rng.integers(0, 7, size=(130, 130)) if with_relations else None
+            grad_y = rng.standard_normal((130, d_x)).astype(dtype)
+            case = f"relations={with_relations} {np.dtype(dtype)}"
             assert_matches_per_head(x, relations, layer, grad_y, case)
 
     @pytest.mark.parametrize("heads", [1, 2, 4, 16])

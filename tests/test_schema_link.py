@@ -10,7 +10,6 @@ import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
 from qurg.rewrite_diff import MatchPolicy
 from qurg.schema_link import (
-    LINK_RELATION_MIRROR,
     Column,
     LinkRelation,
     Schema,
@@ -245,7 +244,7 @@ class TestInvariants:
             question, context, schema = self._random_case(rng)
             matrix = build_schema_link_matrix(question, context, schema)
             for (i, j), rel in matrix.cells.items():
-                assert matrix.cells.get((j, i)) is LINK_RELATION_MIRROR[rel]
+                assert matrix.cells.get((j, i)) is rel.mirror
 
     def test_exactness_dominance(self):
         rng = random.Random(43)
@@ -275,10 +274,10 @@ class TestInvariants:
                 if i < utter:
                     assert rel in match_relations
                 elif j < utter:
-                    assert rel in {LINK_RELATION_MIRROR[r] for r in match_relations}
+                    assert rel in {r.mirror for r in match_relations}
                 else:
                     assert rel not in match_relations
-                    assert rel not in {LINK_RELATION_MIRROR[r] for r in match_relations}
+                    assert rel not in {r.mirror for r in match_relations}
 
     def test_case_sensitive_policy(self):
         schema = Schema((("City",),), ())
