@@ -7,6 +7,7 @@ from .rewrite_diff import (
     EditOp,
     EditSpan,
     Interaction,
+    MalformedMatrixError,
     MatchPolicy,
     OpKind,
     RewriteEditMatrix,
@@ -20,7 +21,7 @@ from .rewrite_diff import (
     tag_edits,
     token_seq,
 )
-from .rewrite_restore import MalformedMatrixError, RestoredQuestion, restore
+from .rewrite_restore import RestoredQuestion, restore
 from .rouge_eval import CorpusRougeReport, RougeScore, corpus_rouge, rouge_l, rouge_n
 from .schema_link import (
     Column,
@@ -34,7 +35,6 @@ from .schema_link import (
 from .dataset_io import (
     DatasetError,
     FormatVersionError,
-    RewriteExample,
     load_interactions,
     load_matrix,
     load_rewrite_corpus,
@@ -60,7 +60,7 @@ __all__ = [
     "CorpusRougeReport", "RougeScore", "corpus_rouge", "rouge_l", "rouge_n",
     "Column", "LinkRelation", "Schema", "SchemaError", "SchemaLinkMatrix",
     "build_schema_link_matrix", "link_stats",
-    "DatasetError", "FormatVersionError", "RewriteExample", "load_interactions", "load_matrix",
+    "DatasetError", "FormatVersionError", "load_interactions", "load_matrix",
     "load_rewrite_corpus", "load_schema", "save_matrix", "tokenize",
     *_ENCODER_NAMES,
 ]

@@ -83,17 +83,17 @@ def _f1_summary(report: rouge_eval.CorpusRougeReport) -> str:
 
 
 def _run_examples(
-    examples: Sequence[dataset_io.RewriteExample], fn: Callable
+    examples: Sequence[Interaction], fn: Callable
 ) -> tuple[list, list[tuple[str, str]]]:
     """Run ``fn`` over the examples in id order.  Returns the results of the
     examples that succeeded and ``(id, message)`` for each one that raised
     an operation error."""
     results, failures = [], []
-    for ex in sorted(examples, key=lambda ex: ex.example_id):
+    for ex in sorted(examples, key=lambda ex: ex.interaction_id):
         try:
             results.append(fn(ex))
         except _OPERATION_ERRORS as exc:
-            failures.append((ex.example_id, str(exc)))
+            failures.append((ex.interaction_id, str(exc)))
     return results, failures
 
 
@@ -113,13 +113,11 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        def build_one(ex: dataset_io.RewriteExample) -> dict:
-            name = _matrix_file_name(ex.example_id)
-            matrix = build_from_interaction(
-                ex.as_interaction(), ex.rewrite, policy, args.context_occurrence
-            )
+        def build_one(ex: Interaction) -> dict:
+            name = _matrix_file_name(ex.interaction_id)
+            matrix = build_from_interaction(ex, ex.gold_rewrite, policy, args.context_occurrence)
             dataset_io.save_matrix(out_dir / name, matrix)
-            return {"id": ex.example_id, "file": name, "cells": len(matrix.cells)}
+            return {"id": ex.interaction_id, "file": name, "cells": len(matrix.cells)}
 
         entries, failures = _run_examples(examples, build_one)
         # The index is written last and atomically: it is the record that
@@ -165,13 +163,10 @@ def cmd_roundtrip(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     policy = _policy_from(args)
     examples = dataset_io.load_rewrite_corpus(args.corpus)
 
-    def roundtrip_one(ex: dataset_io.RewriteExample) -> tuple:
-        interaction = ex.as_interaction()
-        matrix = build_from_interaction(interaction, ex.rewrite, policy, args.context_occurrence)
-        restored = rewrite_restore.restore(
-            interaction.question, interaction.flat_context(), matrix
-        )
-        return restored.tokens, ex.rewrite
+    def roundtrip_one(ex: Interaction) -> tuple:
+        matrix = build_from_interaction(ex, ex.gold_rewrite, policy, args.context_occurrence)
+        restored = rewrite_restore.restore(ex.question, ex.flat_context(), matrix)
+        return restored.tokens, ex.gold_rewrite
 
     pairs, failures = _run_examples(examples, roundtrip_one)
     report = rouge_eval.corpus_rouge(pairs)
@@ -307,11 +302,11 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
     payload: dict = {"qurg_fmt": dataset_io.FORMAT_VERSION}
     if args.corpus:
         examples = dataset_io.load_rewrite_corpus(args.corpus)
-        turn_counts = [len(ex.history) + 1 for ex in examples]
+        turn_counts = [ex.turn_index for ex in examples]
         payload["corpus"] = {
             "examples": len(examples),
             "question_tokens": sum(len(ex.question) for ex in examples),
-            "rewrite_tokens": sum(len(ex.rewrite) for ex in examples),
+            "rewrite_tokens": sum(len(ex.gold_rewrite) for ex in examples),
             "average_turn": (
                 round(sum(turn_counts) / len(turn_counts), 3) if turn_counts else 0.0
             ),

@@ -17,18 +17,15 @@ from __future__ import annotations
 import json
 import os
 import stat
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .rewrite_diff import (
     Interaction,
     RewriteEditMatrix,
     RewriteRelation,
     TokenSeq,
-    _check_question,
-    _prevalidated,
     token_seq,
 )
 from .rouge_eval import NORMALIZATION, CorpusRougeReport, RougeScore
@@ -37,6 +34,7 @@ from .schema_link import (
     LinkRelation,
     LINK_RELATION_NAMES,
     Schema,
+    SchemaError,
     SchemaLinkMatrix,
     _is_index,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "FormatVersionError",
     "FORMAT_VERSION",
     "tokenize",
-    "RewriteExample",
     "load_interactions",
     "save_interactions",
     "load_rewrite_corpus",
@@ -67,6 +64,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+_T = TypeVar("_T")
 
 _DETACHED_PUNCT = (".", ",", "?", "!")
 
@@ -96,34 +95,6 @@ def tokenize(text: str) -> TokenSeq:
             tokens.append(chunk)
         tokens.extend(reversed(trail))
     return tuple(tokens)
-
-
-@dataclass(frozen=True)
-class RewriteExample:
-    """A (history, question, rewrite) training/evaluation triple."""
-
-    history: tuple[TokenSeq, ...]
-    question: TokenSeq
-    rewrite: TokenSeq
-    example_id: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "history", tuple(token_seq(t) for t in self.history))
-        object.__setattr__(self, "question", token_seq(self.question))
-        object.__setattr__(self, "rewrite", token_seq(self.rewrite))
-        if not self.rewrite:
-            raise ValueError("rewrite must be non-empty")
-
-    def as_interaction(self) -> Interaction:
-        # The tokens were validated when this example was made.
-        _check_question(self.question)
-        return _prevalidated(
-            Interaction,
-            context_turns=self.history,
-            question=self.question,
-            gold_rewrite=self.rewrite,
-            interaction_id=self.example_id,
-        )
 
 
 def dump_canonical(payload: Any) -> str:
@@ -227,9 +198,30 @@ def _field(
     return record[key] if kind is None else _expect(record[key], kind, where)
 
 
+def _strings(value: Any, where: str) -> tuple[str, ...]:
+    """A JSON array of strings; a bare string is not read as characters."""
+    return tuple(_expect(tok, str, where) for tok in _expect(value, list, where))
+
+
 def _tokens(value: Any, where: str) -> TokenSeq:
-    """A JSON array of token strings; a bare string is not read as characters."""
-    return token_seq(_expect(tok, str, where) for tok in _expect(value, list, where))
+    """A JSON array of tokens, for values that no constructor checks."""
+    return _constructed(where, token_seq, _strings(value, where))
+
+
+def _constructed(
+    where: str | Path,
+    make: Callable[..., _T],
+    *args: Any,
+    error: type[ValueError] = DatasetError,
+) -> _T:
+    """``make(*args)``; a ``ValueError`` it raises comes back as ``error``
+    with ``where`` in front of its message.  The loaders leave the checks
+    of a file's values to the constructor that ``make`` is, so each value
+    is checked once and its error still names the file."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 def load_interactions(path: str | Path, format: str = "native") -> list[Interaction]:
@@ -311,13 +303,14 @@ def convert_sparc_interactions(raw: Sequence[Mapping[str, Any]]) -> list[Interac
     return out
 
 
-def load_rewrite_corpus(path: str | Path) -> list[RewriteExample]:
-    """Load a JSON-lines rewrite corpus.
+def load_rewrite_corpus(path: str | Path) -> list[Interaction]:
+    """Load a JSON-lines rewrite corpus as interactions with gold rewrites.
 
     Each line is ``{"history": [...], "question": "...", "rewrite": "...",
-    "id": "..."}``.  Example ids must be unique; blank lines are skipped.
+    "id": "..."}``; ``id`` becomes the interaction id.  Ids must be unique;
+    blank lines are skipped.
     """
-    examples: list[RewriteExample] = []
+    examples: list[Interaction] = []
     seen: set[str] = set()
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
@@ -340,21 +333,24 @@ def load_rewrite_corpus(path: str | Path) -> list[RewriteExample]:
             raise DatasetError(f"{where}: question has no tokens")
         if not rewrite:
             raise DatasetError(f"{where}: rewrite has no tokens")
-        examples.append(RewriteExample(tuple(history), question, rewrite, example_id))
+        examples.append(Interaction(tuple(history), question, rewrite, example_id))
     return examples
 
 
-def save_rewrite_corpus(path: str | Path, examples: Iterable[RewriteExample]) -> None:
+def save_rewrite_corpus(path: str | Path, examples: Iterable[Interaction]) -> None:
+    """Write interactions as a rewrite corpus; each must carry a gold rewrite."""
     with open(path, "w", encoding="utf-8") as handle:
         for ex in examples:
+            if ex.gold_rewrite is None:
+                raise ValueError(f"interaction {ex.interaction_id!r} has no gold rewrite")
             handle.write(
                 dump_canonical(
                     {
                         "qurg_fmt": FORMAT_VERSION,
-                        "history": [" ".join(t) for t in ex.history],
+                        "history": [" ".join(t) for t in ex.context_turns],
                         "question": " ".join(ex.question),
-                        "rewrite": " ".join(ex.rewrite),
-                        "id": ex.example_id,
+                        "rewrite": " ".join(ex.gold_rewrite),
+                        "id": ex.interaction_id,
                     }
                 )
             )
@@ -400,16 +396,14 @@ def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
 
 
 def load_matrix(path: str | Path) -> RewriteEditMatrix:
+    """Load an edit matrix file; a matrix its constructor rejects, such as
+    one with a cell that lacks its mirror, fails to load."""
     payload = read_json(path)
     _check_version(payload, path)
-    context = _tokens(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
-    question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
-    size = len(context) + len(question)
-    cells = _parse_cells(payload, path, size, RewriteRelation)
-    # ``_tokens`` and ``_parse_cells`` did the checks of the constructor.
-    return _prevalidated(
-        RewriteEditMatrix, context_tokens=context, question_tokens=question, cells=cells
-    )
+    context = _strings(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
+    question = _strings(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
+    cells = _parse_cells(payload, path, len(context) + len(question), RewriteRelation)
+    return _constructed(path, RewriteEditMatrix, context, question, cells)
 
 
 def _schema_payload(schema: Schema) -> dict[str, Any]:
@@ -455,7 +449,7 @@ def _schema_from_payload(payload: Mapping[str, Any], path: str | Path) -> Schema
     def column(idx: int, record: Any) -> Column:
         where = f"{path}: column {idx}"
         return Column(
-            _tokens(_field(record, "name", where), where),
+            _strings(_field(record, "name", where), where),
             _field(record, "table", where),
             _expect(record.get("type", "text"), str, where),
         )
@@ -466,11 +460,14 @@ def _schema_from_payload(payload: Mapping[str, Any], path: str | Path) -> Schema
     tables = _field(payload, "tables", str(path), list)
     columns = _field(payload, "columns", str(path), list)
     foreign_keys = _expect(payload.get("foreign_keys", []), list, f"{path}: foreign_keys")
-    return Schema(
-        tuple(_tokens(name, f"{path}: table {idx}") for idx, name in enumerate(tables)),
+    return _constructed(
+        path,
+        Schema,
+        tuple(_strings(name, f"{path}: table {idx}") for idx, name in enumerate(tables)),
         tuple(column(idx, record) for idx, record in enumerate(columns)),
         indices(payload.get("primary_keys", []), f"{path}: primary_keys"),
         tuple(indices(fk, f"{path}: foreign key {idx}") for idx, fk in enumerate(foreign_keys)),
+        error=SchemaError,
     )
 
 

@@ -125,8 +125,13 @@ class EncoderConfig:
     single_fc_ff: bool = False
 
     def __post_init__(self) -> None:
-        if self.d_x < 1 or (self.d_ff is not None and self.d_ff < 1):
-            raise ValueError("d_x and d_ff must be positive")
+        if self.d_x < 2:
+            raise ValueError(
+                "d_x must be at least 2: layer norm over one feature outputs its "
+                "bias, so every layer would output ln2_bias whatever its input"
+            )
+        if self.d_ff is not None and self.d_ff < 1:
+            raise ValueError("d_ff must be positive")
         if self.heads < 1 or self.d_z % self.heads != 0:
             raise ValueError("d_z must be a positive multiple of heads")
         if self.d_z != self.d_x:

@@ -35,6 +35,7 @@ __all__ = [
     "Relation",
     "RewriteRelation",
     "RewriteEditMatrix",
+    "MalformedMatrixError",
     "EditConflictError",
     "lcs",
     "tag_edits",
@@ -46,6 +47,10 @@ __all__ = [
 
 class EditConflictError(ValueError):
     """Two edit operations assign different relation types to one cell."""
+
+
+class MalformedMatrixError(ValueError):
+    """The matrix violates its structural invariants."""
 
 
 def token_seq(tokens: Iterable[str]) -> TokenSeq:
@@ -67,17 +72,14 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
 
 def _prevalidated(cls: type[_T], **fields: object) -> _T:
     """An instance of the frozen dataclass ``cls`` holding ``fields``, made
-    without ``__post_init__``: for values that an earlier constructor or
-    loader already validated, so that each token sequence is checked once,
-    where it enters."""
+    without ``__post_init__``.  Its one caller is ``build_from_interaction``,
+    whose tokens come from a validated interaction and whose cells are
+    well-formed by construction.  There the constructor would cost about
+    15 microseconds per short spliced example against 1.8 for this helper
+    (2-vCPU Xeon, Python 3.11), about 5% of a ``roundtrip`` example."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-def _check_question(question: TokenSeq) -> None:
-    if not question:
-        raise ValueError("interaction question must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ class Interaction:
         object.__setattr__(self, "question", token_seq(self.question))
         if self.gold_rewrite is not None:
             object.__setattr__(self, "gold_rewrite", token_seq(self.gold_rewrite))
-        _check_question(self.question)
+        if not self.question:
+            raise ValueError("interaction question must be non-empty")
 
     @property
     def turn_index(self) -> int:
@@ -256,12 +259,21 @@ class RewriteRelation(Relation):
         self.context_row = context_row
 
 
+# The appends, which hold only in the last question column.
+_LAST_COLUMN = frozenset((RewriteRelation.C_Q_APP, RewriteRelation.Q_C_APP,
+                          RewriteRelation.C_Q_INS_APP, RewriteRelation.Q_C_INS_APP))
+
+
 @dataclass(frozen=True)
 class RewriteEditMatrix:
     """Sparse square relation matrix over the ``[context; question]`` layout.
 
     A missing cell means "no relation".  Indices ``0..len(context)-1`` are
-    context positions, the rest question positions.
+    context positions, the rest question positions.  Every cell lies in its
+    relation's block (context row and question column for ``C-Q-*``, the
+    transpose for ``Q-C-*``), appends lie in the last question column, and
+    every cell's transpose holds its mirror; the constructor raises
+    :class:`MalformedMatrixError` otherwise.
     """
 
     context_tokens: TokenSeq
@@ -271,12 +283,28 @@ class RewriteEditMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "context_tokens", token_seq(self.context_tokens))
         object.__setattr__(self, "question_tokens", token_seq(self.question_tokens))
-        n = self.size
+        n_ctx, n = self.context_size, self.size
         for (i, j), rel in self.cells.items():
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"cell ({i},{j}) out of bounds for size {n}")
+                raise MalformedMatrixError(f"cell ({i},{j}) out of bounds for size {n}")
             if not isinstance(rel, RewriteRelation):
-                raise ValueError(f"cell ({i},{j}) carries a non-relation value")
+                raise MalformedMatrixError(f"cell ({i},{j}) carries a non-relation value")
+            ctx, q = (i, j) if rel.context_row else (j, i)
+            if not (ctx < n_ctx <= q):
+                block = ("context-row/question-column" if rel.context_row
+                         else "question-row/context-column")
+                raise MalformedMatrixError(
+                    f"cell ({i},{j}) carries {rel.value} outside the {block} block"
+                )
+            if q != n - 1 and rel in _LAST_COLUMN:
+                raise MalformedMatrixError(
+                    f"cell ({i},{j}) carries {rel.value} outside the last question column"
+                )
+            if self.cells.get((j, i)) is not rel.mirror:
+                raise MalformedMatrixError(
+                    f"cell ({i},{j})={rel.value} lacks its mirror "
+                    f"{rel.mirror.value} at ({j},{i})"
+                )
 
     @property
     def context_size(self) -> int:
@@ -507,7 +535,8 @@ def build_from_interaction(
             raise ValueError("interaction has no gold rewrite and none was given")
     context, question = interaction.flat_context(), interaction.question
     ops = extract_edit_ops(question, context, rewrite, policy, occurrence)
-    # The interaction's tokens are validated, and the cells are in bounds.
+    # The interaction's tokens are validated, and ``_edit_cells`` writes each
+    # cell in bounds, in its block and with its mirror.
     return _prevalidated(
         RewriteEditMatrix,
         context_tokens=context,

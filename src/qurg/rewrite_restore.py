@@ -13,13 +13,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rewrite_diff import RewriteEditMatrix, RewriteRelation, TokenSeq
+# ``MalformedMatrixError`` is re-exported: the matrix constructor raises it.
+from .rewrite_diff import MalformedMatrixError, RewriteEditMatrix, RewriteRelation, TokenSeq
 
 __all__ = ["MalformedMatrixError", "RestoredQuestion", "restore"]
-
-
-class MalformedMatrixError(ValueError):
-    """The matrix violates its structural invariants."""
 
 
 @dataclass(frozen=True)
@@ -28,32 +25,6 @@ class RestoredQuestion:
 
     def text(self) -> str:
         return " ".join(self.tokens)
-
-
-# The appends, which hold only in the last question column.
-_LAST_COLUMN = frozenset((RewriteRelation.C_Q_APP, RewriteRelation.Q_C_APP,
-                          RewriteRelation.C_Q_INS_APP, RewriteRelation.Q_C_INS_APP))
-
-
-def _validate(matrix: RewriteEditMatrix) -> None:
-    n_ctx, last = matrix.context_size, matrix.size - 1
-    for (i, j), rel in matrix.cells.items():
-        ctx, q = (i, j) if rel.context_row else (j, i)
-        if not (ctx < n_ctx <= q):
-            block = ("context-row/question-column" if rel.context_row
-                     else "question-row/context-column")
-            raise MalformedMatrixError(
-                f"cell ({i},{j}) carries {rel.value} outside the {block} block"
-            )
-        if q != last and rel in _LAST_COLUMN:
-            raise MalformedMatrixError(
-                f"cell ({i},{j}) carries {rel.value} outside the last question column"
-            )
-        if matrix.cells.get((j, i)) is not rel.mirror:
-            raise MalformedMatrixError(
-                f"cell ({i},{j})={rel.value} lacks its mirror "
-                f"{rel.mirror.value} at ({j},{i})"
-            )
 
 
 def restore(
@@ -69,13 +40,12 @@ def restore(
     replaces it.  A context token substitutes once per run of consecutive
     question tokens it replaces, at the run's first token.  The appended
     tokens (``C-Q-App``, ``C-Q-Ins-App``) come after everything else.
-    Tokens placed at one index keep their context order.  Raises
-    :class:`MalformedMatrixError` on symmetry or block violations.
+    Tokens placed at one index keep their context order.  The matrix
+    checked its cells when it was made, so they are read without checks.
     """
     question, context = tuple(question), tuple(context)
     if question != matrix.question_tokens or context != matrix.context_tokens:
         raise ValueError("matrix token sequences do not match the given inputs")
-    _validate(matrix)
     n_ctx, cells = matrix.context_size, matrix.cells
     inserts_at: dict[int, list[str]] = defaultdict(list)
     subs_at: dict[int, list[str]] = defaultdict(list)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .rewrite_diff import (
@@ -226,11 +226,9 @@ class _FamilyPlan(NamedTuple):
 class _LinkPlan(NamedTuple):
     """Everything linking needs that depends only on the schema and the
     policy.  ``structure`` holds the schema-to-schema cells in the order
-    the matrix receives them, as the first call laid them out: with the
-    first table at position ``offset``."""
+    the matrix receives them, with the first table at position 0."""
 
     families: tuple[_FamilyPlan, _FamilyPlan]
-    offset: int
     structure: tuple[tuple[tuple[int, int], LinkRelation], ...]
 
 
@@ -255,26 +253,31 @@ def _family_plan(
     return _FamilyPlan(folded, by_first, by_word, base, exact, partial)
 
 
-def _put_structure(
-    cells: dict[tuple[int, int], LinkRelation], schema: Schema, tables: int
-) -> None:
-    """Write the schema structure relations, the first table at position
-    ``tables``.  Foreign keys take precedence over the shared-table
+def _link_plan(schema: Schema, policy: MatchPolicy) -> _LinkPlan:
+    """The schema's families folded under ``policy``, and its structure
+    relations.  Foreign keys take precedence over the shared-table
     relation, primary-key ownership over plain ownership: one cell holds
     one relation.  ``put`` writes both directions, so the shared-table
     test need only look at one."""
+    families = (
+        _family_plan(schema.tables, 0,
+                     LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE, policy),
+        _family_plan([col.name for col in schema.columns], len(schema.tables),
+                     LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN, policy),
+    )
+    cells: dict[tuple[int, int], LinkRelation] = {}
 
     def put(i: int, j: int, rel: LinkRelation) -> None:
         cells[(i, j)] = rel
         cells[(j, i)] = rel.mirror
 
-    columns = tables + len(schema.tables)
+    columns = len(schema.tables)
     for src, dst in sorted(schema.foreign_keys):
         put(columns + src, columns + dst, LinkRelation.FOREIGN_KEY_FORWARD)
     for idx, col in enumerate(schema.columns):
         owner = (LinkRelation.PRIMARY_KEY_OF if idx in schema.primary_keys
                  else LinkRelation.COLUMN_BELONGS_TO_TABLE)
-        put(columns + idx, tables + col.table, owner)
+        put(columns + idx, col.table, owner)
     by_table: dict[int, list[int]] = {}
     for idx, col in enumerate(schema.columns):
         by_table.setdefault(col.table, []).append(idx)
@@ -282,6 +285,7 @@ def _put_structure(
     for a, b in same_table:
         if (columns + a, columns + b) not in cells:
             put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
+    return _LinkPlan(families, tuple(cells.items()))
 
 
 def _exact_match_pass(
@@ -342,16 +346,12 @@ def build_schema_link_matrix(
     # The schema's plan under ``policy`` is built on first use and kept on
     # the schema, which is immutable.
     plan = schema._link_plans.get(policy)
-    families = plan.families if plan is not None else (
-        _family_plan(schema.tables, 0,
-                     LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE, policy),
-        _family_plan([col.name for col in schema.columns], len(schema.tables),
-                     LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN, policy),
-    )
+    if plan is None:
+        plan = schema._link_plans[policy] = _link_plan(schema, policy)
     # Match cells are written inline with their mirrors: on the wide
     # benchmark schema a ``put`` call per cell costs about a tenth of a call
     # on a reused schema.
-    for family in families:
+    for family in plan.families:
         offset = tables + family.base
         exact, exact_rev = family.exact, family.exact.mirror
         partial, partial_rev = family.partial, family.partial.mirror
@@ -367,18 +367,9 @@ def build_schema_link_matrix(
                         cells[(base + k, offset + elem)] = partial
                         cells[(offset + elem, base + k)] = partial_rev
     # Utterance cells and schema-to-schema cells never share a key, so the
-    # structure cells, written last, are the tail of ``cells``: the first
-    # call lays them out in place and keeps that tail, and a later call
-    # appends it shifted, with every value and the dict's order unchanged.
-    if plan is None:
-        first = len(cells)
-        _put_structure(cells, schema, tables)
-        structure = tuple(islice(cells.items(), first, None))
-        schema._link_plans[policy] = _LinkPlan(families, tables, structure)
-    else:
-        shift = tables - plan.offset
-        for (i, j), rel in plan.structure:
-            cells[(i + shift, j + shift)] = rel
+    # structure cells, shifted to the first table's position, come last.
+    for (i, j), rel in plan.structure:
+        cells[(i + tables, j + tables)] = rel
     return matrix
 
 

@@ -28,6 +28,36 @@ def flights_matrix_payload() -> dict:
     }
 
 
+# The edit matrices that ``RewriteEditMatrix`` refuses to make, by what is
+# wrong with them: (context, question, cells as ``(i, j, relation name)``).
+MALFORMED_MATRICES = {
+    "mirror-missing": (["a", "b"], ["q"], [(0, 2, "C-Q-Sub")]),
+    "mirror-mismatched": (["a", "b"], ["q"], [(0, 2, "C-Q-Sub"), (2, 0, "Q-C-Ins")]),
+    "outside-block": (["a", "b"], ["q"], [(0, 1, "C-Q-Sub"), (1, 0, "Q-C-Sub")]),
+    "append-outside-last-column": (
+        ["a"], ["q", "r"], [(0, 1, "C-Q-App"), (1, 0, "Q-C-App")]
+    ),
+    "insert-append-outside-last-column": (
+        ["a"], ["q", "r"], [(0, 1, "C-Q-Ins-App"), (1, 0, "Q-C-Ins-App")]
+    ),
+    "append-with-insert-mirror": (["a"], ["q", "r"], [(0, 2, "C-Q-App"), (2, 0, "Q-C-Ins")]),
+    "insert-append-with-insert-mirror": (
+        ["a"], ["q", "r"], [(0, 2, "C-Q-Ins-App"), (2, 0, "Q-C-Ins")]
+    ),
+}
+
+
+def malformed_matrix_payload(case: str) -> dict:
+    """The matrix file of one of ``MALFORMED_MATRICES``, as a JSON value."""
+    context, question, cells = MALFORMED_MATRICES[case]
+    return {
+        "qurg_fmt": 1,
+        "context_tokens": context,
+        "question_tokens": question,
+        "cells": [{"i": i, "j": j, "rel": rel} for i, j, rel in cells],
+    }
+
+
 def corpus_record() -> dict:
     """The first example of ``corpus_small.jsonl``, as a JSON value."""
     return json.loads((FIXTURES / "corpus_small.jsonl").read_text().splitlines()[0])

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
-from qurg.dataset_io import RewriteExample
 from qurg.rewrite_diff import Interaction, MatchPolicy
 
 VOCAB = [
@@ -49,7 +49,20 @@ def random_triple(rng: random.Random) -> tuple[Interaction, tuple[str, ...]]:
     return Interaction(turns, question), rewrite
 
 
-def make_splice_example(rng: random.Random, idx: int) -> RewriteExample:
+class SpliceExample(NamedTuple):
+    """A (history, question, rewrite) triple under its id; the benchmark's
+    input generator reads these four fields."""
+
+    history: tuple[tuple[str, ...], ...]
+    question: tuple[str, ...]
+    rewrite: tuple[str, ...]
+    example_id: str
+
+    def interaction(self) -> Interaction:
+        return Interaction(self.history, self.question, self.rewrite, self.example_id)
+
+
+def make_splice_example(rng: random.Random, idx: int) -> SpliceExample:
     """A triple whose rewrite is the question with verbatim context spans
     substituted in or inserted, spaced so that no two edits become adjacent
     in the rewrite.  Such triples round-trip exactly through the matrix.
@@ -105,4 +118,4 @@ def make_splice_example(rng: random.Random, idx: int) -> RewriteExample:
                 out.extend(flat[cs:ce])
         if not covered:
             out.append(question[qi])
-    return RewriteExample(turns, question, tuple(out), f"ex{idx:04d}")
+    return SpliceExample(turns, question, tuple(out), f"ex{idx:04d}")

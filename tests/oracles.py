@@ -25,7 +25,6 @@ from qurg.rat_encoder import (
     _check_relations,
 )
 from qurg.rewrite_diff import EditOp, OpKind, RewriteEditMatrix, RewriteRelation
-from qurg.rewrite_restore import _validate
 
 Eq = Callable[[str, str], bool]
 
@@ -301,7 +300,8 @@ def recover_ops(matrix: RewriteEditMatrix) -> list[EditOp]:
     op, with one substitute per contiguous run of the targets.  An append
     cell is an insert anchored at ``len(question)``; an insert-and-append
     cell is both that and an insert before the last question token."""
-    _validate(matrix)
+    # Rebuilt through the constructor, which checks what restore once did.
+    RewriteEditMatrix(matrix.context_tokens, matrix.question_tokens, matrix.cells)
     n_ctx, n_q = matrix.context_size, matrix.question_size
     sub_targets: dict[int, list[int]] = defaultdict(list)
     ins_pairs: dict[int, list[int]] = defaultdict(list)  # anchor -> context indices

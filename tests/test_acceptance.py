@@ -134,13 +134,12 @@ def test_c03_symmetry_and_block_purity():
 def test_c04_exact_roundtrip_corpus(tmp_path):
     crit = Criterion("C4 exact roundtrip on 500 spliced examples", 30.0)
     rng = random.Random(1401)
-    examples = [generators.make_splice_example(rng, idx) for idx in range(500)]
+    examples = [generators.make_splice_example(rng, idx).interaction() for idx in range(500)]
     ok = True
     for ex in examples:
-        interaction = ex.as_interaction()
-        matrix = build_from_interaction(interaction, ex.rewrite)
-        restored = restore(interaction.question, interaction.flat_context(), matrix)
-        if restored.tokens != ex.rewrite:
+        matrix = build_from_interaction(ex)
+        restored = restore(ex.question, ex.flat_context(), matrix)
+        if restored.tokens != ex.gold_rewrite:
             ok = False
             break
     corpus_path = tmp_path / "splice.jsonl"
@@ -333,7 +332,7 @@ def test_c10_cli_determinism(tmp_path, fixtures_dir):
     ok = ok and dumps[0] == dumps[1]
 
     rng = random.Random(2200)
-    examples = [generators.make_splice_example(rng, idx) for idx in range(40)]
+    examples = [generators.make_splice_example(rng, idx).interaction() for idx in range(40)]
     corpus_path = tmp_path / "corpus.jsonl"
     save_rewrite_corpus(corpus_path, examples)
     reports = []

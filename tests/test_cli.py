@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import generators
 import json_strategies
-from conftest import FIXTURES, corpus_record, flights_matrix_payload
+from conftest import (
+    FIXTURES,
+    MALFORMED_MATRICES,
+    corpus_record,
+    flights_matrix_payload,
+    malformed_matrix_payload,
+)
 from qurg.cli import main
 from qurg.dataset_io import (
     load_matrix,
@@ -149,7 +155,7 @@ class TestRestore:
 class TestRoundtrip:
     def test_splice_corpus_scores_one(self, tmp_path):
         rng = random.Random(77)
-        examples = [generators.make_splice_example(rng, idx) for idx in range(40)]
+        examples = [generators.make_splice_example(rng, idx).interaction() for idx in range(40)]
         corpus = tmp_path / "corpus.jsonl"
         save_rewrite_corpus(corpus, examples)
         report_path = tmp_path / "report.json"
@@ -558,6 +564,58 @@ class TestMalformedInputs:
         link.write_text(json.dumps(payload))
         self._assert_clean_failure(["stats", "--link-matrix", str(link)], capsys)
 
+    # Each command that reads an edit matrix, with the arguments that make it read ``path``.
+    MATRIX_READERS = {
+        "restore": lambda path, tmp: ["restore", "--matrix", path],
+        "stats": lambda path, tmp: ["stats", "--matrix", path],
+        "encode": lambda path, tmp: [
+            "encode", "--interactions", str(FIXTURES / "interactions_flights.json"),
+            "--schema", str(FIXTURES / "schema_flights.json"), "--matrix", path,
+            "--out", str(tmp / "states.json"),
+        ],
+    }
+
+    @pytest.mark.parametrize("reader", sorted(MATRIX_READERS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+    def test_malformed_matrix_names_the_file(self, tmp_path, capsys, case, reader):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps(malformed_matrix_payload(case)))
+        argv = self.MATRIX_READERS[reader](str(matrix), tmp_path)
+        line = self._assert_clean_failure(argv, capsys)
+        assert line.startswith(f"error: {matrix}: cell ("), line
+
+    @pytest.mark.parametrize("reader", sorted(MATRIX_READERS))
+    def test_matrix_token_error_names_the_file(self, tmp_path, capsys, reader):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({**flights_matrix_payload(), "cells": [],
+                                      "context_tokens": ["a b"]}))
+        argv = self.MATRIX_READERS[reader](str(matrix), tmp_path)
+        line = self._assert_clean_failure(argv, capsys)
+        assert line == f"error: {matrix}: token contains whitespace: 'a b'", line
+
+    def test_link_matrix_token_error_names_the_file(self, tmp_path, capsys):
+        payload = {
+            "qurg_fmt": 1, "question_tokens": ["q"], "context_tokens": ["a b"],
+            "tables": [["t"]], "columns": [], "cells": [],
+        }
+        link = tmp_path / "link.json"
+        link.write_text(json.dumps(payload))
+        line = self._assert_clean_failure(["stats", "--link-matrix", str(link)], capsys)
+        assert line == f"error: {link}: context_tokens: token contains whitespace: 'a b'", line
+
+    def test_schema_token_error_names_the_file(self, tmp_path, fixtures_dir, capsys):
+        payload = json.loads((fixtures_dir / "schema_flights.json").read_text())
+        payload["tables"][0] = [""]
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(payload))
+        line = self._assert_clean_failure([
+            "schema-link",
+            "--interactions", str(fixtures_dir / "interactions_flights.json"),
+            "--schema", str(schema),
+            "--out", str(tmp_path / "x.json"),
+        ], capsys)
+        assert line == f"error: {schema}: table 0: empty or non-string token: ''", line
+
     @pytest.mark.parametrize("role", ["--schema", "--interactions"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -750,6 +808,25 @@ class TestEncode:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_width_one_config_exits_one(self, tmp_path, fixtures_dir, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**TINY_CONFIG, "d_x": 1, "d_z": 1, "heads": 1}))
+        matrix_path = tmp_path / "flights.matrix.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(matrix_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "states.json"
+        assert run([
+            "encode",
+            "--interactions", str(fixtures_dir / "interactions_flights.json"),
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--matrix", str(matrix_path),
+            "--config", str(config_path),
+            "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: d_x must be at least 2: ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_malformed_config_names_the_file(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

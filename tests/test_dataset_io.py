@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,15 @@ from conftest import (
     FIXTURES,
     FLIGHTS_CONTEXT,
     FLIGHTS_QUESTION,
+    MALFORMED_MATRICES,
     corpus_record,
     flights_matrix_payload,
+    malformed_matrix_payload,
 )
 from qurg import dataset_io
 from qurg.dataset_io import (
     DatasetError,
     FormatVersionError,
-    RewriteExample,
     load_interactions,
     load_link_matrix,
     load_matrix,
@@ -37,6 +39,7 @@ from qurg.dataset_io import (
 )
 from qurg.rewrite_diff import (
     Interaction,
+    MalformedMatrixError,
     RewriteEditMatrix,
     RewriteRelation,
     build_from_interaction,
@@ -74,8 +77,9 @@ class TestTokensValidatedOnce:
     """Each token sequence is validated where it enters, by a loader or a
     public constructor; the objects built from it do not check it again."""
 
-    def test_roundtrip_validates_each_sequence_once(self, monkeypatch):
-        from qurg import rewrite_diff, rewrite_restore
+    @staticmethod
+    def _count_token_seq(monkeypatch) -> list:
+        from qurg import rewrite_diff, schema_link
 
         calls, token_seq = [], rewrite_diff.token_seq
 
@@ -83,32 +87,44 @@ class TestTokensValidatedOnce:
             calls.append(tokens)
             return token_seq(tokens)
 
-        for module in (rewrite_diff, dataset_io):
+        for module in (rewrite_diff, dataset_io, schema_link):
             monkeypatch.setattr(module, "token_seq", counting)
+        return calls
+
+    def test_roundtrip_validates_each_sequence_once(self, monkeypatch):
+        from qurg import rewrite_restore
+
+        calls = self._count_token_seq(monkeypatch)
         examples = load_rewrite_corpus(FIXTURES / "corpus_small.jsonl")
-        assert len(calls) == sum(len(ex.history) + 2 for ex in examples)
+        assert len(calls) == sum(len(ex.context_turns) + 2 for ex in examples)
         calls.clear()
         for ex in examples:
-            interaction = ex.as_interaction()
-            matrix = build_from_interaction(interaction, ex.rewrite)
-            rewrite_restore.restore(interaction.question, interaction.flat_context(), matrix)
+            matrix = build_from_interaction(ex)
+            rewrite_restore.restore(ex.question, ex.flat_context(), matrix)
         assert calls == []
 
+    def test_schema_file_validates_each_name_once(self, monkeypatch):
+        calls = self._count_token_seq(monkeypatch)
+        schema = load_schema(FIXTURES / "schema_flights.json")
+        assert len(calls) == len(schema.tables) + len(schema.columns)
+
+    def test_matrix_file_validates_each_sequence_once(self, monkeypatch, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(flights_matrix_payload()))
+        calls = self._count_token_seq(monkeypatch)
+        load_matrix(path)
+        assert calls == [FLIGHTS_CONTEXT, FLIGHTS_QUESTION]
+
     def test_hand_offs_reject_what_they_rejected(self):
-        example = RewriteExample((), (), ("a",), "x")
         with pytest.raises(ValueError, match="^interaction question must be non-empty$"):
-            example.as_interaction()
+            Interaction((), ())
         with pytest.raises(ValueError, match="^expected a sequence of tokens, got the string 'ab'$"):
             build_rewrite_matrix([], ("a",), "ab")
 
-    def test_hand_offs_build_what_the_constructors_build(self, flights_interaction):
-        example = RewriteExample(
-            flights_interaction.context_turns,
-            flights_interaction.question,
-            flights_interaction.gold_rewrite,
-            "flights-t2",
-        )
-        assert example.as_interaction() == flights_interaction
+    def test_hand_offs_build_what_the_constructors_build(self, tmp_path, flights_interaction):
+        path = tmp_path / "corpus.jsonl"
+        save_rewrite_corpus(path, [flights_interaction])
+        assert load_rewrite_corpus(path) == [flights_interaction]
         matrix = build_from_interaction(flights_interaction)
         assert matrix == RewriteEditMatrix(
             matrix.context_tokens, matrix.question_tokens, dict(matrix.cells)
@@ -216,8 +232,7 @@ class TestRewriteCorpus:
             '{"history": [], "question": "a b", "rewrite": "a b", "id": "only"}\n'
         )
         examples = load_rewrite_corpus(path)
-        assert len(examples) == 1
-        assert examples[0].example_id == "only"
+        assert examples == [Interaction((), ("a", "b"), ("a", "b"), "only")]
 
     def test_missing_rewrite_names_field(self, fixtures_dir):
         with pytest.raises(DatasetError, match="rewrite"):
@@ -225,7 +240,7 @@ class TestRewriteCorpus:
 
     def test_fixture_ids_unique_order_preserved(self, fixtures_dir):
         examples = load_rewrite_corpus(fixtures_dir / "corpus_small.jsonl")
-        ids = [ex.example_id for ex in examples]
+        ids = [ex.interaction_id for ex in examples]
         assert ids == ["e1", "e2", "e3", "e4", "e5"]
         assert len(set(ids)) == len(ids)
 
@@ -268,12 +283,16 @@ class TestRewriteCorpus:
 
     def test_save_load_roundtrip(self, tmp_path):
         examples = [
-            RewriteExample((("a", "b"),), ("q", "?"), ("q", "a", "?"), "r1"),
-            RewriteExample((), ("x",), ("x",), "r2"),
+            Interaction((("a", "b"),), ("q", "?"), ("q", "a", "?"), "r1"),
+            Interaction((), ("x",), ("x",), "r2"),
         ]
         path = tmp_path / "corpus.jsonl"
         save_rewrite_corpus(path, examples)
         assert load_rewrite_corpus(path) == examples
+
+    def test_save_requires_gold_rewrites(self, tmp_path):
+        with pytest.raises(ValueError, match="^interaction 'r3' has no gold rewrite$"):
+            save_rewrite_corpus(tmp_path / "corpus.jsonl", [Interaction((), ("x",), None, "r3")])
 
     def test_bad_version_on_line(self, tmp_path):
         path = tmp_path / "v9.jsonl"
@@ -388,6 +407,28 @@ class TestMatrixSerialization:
         with pytest.raises(DatasetError, match=message):
             load_matrix(path)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+    def test_malformed_matrix_fails_to_load(self, tmp_path, case):
+        # The loader reports what the constructor refused, after the file name.
+        context, question, cells = MALFORMED_MATRICES[case]
+        with pytest.raises(MalformedMatrixError) as made:
+            RewriteEditMatrix(
+                context, question, {(i, j): RewriteRelation(rel) for i, j, rel in cells}
+            )
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(malformed_matrix_payload(case)))
+        with pytest.raises(DatasetError) as loaded:
+            load_matrix(path)
+        assert str(loaded.value) == f"{path}: {made.value}"
+
+    def test_bad_token_names_the_file(self, tmp_path):
+        path = tmp_path / "token.json"
+        path.write_text(json.dumps(
+            {"qurg_fmt": 1, "context_tokens": ["a b"], "question_tokens": ["q"], "cells": []}
+        ))
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: token contains"):
+            load_matrix(path)
+
 
 class TestSchemaFiles:
     def test_fixture_counts(self, fixtures_dir):
@@ -400,6 +441,12 @@ class TestSchemaFiles:
     def test_out_of_range_table_rejected(self, fixtures_dir):
         with pytest.raises(SchemaError):
             load_schema(fixtures_dir / "schema_bad_table_index.json")
+
+    def test_bad_name_token_names_the_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"qurg_fmt": 1, "tables": [[""]], "columns": []}))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: table 0: empty"):
+            load_schema(path)
 
     def test_no_foreign_keys_valid(self, tmp_path):
         path = tmp_path / "s.json"

@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
     "CorpusRougeReport", "RougeScore", "corpus_rouge", "rouge_l", "rouge_n",
     "Column", "LinkRelation", "Schema", "SchemaError", "SchemaLinkMatrix",
     "build_schema_link_matrix", "link_stats",
-    "DatasetError", "FormatVersionError", "RewriteExample", "load_interactions", "load_matrix",
+    "DatasetError", "FormatVersionError", "load_interactions", "load_matrix",
     "load_rewrite_corpus", "load_schema", "save_matrix", "tokenize",
     "EncodedStates", "EncoderConfig", "EncoderParams", "RatLayerParams", "embed_inputs",
     "encode_interaction", "init_params", "layer_backward", "rat_layer_forward",
@@ -55,6 +55,7 @@ class TestNamespace:
             assert getattr(qurg, name) is not None, name
         assert qurg.init_params is rat_encoder.init_params
         assert qurg.EncoderConfig is rat_encoder.EncoderConfig
+        assert qurg.MalformedMatrixError is qurg.rewrite_restore.MalformedMatrixError
 
     def test_star_import_binds_every_name(self):
         namespace: dict = {}

@@ -69,6 +69,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(d_x=8, d_z=16, heads=2)
 
+    @pytest.mark.parametrize("d_x", [1, 0, -1])
+    def test_width_below_two_rejected(self, d_x):
+        # At width 1 layer norm sees one feature, so every layer outputs ln2_bias.
+        with pytest.raises(ValueError, match="^d_x must be at least 2: layer norm"):
+            EncoderConfig.from_dict({"d_x": d_x, "d_z": d_x, "heads": 1})
+
     def test_round_trips_through_dict(self):
         config = EncoderConfig(d_x=8, d_z=8, heads=2, seed=3)
         assert EncoderConfig.from_dict(config.to_dict()) == config

@@ -17,7 +17,8 @@ from qurg.rewrite_diff import (
     build_rewrite_matrix,
     extract_edit_ops,
 )
-from qurg.rewrite_restore import MalformedMatrixError, restore
+from qurg.rewrite_diff import MalformedMatrixError
+from qurg.rewrite_restore import restore
 
 
 def _restore(matrix: RewriteEditMatrix) -> tuple[str, ...]:
@@ -61,13 +62,14 @@ def random_edit_matrix(rng: random.Random) -> RewriteEditMatrix:
 
 
 class TestRecoverOps:
-    """Reading edit operations back out of a matrix."""
+    """Reading edit operations back out of a matrix, and the matrices the
+    constructor refuses to make."""
 
     def test_roundtrip_identity_on_canonical_ops(self):
         rng = random.Random(5)
         for idx in range(60):
             ex = generators.make_splice_example(rng, idx)
-            inter = ex.as_interaction()
+            inter = ex.interaction()
             context = inter.flat_context()
             ops = extract_edit_ops(inter.question, context, ex.rewrite)
             matrix = build_rewrite_matrix(ops, context, inter.question)
@@ -75,18 +77,16 @@ class TestRecoverOps:
 
     def test_symmetry_violation_detected(self):
         cells = {(0, 2): RewriteRelation.C_Q_SUB}  # mirror missing
-        matrix = RewriteEditMatrix(("a", "b"), ("q",), cells)
         with pytest.raises(MalformedMatrixError):
-            _restore(matrix)
+            RewriteEditMatrix(("a", "b"), ("q",), cells)
 
     def test_mismatched_mirror_type_detected(self):
         cells = {
             (0, 2): RewriteRelation.C_Q_SUB,
             (2, 0): RewriteRelation.Q_C_INS,
         }
-        matrix = RewriteEditMatrix(("a", "b"), ("q",), cells)
         with pytest.raises(MalformedMatrixError):
-            _restore(matrix)
+            RewriteEditMatrix(("a", "b"), ("q",), cells)
 
     def test_block_violation_detected(self):
         # a context-row relation placed inside the context block
@@ -94,27 +94,24 @@ class TestRecoverOps:
             (0, 1): RewriteRelation.C_Q_SUB,
             (1, 0): RewriteRelation.Q_C_SUB,
         }
-        matrix = RewriteEditMatrix(("a", "b"), ("q",), cells)
         with pytest.raises(MalformedMatrixError):
-            _restore(matrix)
+            RewriteEditMatrix(("a", "b"), ("q",), cells)
 
     @pytest.mark.parametrize(
         "rel", [RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP]
     )
     def test_append_outside_last_column_detected(self, rel):
         cells = {(0, 1): rel, (1, 0): rel.mirror}
-        matrix = RewriteEditMatrix(("a",), ("q", "r"), cells)
         with pytest.raises(MalformedMatrixError, match="outside the last question column"):
-            _restore(matrix)
+            RewriteEditMatrix(("a",), ("q", "r"), cells)
 
     @pytest.mark.parametrize(
         "rel", [RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP]
     )
     def test_append_with_insert_mirror_detected(self, rel):
         cells = {(0, 2): rel, (2, 0): RewriteRelation.Q_C_INS}
-        matrix = RewriteEditMatrix(("a",), ("q", "r"), cells)
         with pytest.raises(MalformedMatrixError, match="lacks its mirror"):
-            _restore(matrix)
+            RewriteEditMatrix(("a",), ("q", "r"), cells)
 
 
 class TestRestore:
@@ -136,7 +133,7 @@ class TestRestore:
         rng = random.Random(9)
         for idx in range(60):
             ex = generators.make_splice_example(rng, idx)
-            inter = ex.as_interaction()
+            inter = ex.interaction()
             matrix = build_from_interaction(inter, ex.rewrite)
             restored = restore(inter.question, inter.flat_context(), matrix)
             assert restored.tokens == ex.rewrite
