@@ -26,7 +26,6 @@ from .rewrite_diff import (
     RewriteEditMatrix,
     RewriteRelation,
     TokenSeq,
-    token_seq,
 )
 from .rouge_eval import NORMALIZATION, CorpusRougeReport, RougeScore
 from .schema_link import (
@@ -36,7 +35,6 @@ from .schema_link import (
     Schema,
     SchemaError,
     SchemaLinkMatrix,
-    _is_index,
 )
 
 __all__ = [
@@ -203,11 +201,6 @@ def _strings(value: Any, where: str) -> tuple[str, ...]:
     return tuple(_expect(tok, str, where) for tok in _expect(value, list, where))
 
 
-def _tokens(value: Any, where: str) -> TokenSeq:
-    """A JSON array of tokens, for values that no constructor checks."""
-    return _constructed(where, token_seq, _strings(value, where))
-
-
 def _constructed(
     where: str | Path,
     make: Callable[..., _T],
@@ -361,11 +354,11 @@ def _cells_payload(matrix: RewriteEditMatrix | SchemaLinkMatrix) -> list[dict[st
 
 
 def _parse_cells(
-    payload: Mapping[str, Any], path: str | Path, size: int, relations: type[Enum]
+    payload: Mapping[str, Any], path: str | Path, relations: type[Enum]
 ) -> dict[tuple[int, int], Any]:
-    """The ``cells`` array of a matrix file, each an in-bounds ``(i, j)``
-    with a relation of the family ``relations``, by name; a repeated
-    ``(i, j)`` is an error."""
+    """The ``cells`` array of a matrix file, each an integer ``(i, j)`` with
+    a relation of the family ``relations``, by name; a repeated ``(i, j)``
+    is an error.  The matrix's constructor checks the rest."""
     cells: dict[tuple[int, int], Any] = {}
     for pos, cell in enumerate(_field(payload, "cells", str(path), list)):
         _expect(cell, dict, f"{path}: cell {pos}")
@@ -374,8 +367,9 @@ def _parse_cells(
             rel = relations(name)
         except ValueError:
             raise DatasetError(f"{path}: cell ({i},{j}) has unknown relation {name!r}") from None
-        if not (_is_index(i, size) and _is_index(j, size)):
-            raise DatasetError(f"{path}: cell ({i},{j}) out of bounds for size {size}")
+        # JSON true and false pass as integers here; the constructor refuses them.
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise DatasetError(f"{path}: cell ({i},{j}) has indices that are not integers")
         if (i, j) in cells:
             raise DatasetError(f"{path}: cell ({i},{j}) appears more than once")
         cells[(i, j)] = rel
@@ -402,7 +396,7 @@ def load_matrix(path: str | Path) -> RewriteEditMatrix:
     _check_version(payload, path)
     context = _strings(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
     question = _strings(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
-    cells = _parse_cells(payload, path, len(context) + len(question), RewriteRelation)
+    cells = _parse_cells(payload, path, RewriteRelation)
     return _constructed(path, RewriteEditMatrix, context, question, cells)
 
 
@@ -435,14 +429,15 @@ def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
 
 
 def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:
+    """Load a linking matrix file; a matrix its constructor rejects, such as
+    one with a cell outside its relation's block, fails to load."""
     payload = read_json(path)
     _check_version(payload, path)
     schema = _schema_from_payload(payload, path)
-    question = _tokens(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
-    context = _tokens(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
-    matrix = SchemaLinkMatrix(question, context, schema)
-    matrix.cells.update(_parse_cells(payload, path, matrix.size, LinkRelation))
-    return matrix
+    question = _strings(_field(payload, "question_tokens", str(path)), f"{path}: question_tokens")
+    context = _strings(_field(payload, "context_tokens", str(path)), f"{path}: context_tokens")
+    cells = _parse_cells(payload, path, LinkRelation)
+    return _constructed(path, SchemaLinkMatrix, question, context, schema, cells)
 
 
 def _schema_from_payload(payload: Mapping[str, Any], path: str | Path) -> Schema:
@@ -454,19 +449,15 @@ def _schema_from_payload(payload: Mapping[str, Any], path: str | Path) -> Schema
             _expect(record.get("type", "text"), str, where),
         )
 
-    def indices(value: Any, where: str) -> tuple[int, ...]:
-        return tuple(_expect(idx, int, where) for idx in _expect(value, list, where))
-
     tables = _field(payload, "tables", str(path), list)
     columns = _field(payload, "columns", str(path), list)
-    foreign_keys = _expect(payload.get("foreign_keys", []), list, f"{path}: foreign_keys")
     return _constructed(
         path,
         Schema,
         tuple(_strings(name, f"{path}: table {idx}") for idx, name in enumerate(tables)),
         tuple(column(idx, record) for idx, record in enumerate(columns)),
-        indices(payload.get("primary_keys", []), f"{path}: primary_keys"),
-        tuple(indices(fk, f"{path}: foreign key {idx}") for idx, fk in enumerate(foreign_keys)),
+        payload.get("primary_keys", ()),
+        payload.get("foreign_keys", ()),
         error=SchemaError,
     )
 

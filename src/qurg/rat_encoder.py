@@ -91,7 +91,8 @@ _RW_EDIT_IDS = {
 }
 RW_RELATION_IDS: dict[str, int] = {
     "None": 0,
-    **{rel.value: _RW_EDIT_IDS.get(rel, 3 if rel.context_row else 1) for rel in RewriteRelation},
+    **{rel.value: _RW_EDIT_IDS.get(rel, 3 if rel.rows == "context" else 1)
+       for rel in RewriteRelation},
 }
 LINK_RELATION_IDS: dict[str, int] = {
     "None": 0,

@@ -72,14 +72,19 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
 
 def _prevalidated(cls: type[_T], **fields: object) -> _T:
     """An instance of the frozen dataclass ``cls`` holding ``fields``, made
-    without ``__post_init__``.  Its one caller is ``build_from_interaction``,
-    whose tokens come from a validated interaction and whose cells are
-    well-formed by construction.  There the constructor would cost about
-    15 microseconds per short spliced example against 1.8 for this helper
-    (2-vCPU Xeon, Python 3.11), about 5% of a ``roundtrip`` example."""
+    without ``__post_init__``.  Its callers, ``build_from_interaction`` and
+    ``build_schema_link_matrix``, validate their tokens and write each cell
+    in its block with its mirror.  The check would cost them 15 against 2
+    microseconds per short spliced example, and 2.2 ms per turn of the wide
+    benchmark schema, which links in 0.6-0.9 ms (2-vCPU Xeon, Python 3.11)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _is_index(value: object, size: int) -> bool:
+    # ``bool`` subclasses ``int``, but true is not index 1.
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
 @dataclass(frozen=True)
@@ -218,15 +223,17 @@ class EditOp:
 class Relation(Enum):
     """Base of a relation family whose cells come in mirrored pairs.
 
-    A member is declared as ``(file name, mirror, *extra)``: the name that
-    files carry is its value, ``mirror`` names the member of the transposed
-    cell, and ``extra`` goes to the family's ``__init__``.
+    A member is declared as ``(file name, mirror, rows, cols)``: the name
+    that files carry is its value, ``mirror`` names the member of the
+    transposed cell, and ``rows`` and ``cols`` name the regions of the
+    matrix layout that the rows and columns of its cells lie in.
     """
 
-    def __new__(cls, value: str, mirror: str, *extra: object) -> Relation:
+    def __new__(cls, value: str, mirror: str, rows: str, cols: str) -> Relation:
         member = object.__new__(cls)
         member._value_ = value
         member._mirror_name = mirror
+        member.rows, member.cols = rows, cols
         return member
 
     @cached_property
@@ -236,75 +243,76 @@ class Relation(Enum):
 
 
 class RewriteRelation(Relation):
-    """Directional relation types between question and context tokens,
-    each declared as ``(file name, mirror, context row)``.
-
-    ``C-Q-*`` cells sit in context rows and question columns, their
-    ``Q-C-*`` mirrors in question rows and context columns.  ``-App``
-    appends the context token after the last question token, and
-    ``-Ins-App`` both inserts it before the last token and appends it;
-    both occur only in the last question column.
+    """Directional relation types between question and context tokens.
+    ``-App`` appends the context token after the last question token, and
+    ``-Ins-App`` both inserts it before the last token and appends it.
     """
 
-    Q_C_INS = "Q-C-Ins", "C_Q_INS", False
-    Q_C_SUB = "Q-C-Sub", "C_Q_SUB", False
-    C_Q_INS = "C-Q-Ins", "Q_C_INS", True
-    C_Q_SUB = "C-Q-Sub", "Q_C_SUB", True
-    Q_C_APP = "Q-C-App", "C_Q_APP", False
-    Q_C_INS_APP = "Q-C-Ins-App", "C_Q_INS_APP", False
-    C_Q_APP = "C-Q-App", "Q_C_APP", True
-    C_Q_INS_APP = "C-Q-Ins-App", "Q_C_INS_APP", True
-
-    def __init__(self, value: str, mirror: str, context_row: bool) -> None:
-        self.context_row = context_row
+    Q_C_INS = "Q-C-Ins", "C_Q_INS", "question", "context"
+    Q_C_SUB = "Q-C-Sub", "C_Q_SUB", "question", "context"
+    C_Q_INS = "C-Q-Ins", "Q_C_INS", "context", "question"
+    C_Q_SUB = "C-Q-Sub", "Q_C_SUB", "context", "question"
+    Q_C_APP = "Q-C-App", "C_Q_APP", "last", "context"
+    Q_C_INS_APP = "Q-C-Ins-App", "C_Q_INS_APP", "last", "context"
+    C_Q_APP = "C-Q-App", "Q_C_APP", "context", "last"
+    C_Q_INS_APP = "C-Q-Ins-App", "Q_C_INS_APP", "context", "last"
 
 
-# The appends, which hold only in the last question column.
-_LAST_COLUMN = frozenset((RewriteRelation.C_Q_APP, RewriteRelation.Q_C_APP,
-                          RewriteRelation.C_Q_INS_APP, RewriteRelation.Q_C_INS_APP))
+class RelationMatrix:
+    """Base of the sparse square relation matrices; a missing cell means
+    "no relation".  A subclass is a frozen dataclass with ``context_tokens``,
+    ``question_tokens``, ``cells``, a ``size``, a relation family
+    ``_relations`` and the ``_regions`` of its layout.  The constructor
+    checks the tokens, and that each cell has in-range integer indices and
+    a relation of the family, lies in that relation's block and, off the
+    diagonal, has its mirror at its transpose (a column's foreign key to
+    itself keeps one of the pair); it raises :class:`MalformedMatrixError`
+    otherwise."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "context_tokens", token_seq(self.context_tokens))
+        object.__setattr__(self, "question_tokens", token_seq(self.question_tokens))
+        n, regions, cells = self.size, self._regions(), self.cells
+        for (i, j), rel in cells.items():
+            if not (_is_index(i, n) and _is_index(j, n)):
+                raise MalformedMatrixError(f"cell ({i},{j}) out of bounds for size {n}")
+            if not isinstance(rel, self._relations):
+                raise MalformedMatrixError(f"cell ({i},{j}) carries a non-relation value")
+            if i not in regions[rel.rows] or j not in regions[rel.cols]:
+                raise MalformedMatrixError(
+                    f"cell ({i},{j}) carries {rel.value} outside the "
+                    f"{rel.rows}-row/{rel.cols}-column block"
+                )
+            if i != j and cells.get((j, i)) is not rel.mirror:
+                raise MalformedMatrixError(
+                    f"cell ({i},{j})={rel.value} lacks its mirror "
+                    f"{rel.mirror.value} at ({j},{i})"
+                )
+
+    def relation_at(self, i: int, j: int) -> Relation | None:
+        return self.cells.get((i, j))
+
+    def sorted_cells(self) -> list[tuple[int, int, Relation]]:
+        return [(i, j, rel) for (i, j), rel in sorted(self.cells.items())]
 
 
 @dataclass(frozen=True)
-class RewriteEditMatrix:
+class RewriteEditMatrix(RelationMatrix):
     """Sparse square relation matrix over the ``[context; question]`` layout.
 
-    A missing cell means "no relation".  Indices ``0..len(context)-1`` are
-    context positions, the rest question positions.  Every cell lies in its
-    relation's block (context row and question column for ``C-Q-*``, the
-    transpose for ``Q-C-*``), appends lie in the last question column, and
-    every cell's transpose holds its mirror; the constructor raises
-    :class:`MalformedMatrixError` otherwise.
+    Indices ``0..len(context)-1`` are context positions, the rest question
+    positions; the appends' region ``last`` is the last question position.
     """
 
     context_tokens: TokenSeq
     question_tokens: TokenSeq
     cells: dict[tuple[int, int], RewriteRelation] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "context_tokens", token_seq(self.context_tokens))
-        object.__setattr__(self, "question_tokens", token_seq(self.question_tokens))
-        n_ctx, n = self.context_size, self.size
-        for (i, j), rel in self.cells.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise MalformedMatrixError(f"cell ({i},{j}) out of bounds for size {n}")
-            if not isinstance(rel, RewriteRelation):
-                raise MalformedMatrixError(f"cell ({i},{j}) carries a non-relation value")
-            ctx, q = (i, j) if rel.context_row else (j, i)
-            if not (ctx < n_ctx <= q):
-                block = ("context-row/question-column" if rel.context_row
-                         else "question-row/context-column")
-                raise MalformedMatrixError(
-                    f"cell ({i},{j}) carries {rel.value} outside the {block} block"
-                )
-            if q != n - 1 and rel in _LAST_COLUMN:
-                raise MalformedMatrixError(
-                    f"cell ({i},{j}) carries {rel.value} outside the last question column"
-                )
-            if self.cells.get((j, i)) is not rel.mirror:
-                raise MalformedMatrixError(
-                    f"cell ({i},{j})={rel.value} lacks its mirror "
-                    f"{rel.mirror.value} at ({j},{i})"
-                )
+    _relations = RewriteRelation
+
+    def _regions(self) -> dict[str, range]:
+        c, n = self.context_size, self.size
+        return {"context": range(c), "question": range(c, n), "last": range(max(c, n - 1), n)}
 
     @property
     def context_size(self) -> int:
@@ -317,12 +325,6 @@ class RewriteEditMatrix:
     @property
     def size(self) -> int:
         return self.context_size + self.question_size
-
-    def relation_at(self, i: int, j: int) -> RewriteRelation | None:
-        return self.cells.get((i, j))
-
-    def sorted_cells(self) -> list[tuple[int, int, RewriteRelation]]:
-        return [(i, j, rel) for (i, j), rel in sorted(self.cells.items())]
 
 
 def lcs(

@@ -22,7 +22,8 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .rewrite_diff import (
-    DEFAULT_POLICY, MatchPolicy, Relation, RewriteEditMatrix, TokenSeq, token_seq
+    DEFAULT_POLICY, MatchPolicy, Relation, RelationMatrix, TokenSeq, _is_index, _prevalidated,
+    token_seq,
 )
 
 __all__ = [
@@ -42,16 +43,21 @@ class SchemaError(ValueError):
     """A schema violates its structural invariants."""
 
 
-def _is_index(value: object, size: int) -> bool:
-    # ``bool`` subclasses ``int``, but true is not index 1.
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
-
-
 def _name(tokens: Iterable[str], where: str) -> TokenSeq:
     try:
-        return token_seq(tokens)
+        name = token_seq(tokens)
     except (TypeError, ValueError) as exc:  # TypeError: not iterable
         raise SchemaError(f"{where}: {exc}") from None
+    if not name:
+        raise SchemaError(f"{where} has an empty name")
+    return name
+
+
+def _listed(value: object, what: str) -> tuple:
+    try:
+        return tuple(value)  # type: ignore[call-overload]
+    except TypeError:  # not iterable
+        raise SchemaError(f"{what} must be a sequence, got {value!r:.40}") from None
 
 
 def _column(col: object, idx: int) -> Column:
@@ -77,76 +83,81 @@ class Schema:
     foreign_keys: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
+        tables, columns = _listed(self.tables, "tables"), _listed(self.columns, "columns")
         object.__setattr__(
-            self, "tables", tuple(_name(t, f"table {idx}") for idx, t in enumerate(self.tables))
+            self, "tables", tuple(_name(t, f"table {idx}") for idx, t in enumerate(tables))
         )
         object.__setattr__(
-            self,
-            "columns",
-            tuple(_column(col, idx) for idx, col in enumerate(self.columns)),
+            self, "columns", tuple(_column(col, idx) for idx, col in enumerate(columns))
         )
-        object.__setattr__(self, "primary_keys", frozenset(self.primary_keys))
-        object.__setattr__(
-            self, "foreign_keys", frozenset(tuple(fk) for fk in self.foreign_keys)
+        primary_keys = _listed(self.primary_keys, "primary_keys")
+        foreign_keys = tuple(
+            _listed(fk, "a foreign key")
+            for fk in _listed(self.foreign_keys, "foreign_keys")
         )
         # Link plans per match policy, built on first use by
         # ``build_schema_link_matrix``.  Not a field: ``==``, ``hash`` and
         # ``repr`` ignore it, and ``dataclasses.replace`` starts a new one.
         object.__setattr__(self, "_link_plans", {})
-        for name in self.tables:
-            if not name:
-                raise SchemaError("table names must be non-empty")
         for idx, col in enumerate(self.columns):
-            if not col.name:
-                raise SchemaError(f"column {idx} has an empty name")
             if not _is_index(col.table, len(self.tables)):
                 raise SchemaError(
                     f"column {idx} references out-of-range table {col.table!r}"
                 )
             if not isinstance(col.type, str) or col.type not in COLUMN_TYPES:
                 raise SchemaError(f"column {idx} has unknown type {col.type!r}")
-        for pk in self.primary_keys:
+        for pk in primary_keys:
             if not _is_index(pk, len(self.columns)):
-                raise SchemaError(f"primary key column {pk!r} out of range")
-        for fk in self.foreign_keys:
+                raise SchemaError(f"primary key column {pk!r:.40} out of range")
+        for fk in foreign_keys:
             if not (len(fk) == 2 and all(_is_index(c, len(self.columns)) for c in fk)):
-                raise SchemaError(f"dangling foreign key {fk!r}")
+                raise SchemaError(f"dangling foreign key {fk!r:.40}")
+        object.__setattr__(self, "primary_keys", frozenset(primary_keys))
+        object.__setattr__(self, "foreign_keys", frozenset(foreign_keys))
 
 
 class LinkRelation(Relation):
     """Relation vocabulary of the schema-linking matrix, each member with
-    its mirror.  The ``-Rev`` variants are the transposed direction of the
-    corresponding utterance-to-schema match.
+    its mirror and its block among the ``utterance`` (question and
+    context), ``table`` and ``column`` positions.  The ``-Rev`` variants
+    are the transposed direction of the corresponding utterance-to-schema
+    match.
     """
 
-    EXACT_TABLE = "Exact-Table-Match", "EXACT_TABLE_REV"
-    EXACT_TABLE_REV = "Exact-Table-Match-Rev", "EXACT_TABLE"
-    PARTIAL_TABLE = "Partial-Table-Match", "PARTIAL_TABLE_REV"
-    PARTIAL_TABLE_REV = "Partial-Table-Match-Rev", "PARTIAL_TABLE"
-    EXACT_COLUMN = "Exact-Column-Match", "EXACT_COLUMN_REV"
-    EXACT_COLUMN_REV = "Exact-Column-Match-Rev", "EXACT_COLUMN"
-    PARTIAL_COLUMN = "Partial-Column-Match", "PARTIAL_COLUMN_REV"
-    PARTIAL_COLUMN_REV = "Partial-Column-Match-Rev", "PARTIAL_COLUMN"
-    COLUMN_BELONGS_TO_TABLE = "Column-Belongs-To-Table", "TABLE_HAS_COLUMN"
-    TABLE_HAS_COLUMN = "Table-Has-Column", "COLUMN_BELONGS_TO_TABLE"
-    SAME_TABLE_COLUMNS = "Same-Table-Columns", "SAME_TABLE_COLUMNS"
-    FOREIGN_KEY_FORWARD = "Foreign-Key-Forward", "FOREIGN_KEY_BACKWARD"
-    FOREIGN_KEY_BACKWARD = "Foreign-Key-Backward", "FOREIGN_KEY_FORWARD"
-    PRIMARY_KEY_OF = "Primary-Key-Of", "HAS_PRIMARY_KEY"
-    HAS_PRIMARY_KEY = "Has-Primary-Key", "PRIMARY_KEY_OF"
+    EXACT_TABLE = "Exact-Table-Match", "EXACT_TABLE_REV", "utterance", "table"
+    EXACT_TABLE_REV = "Exact-Table-Match-Rev", "EXACT_TABLE", "table", "utterance"
+    PARTIAL_TABLE = "Partial-Table-Match", "PARTIAL_TABLE_REV", "utterance", "table"
+    PARTIAL_TABLE_REV = "Partial-Table-Match-Rev", "PARTIAL_TABLE", "table", "utterance"
+    EXACT_COLUMN = "Exact-Column-Match", "EXACT_COLUMN_REV", "utterance", "column"
+    EXACT_COLUMN_REV = "Exact-Column-Match-Rev", "EXACT_COLUMN", "column", "utterance"
+    PARTIAL_COLUMN = "Partial-Column-Match", "PARTIAL_COLUMN_REV", "utterance", "column"
+    PARTIAL_COLUMN_REV = "Partial-Column-Match-Rev", "PARTIAL_COLUMN", "column", "utterance"
+    COLUMN_BELONGS_TO_TABLE = "Column-Belongs-To-Table", "TABLE_HAS_COLUMN", "column", "table"
+    TABLE_HAS_COLUMN = "Table-Has-Column", "COLUMN_BELONGS_TO_TABLE", "table", "column"
+    SAME_TABLE_COLUMNS = "Same-Table-Columns", "SAME_TABLE_COLUMNS", "column", "column"
+    FOREIGN_KEY_FORWARD = "Foreign-Key-Forward", "FOREIGN_KEY_BACKWARD", "column", "column"
+    FOREIGN_KEY_BACKWARD = "Foreign-Key-Backward", "FOREIGN_KEY_FORWARD", "column", "column"
+    PRIMARY_KEY_OF = "Primary-Key-Of", "HAS_PRIMARY_KEY", "column", "table"
+    HAS_PRIMARY_KEY = "Has-Primary-Key", "PRIMARY_KEY_OF", "table", "column"
 
 
 LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
 
 
 @dataclass(frozen=True)
-class SchemaLinkMatrix:
+class SchemaLinkMatrix(RelationMatrix):
     """Sparse relation matrix over ``[question; context; tables; columns]``."""
 
     question_tokens: TokenSeq
     context_tokens: TokenSeq
     schema: Schema
     cells: dict[tuple[int, int], LinkRelation] = field(default_factory=dict)
+
+    _relations = LinkRelation
+
+    def _regions(self) -> dict[str, range]:
+        t, c = self.table_offset, self.column_offset
+        return {"utterance": range(t), "table": range(t, c), "column": range(c, self.size)}
 
     @property
     def n_question(self) -> int:
@@ -175,12 +186,6 @@ class SchemaLinkMatrix:
     @property
     def size(self) -> int:
         return self.column_offset + self.n_columns
-
-    def relation_at(self, i: int, j: int) -> LinkRelation | None:
-        return self.cells.get((i, j))
-
-    def sorted_cells(self) -> list[tuple[int, int, LinkRelation]]:
-        return [(i, j, rel) for (i, j), rel in sorted(self.cells.items())]
 
     def table_position(self, table_index: int) -> int:
         return self.table_offset + table_index
@@ -339,10 +344,9 @@ def build_schema_link_matrix(
     """
     question = token_seq(question)
     context = token_seq(context)
-    matrix = SchemaLinkMatrix(question, context, schema, {})
-    cells = matrix.cells
+    cells: dict[tuple[int, int], LinkRelation] = {}
     segments = [(0, policy.fold(question)), (len(question), policy.fold(context))]
-    tables = matrix.table_offset
+    tables = len(question) + len(context)
     # The schema's plan under ``policy`` is built on first use and kept on
     # the schema, which is immutable.
     plan = schema._link_plans.get(policy)
@@ -370,10 +374,12 @@ def build_schema_link_matrix(
     # structure cells, shifted to the first table's position, come last.
     for (i, j), rel in plan.structure:
         cells[(i + tables, j + tables)] = rel
-    return matrix
+    # Every cell above lies in its relation's block and has its mirror.
+    return _prevalidated(SchemaLinkMatrix, question_tokens=question, context_tokens=context,
+                         schema=schema, cells=cells)
 
 
-def link_stats(matrix: SchemaLinkMatrix | RewriteEditMatrix) -> dict[str, int]:
+def link_stats(matrix: RelationMatrix) -> dict[str, int]:
     """Count non-empty cells per relation type, sorted by relation name."""
     counts: Counter[str] = Counter(rel.value for rel in matrix.cells.values())
     return dict(sorted(counts.items()))

@@ -44,6 +44,7 @@ MALFORMED_MATRICES = {
     "insert-append-with-insert-mirror": (
         ["a"], ["q", "r"], [(0, 2, "C-Q-Ins-App"), (2, 0, "Q-C-Ins")]
     ),
+    "boolean-index": (["a"], ["q"], [(0, True, "C-Q-Sub"), (True, 0, "Q-C-Sub")]),
 }
 
 
@@ -55,6 +56,41 @@ def malformed_matrix_payload(case: str) -> dict:
         "context_tokens": context,
         "question_tokens": question,
         "cells": [{"i": i, "j": j, "rel": rel} for i, j, rel in cells],
+    }
+
+
+# The schema of ``MALFORMED_LINK_MATRICES``.  With the question "q" and the
+# context "c", its table "t" sits at position 2 and its columns at 3 and 4.
+LINK_SCHEMA_PAYLOAD = {
+    "tables": [["t"]],
+    "columns": [{"name": ["a"], "table": 0, "type": "text"},
+                {"name": ["b"], "table": 0, "type": "text"}],
+    "primary_keys": [0],
+    "foreign_keys": [],
+}
+LINK_SCHEMA = Schema((("t",),), (Column(("a",), 0), Column(("b",), 0)), frozenset({0}))
+
+# The linking matrices that ``SchemaLinkMatrix`` refuses to make, by what is
+# wrong with them: cells as ``(i, j, relation name)``.
+MALFORMED_LINK_MATRICES = {
+    "question-to-context": [(0, 1, "Exact-Table-Match")],
+    "mirror-missing": [(0, 2, "Exact-Table-Match")],
+    "mirror-mismatched": [(0, 2, "Exact-Table-Match"), (2, 0, "Partial-Table-Match-Rev")],
+    "table-match-into-column": [(0, 3, "Exact-Table-Match"), (3, 0, "Exact-Table-Match-Rev")],
+    "primary-key-between-columns": [(3, 4, "Primary-Key-Of"), (4, 3, "Has-Primary-Key")],
+    "boolean-index": [(True, 2, "Exact-Table-Match"), (2, True, "Exact-Table-Match-Rev")],
+}
+
+
+def malformed_link_matrix_payload(case: str) -> dict:
+    """The linking matrix file of one of ``MALFORMED_LINK_MATRICES``, as a
+    JSON value."""
+    return {
+        "qurg_fmt": 1,
+        "question_tokens": ["q"],
+        "context_tokens": ["c"],
+        **LINK_SCHEMA_PAYLOAD,
+        "cells": [{"i": i, "j": j, "rel": rel} for i, j, rel in MALFORMED_LINK_MATRICES[case]],
     }
 
 

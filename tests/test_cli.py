@@ -13,9 +13,11 @@ import generators
 import json_strategies
 from conftest import (
     FIXTURES,
+    MALFORMED_LINK_MATRICES,
     MALFORMED_MATRICES,
     corpus_record,
     flights_matrix_payload,
+    malformed_link_matrix_payload,
     malformed_matrix_payload,
 )
 from qurg.cli import main
@@ -584,6 +586,13 @@ class TestMalformedInputs:
         line = self._assert_clean_failure(argv, capsys)
         assert line.startswith(f"error: {matrix}: cell ("), line
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINK_MATRICES))
+    def test_malformed_link_matrix_names_the_file(self, tmp_path, capsys, case):
+        link = tmp_path / "link.json"
+        link.write_text(json.dumps(malformed_link_matrix_payload(case)))
+        line = self._assert_clean_failure(["stats", "--link-matrix", str(link)], capsys)
+        assert line.startswith(f"error: {link}: cell ("), line
+
     @pytest.mark.parametrize("reader", sorted(MATRIX_READERS))
     def test_matrix_token_error_names_the_file(self, tmp_path, capsys, reader):
         matrix = tmp_path / "matrix.json"
@@ -601,7 +610,7 @@ class TestMalformedInputs:
         link = tmp_path / "link.json"
         link.write_text(json.dumps(payload))
         line = self._assert_clean_failure(["stats", "--link-matrix", str(link)], capsys)
-        assert line == f"error: {link}: context_tokens: token contains whitespace: 'a b'", line
+        assert line == f"error: {link}: token contains whitespace: 'a b'", line
 
     def test_schema_token_error_names_the_file(self, tmp_path, fixtures_dir, capsys):
         payload = json.loads((fixtures_dir / "schema_flights.json").read_text())

@@ -12,9 +12,12 @@ from conftest import (
     FIXTURES,
     FLIGHTS_CONTEXT,
     FLIGHTS_QUESTION,
+    LINK_SCHEMA,
+    MALFORMED_LINK_MATRICES,
     MALFORMED_MATRICES,
     corpus_record,
     flights_matrix_payload,
+    malformed_link_matrix_payload,
     malformed_matrix_payload,
 )
 from qurg import dataset_io
@@ -46,7 +49,9 @@ from qurg.rewrite_diff import (
     build_rewrite_matrix,
 )
 from qurg.rouge_eval import RougeScore, corpus_rouge
-from qurg.schema_link import SchemaError, build_schema_link_matrix
+from qurg.schema_link import (
+    Column, LinkRelation, Schema, SchemaError, SchemaLinkMatrix, build_schema_link_matrix
+)
 
 
 class TestTokenize:
@@ -87,7 +92,7 @@ class TestTokensValidatedOnce:
             calls.append(tokens)
             return token_seq(tokens)
 
-        for module in (rewrite_diff, dataset_io, schema_link):
+        for module in (rewrite_diff, schema_link):
             monkeypatch.setattr(module, "token_seq", counting)
         return calls
 
@@ -114,6 +119,18 @@ class TestTokensValidatedOnce:
         calls = self._count_token_seq(monkeypatch)
         load_matrix(path)
         assert calls == [FLIGHTS_CONTEXT, FLIGHTS_QUESTION]
+
+    def test_link_matrix_file_validates_each_sequence_once(
+        self, monkeypatch, tmp_path, toy_schema
+    ):
+        path = tmp_path / "link.json"
+        save_link_matrix(path, build_schema_link_matrix(
+            FLIGHTS_QUESTION, FLIGHTS_CONTEXT, toy_schema
+        ))
+        calls = self._count_token_seq(monkeypatch)
+        load_link_matrix(path)
+        names = [*toy_schema.tables, *(col.name for col in toy_schema.columns)]
+        assert calls == [*names, FLIGHTS_CONTEXT, FLIGHTS_QUESTION]
 
     def test_hand_offs_reject_what_they_rejected(self):
         with pytest.raises(ValueError, match="^interaction question must be non-empty$"):
@@ -397,6 +414,8 @@ class TestMatrixSerialization:
                 ],
                 r"\(0,1\) appears more than once",
             ),
+            ([{"i": "0", "j": 1, "rel": "C-Q-Ins"}], r"\(0,1\) has indices that are not integers"),
+            ([{"i": 0, "j": 1.0, "rel": "C-Q-Ins"}], r"\(0,1.0\) has indices that are not"),
         ],
     )
     def test_malformed_cells_rejected(self, tmp_path, cells, message):
@@ -419,6 +438,18 @@ class TestMatrixSerialization:
         path.write_text(json.dumps(malformed_matrix_payload(case)))
         with pytest.raises(DatasetError) as loaded:
             load_matrix(path)
+        assert str(loaded.value) == f"{path}: {made.value}"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINK_MATRICES))
+    def test_malformed_link_matrix_fails_to_load(self, tmp_path, case):
+        with pytest.raises(MalformedMatrixError) as made:
+            SchemaLinkMatrix(("q",), ("c",), LINK_SCHEMA, {
+                (i, j): LinkRelation(rel) for i, j, rel in MALFORMED_LINK_MATRICES[case]
+            })
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(malformed_link_matrix_payload(case)))
+        with pytest.raises(DatasetError) as loaded:
+            load_link_matrix(path)
         assert str(loaded.value) == f"{path}: {made.value}"
 
     def test_bad_token_names_the_file(self, tmp_path):
@@ -472,6 +503,15 @@ class TestLinkMatrixSerialization:
         save_link_matrix(path, matrix)
         loaded = load_link_matrix(path)
         assert loaded == matrix
+
+    def test_foreign_key_to_itself_reloads(self, tmp_path):
+        # The diagonal cell holds one relation of the mirrored pair.
+        schema = Schema((("t",),), (Column(("c",), 0),), foreign_keys=frozenset({(0, 0)}))
+        matrix = build_schema_link_matrix(("c",), (), schema)
+        assert matrix.cells[(2, 2)] is LinkRelation.FOREIGN_KEY_BACKWARD
+        path = tmp_path / "link.json"
+        save_link_matrix(path, matrix)
+        assert load_link_matrix(path) == matrix
 
     def test_vocabulary_header_present(self, tmp_path, toy_schema):
         matrix = build_schema_link_matrix((), (), toy_schema)

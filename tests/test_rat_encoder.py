@@ -665,6 +665,10 @@ class TestRelationIdMatrices:
         assert ids[2, 1] == ids[3, 1] == RW_RELATION_IDS["C-Q-Ins"]
         assert ids[1, 2] == ids[1, 3] == RW_RELATION_IDS["Q-C-Ins"]
         assert EncoderConfig().rw_relation_count == len(set(RW_RELATION_IDS.values())) == 5
+        assert RW_RELATION_IDS == {
+            "None": 0, "Q-C-Ins": 1, "Q-C-Sub": 2, "C-Q-Ins": 3, "C-Q-Sub": 4,
+            "Q-C-App": 1, "Q-C-Ins-App": 1, "C-Q-App": 3, "C-Q-Ins-App": 3,
+        }
 
     def test_bad_permutation_rejected(self):
         matrix = RewriteEditMatrix(("a", "b"), ("q",), {})

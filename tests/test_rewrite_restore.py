@@ -102,8 +102,14 @@ class TestRecoverOps:
     )
     def test_append_outside_last_column_detected(self, rel):
         cells = {(0, 1): rel, (1, 0): rel.mirror}
-        with pytest.raises(MalformedMatrixError, match="outside the last question column"):
+        with pytest.raises(MalformedMatrixError, match="outside the context-row/last-column block"):
             RewriteEditMatrix(("a",), ("q", "r"), cells)
+
+    @pytest.mark.parametrize("index", [True, 1.0, "1"])
+    def test_non_integer_index_detected(self, index):
+        cells = {(0, index): RewriteRelation.C_Q_SUB, (index, 0): RewriteRelation.Q_C_SUB}
+        with pytest.raises(MalformedMatrixError, match="out of bounds for size 2"):
+            RewriteEditMatrix(("a",), ("q",), cells)
 
     @pytest.mark.parametrize(
         "rel", [RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP]

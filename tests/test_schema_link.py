@@ -8,12 +8,13 @@ import pytest
 import generators
 import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
-from qurg.rewrite_diff import MatchPolicy
+from qurg.rewrite_diff import MatchPolicy, RewriteRelation
 from qurg.schema_link import (
     Column,
     LinkRelation,
     Schema,
     SchemaError,
+    SchemaLinkMatrix,
     build_schema_link_matrix,
     link_stats,
 )
@@ -67,6 +68,22 @@ class TestSchemaValidation:
     def test_unhashable_column_type_rejected(self):
         with pytest.raises(SchemaError, match="column 0 has unknown type"):
             Schema((("t",),), (Column(("c",), 0, ["text"]),))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"foreign_keys": [5]}, "^a foreign key must be a sequence, got 5$"),
+            ({"foreign_keys": 5}, "^foreign_keys must be a sequence, got 5$"),
+            ({"primary_keys": [[0]]}, r"^primary key column \[0\] out of range$"),
+            ({"primary_keys": 5}, "^primary_keys must be a sequence, got 5$"),
+            ({"tables": 5}, "^tables must be a sequence, got 5$"),
+            ({"columns": 5}, "^columns must be a sequence, got 5$"),
+        ],
+    )
+    def test_malformed_keys_rejected(self, fields, message):
+        schema = {"tables": (("t",),), "columns": (Column(("c",), 0),), **fields}
+        with pytest.raises(SchemaError, match=message):
+            Schema(**schema)
 
 
 class TestMatching:
@@ -238,6 +255,12 @@ class TestInvariants:
         context = tuple(rng.choice(words + ["show", "all"]) for _ in range(rng.randint(0, 8)))
         return question, context, schema
 
+    @pytest.mark.parametrize("family", [RewriteRelation, LinkRelation])
+    def test_each_mirror_declares_the_transposed_block(self, family):
+        for rel in family:
+            assert rel.mirror.mirror is rel
+            assert (rel.mirror.rows, rel.mirror.cols) == (rel.cols, rel.rows)
+
     def test_mirror_symmetry(self):
         rng = random.Random(41)
         for _ in range(60):
@@ -343,6 +366,7 @@ class TestReferenceOracle:
             matrix = build_schema_link_matrix(question, context, schema, policy)
             got = {key: rel.value for key, rel in matrix.cells.items()}
             assert got == oracles.reference_schema_link(question, context, schema, policy)
+            assert SchemaLinkMatrix(question, context, schema, dict(matrix.cells)) == matrix
 
     @pytest.mark.parametrize(
         "policy", generators.POLICIES, ids=lambda p: f"lower{p.lowercase:d}-stem{p.plural_stem:d}"
@@ -354,6 +378,7 @@ class TestReferenceOracle:
             matrix = build_schema_link_matrix(question, context, schema, policy)
             got = {key: rel.value for key, rel in matrix.cells.items()}
             assert got == oracles.reference_schema_link(question, context, schema, policy)
+            assert SchemaLinkMatrix(question, context, schema, dict(matrix.cells)) == matrix
 
 
 class TestReusedSchema:
