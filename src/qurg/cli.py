@@ -421,6 +421,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _OPERATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # Sizes come from input files, and an encoder config can ask for
+        # more than any machine holds; numpy's message names the allocation.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     return 1 if result.failures else result.exit_code
 
 

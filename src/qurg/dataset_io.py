@@ -80,6 +80,9 @@ def tokenize(text: str) -> TokenSeq:
     """Whitespace tokenization with ``. , ? !`` detached as own tokens."""
     tokens: list[str] = []
     for chunk in text.split():
+        if chunk[0] not in _DETACHED_PUNCT and chunk[-1] not in _DETACHED_PUNCT:
+            tokens.append(chunk)
+            continue
         lead: list[str] = []
         trail: list[str] = []
         while chunk and chunk[0] in _DETACHED_PUNCT:
@@ -430,7 +433,8 @@ def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
 
 def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:
     """Load a linking matrix file; a matrix its constructor rejects, such as
-    one with a cell outside its relation's block, fails to load."""
+    one with a cell outside its relation's block or with structure cells
+    other than its schema's, fails to load."""
     payload = read_json(path)
     _check_version(payload, path)
     schema = _schema_from_payload(payload, path)

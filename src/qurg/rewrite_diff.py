@@ -7,7 +7,9 @@ question and rewrite with an LCS, tags the out-of-alignment words as ADD
 and records the resulting substitute/insert operations as a square relation
 matrix over the ``[context; question]`` token positions.  Tagging and
 grounding take one walk over the gaps between consecutive alignment pairs;
-each gap holds at most one DEL run and one ADD run.
+each gap holds at most one DEL run and one ADD run.  Alignment and
+grounding look tokens up in a form index, one bitmask of positions per
+word form, and work on whole rows of positions at once.
 
 Every operation here is a pure function of its inputs; all produced values
 are immutable and safe to share across threads.
@@ -104,17 +106,16 @@ class MatchPolicy:
     def forms(self, token: str) -> frozenset[str]:
         # "cities" -> {"cities", "citie", "city"}, "flights" -> {"flights", "flight"}
         t = token.lower() if self.lowercase else token
-        forms = {t}
-        if self.plural_stem and t.endswith("s") and len(t) > 1:
-            forms.add(t[:-1])
-            if t.endswith("ies") and len(t) > 3:
-                forms.add(t[:-3] + "y")
-        return frozenset(forms)
+        if not (self.plural_stem and t.endswith("s") and len(t) > 1):
+            return frozenset((t,))
+        if t.endswith("ies") and len(t) > 3:
+            return frozenset((t, t[:-1], t[:-3] + "y"))
+        return frozenset((t, t[:-1]))
 
     def fold(self, tokens: Iterable[str]) -> tuple[frozenset[str], ...]:
         """Each token's forms, computed once for a whole sequence; folded
         tokens ``x`` and ``y`` match when ``not x.isdisjoint(y)``."""
-        return tuple(self.forms(tok) for tok in tokens)
+        return tuple(map(self.forms, tokens))
 
     def matches(self, a: str, b: str) -> bool:
         return not self.forms(a).isdisjoint(self.forms(b))
@@ -327,6 +328,43 @@ class RewriteEditMatrix(RelationMatrix):
         return self.context_size + self.question_size
 
 
+def _form_masks(folded: Iterable[Iterable[str]]) -> dict[str, int]:
+    """The form index of a folded sequence: each form's bitmask of the
+    positions whose token carries it.  A token matches the positions in the
+    OR of its forms' masks (:func:`_match_mask`), which is exact under the
+    non-transitive rule, because two tokens match when their form sets
+    intersect."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for forms in folded:
+        for form in forms:
+            masks[form] = masks.get(form, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _match_mask(forms: Iterable[str], masks: dict[str, int]) -> int:
+    mask = 0
+    for form in forms:
+        mask |= masks.get(form, 0)
+    return mask
+
+
+def _lcs_rows(row_masks: Sequence[int], m: int) -> list[int]:
+    """The bit-parallel LCS rows (L. Allison and T. I. Dix, IPL 23, 1986;
+    H. Hyyrö, AWOCA 2004) of a sequence ``a`` whose tokens match the
+    positions ``row_masks`` of a reversed sequence ``b`` of length ``m``.
+    The LCS length of ``a[i:]`` and ``b[j:]`` is ``(m - j)`` minus the
+    popcount of the low ``m - j`` bits of ``rows[i]``."""
+    full = (1 << m) - 1
+    rows = [full] * (len(row_masks) + 1)
+    v = full
+    for i in range(len(row_masks) - 1, -1, -1):
+        u = v & row_masks[i]
+        v = rows[i] = ((v + u) | (v - u)) & full
+    return rows
+
+
 def lcs(
     a: Sequence[str], b: Sequence[str], policy: MatchPolicy = DEFAULT_POLICY
 ) -> tuple[tuple[int, int], ...]:
@@ -337,36 +375,33 @@ def lcs(
     the lexicographically smallest pair list is returned (leftmost
     tie-break), which keeps downstream anchoring deterministic.
     """
-    n, m = len(a), len(b)
-    b_forms = policy.fold(b)
-    eq = [[not x.isdisjoint(y) for y in b_forms] for x in policy.fold(a)]
-    # dp[i][j] = LCS length of the suffixes a[i:], b[j:]
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row, below = dp[i], dp[i + 1]
-        for j in range(m - 1, -1, -1):
-            if eq[i][j]:
-                row[j] = below[j + 1] + 1
-            else:
-                row[j] = below[j] if below[j] >= row[j + 1] else row[j + 1]
+    m = len(b)
+    # Bit p of a mask or a row stands for b[m - 1 - p].
+    index = _form_masks(reversed(policy.fold(b)))
+    eq = [_match_mask(forms, index) for forms in policy.fold(a)]
+    rows = _lcs_rows(eq, m)
+
+    def dp(i: int, j: int) -> int:  # the LCS length of a[i:] and b[j:]
+        return (m - j) - (rows[i] & ((1 << (m - j)) - 1)).bit_count()
+
     pairs: list[tuple[int, int]] = []
     i = j = 0
-    while dp[i][j] > 0:
-        target = dp[i][j]
-        found = False
-        for i2 in range(i, n):
-            if dp[i2][j] < target:
-                break
-            for j2 in range(j, m):
-                if dp[i2][j2] < target:
+    target = dp(0, 0)
+    while target:
+        # The first row i2 >= i whose leftmost match j2 >= j starts a
+        # longest alignment of a[i2:] and b[j2:].  A matching cell has
+        # dp(i2, j2) == dp(i2 + 1, j2 + 1) + 1 and dp does not grow with
+        # j2, so no later match in that row can.
+        low = (1 << (m - j)) - 1
+        for i2 in range(i, len(a)):
+            later = eq[i2] & low
+            if later:
+                j2 = m - later.bit_length()
+                if dp(i2, j2) == target:
                     break
-                if eq[i2][j2] and dp[i2 + 1][j2 + 1] == target - 1:
-                    pairs.append((i2, j2))
-                    i, j = i2 + 1, j2 + 1
-                    found = True
-                    break
-            if found:
-                break
+        pairs.append((i2, j2))
+        i, j = i2 + 1, j2 + 1
+        target -= 1
     return tuple(pairs)
 
 
@@ -405,17 +440,20 @@ def tag_edits(
 
 
 def _find_context_occurrence(
-    context: Sequence[frozenset[str]],
+    context: dict[str, int],
     span: Sequence[frozenset[str]],
     occurrence: str,
 ) -> tuple[int, int] | None:
-    """The last or first context range matching the folded ``span``."""
-    width = len(span)
-    starts = range(len(context) - width + 1)
-    for start in reversed(starts) if occurrence == "last" else starts:
-        if all(not context[start + k].isdisjoint(span[k]) for k in range(width)):
-            return start, start + width
-    return None
+    """The last or first range of the context, given by its form index,
+    that matches the folded ``span``: shift-and search (R. Baeza-Yates and
+    G. Gonnet, CACM 35(10), 1992) over the context's start positions."""
+    starts = -1
+    for k, forms in enumerate(span):
+        starts &= _match_mask(forms, context) >> k
+        if not starts:
+            return None
+    start = (starts if occurrence == "last" else starts & -starts).bit_length() - 1
+    return start, start + len(span)
 
 
 def extract_edit_ops(
@@ -438,12 +476,14 @@ def extract_edit_ops(
     if occurrence not in ("last", "first"):
         raise ValueError(f"occurrence must be 'last' or 'first', got {occurrence!r}")
     pairs = lcs(question, rewrite, policy)
-    context_forms, rewrite_forms = policy.fold(context), policy.fold(rewrite)
+    context_index = _form_masks(policy.fold(context))
     ops: list[EditOp] = []
     for (qs, qe), (rs, re) in _gaps(pairs, len(question), len(rewrite)):
         if rs == re:
             continue
-        ctx_range = _find_context_occurrence(context_forms, rewrite_forms[rs:re], occurrence)
+        ctx_range = _find_context_occurrence(
+            context_index, policy.fold(rewrite[rs:re]), occurrence
+        )
         if ctx_range is None:
             continue
         if qs < qe:

@@ -10,6 +10,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .rewrite_diff import _form_masks, _lcs_rows
+
 __all__ = ["RougeScore", "CorpusRougeReport", "rouge_n", "rouge_l", "corpus_rouge"]
 
 NORMALIZATION = "lowercase, no stemming"
@@ -70,17 +72,9 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # Length-only LCS; exact token equality on the normalized forms.
-    prev = [0] * (len(b) + 1)
-    for tok in a:
-        cur = [0]
-        for j, other in enumerate(b):
-            if tok == other:
-                cur.append(prev[j] + 1)
-            else:
-                cur.append(max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+    # Exact token equality on the normalized forms: each token is its only form.
+    index = _form_masks((tok,) for tok in reversed(b))
+    return len(b) - _lcs_rows([index.get(tok, 0) for tok in a], len(b))[0].bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:

@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .rewrite_diff import (
-    DEFAULT_POLICY, MatchPolicy, Relation, RelationMatrix, TokenSeq, _is_index, _prevalidated,
-    token_seq,
+    DEFAULT_POLICY, MalformedMatrixError, MatchPolicy, Relation, RelationMatrix, TokenSeq,
+    _is_index, _prevalidated, token_seq,
 )
 
 __all__ = [
@@ -146,7 +146,13 @@ LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
 
 @dataclass(frozen=True)
 class SchemaLinkMatrix(RelationMatrix):
-    """Sparse relation matrix over ``[question; context; tables; columns]``."""
+    """Sparse relation matrix over ``[question; context; tables; columns]``.
+
+    Besides the checks of :class:`RelationMatrix`, the constructor requires
+    the cells among tables and columns to be exactly the structure cells
+    that the schema gives (ownership, primary and foreign keys, shared
+    tables), as :func:`build_schema_link_matrix` writes them.
+    """
 
     question_tokens: TokenSeq
     context_tokens: TokenSeq
@@ -154,6 +160,23 @@ class SchemaLinkMatrix(RelationMatrix):
     cells: dict[tuple[int, int], LinkRelation] = field(default_factory=dict)
 
     _relations = LinkRelation
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        t = self.table_offset
+        expected = {(i + t, j + t): rel for (i, j), rel in _structure_cells(self.schema)}
+        found = {key: rel for key, rel in self.cells.items() if min(key) >= t}
+        if found != expected:
+            cell = min(key for key in expected.keys() | found.keys()
+                       if found.get(key) is not expected.get(key))
+
+            def named(rel: LinkRelation | None) -> str:
+                return "no relation" if rel is None else rel.value
+
+            raise MalformedMatrixError(
+                f"cell ({cell[0]},{cell[1]}) carries {named(found.get(cell))} where "
+                f"the schema gives {named(expected.get(cell))}"
+            )
 
     def _regions(self) -> dict[str, range]:
         t, c = self.table_offset, self.column_offset
@@ -258,18 +281,12 @@ def _family_plan(
     return _FamilyPlan(folded, by_first, by_word, base, exact, partial)
 
 
-def _link_plan(schema: Schema, policy: MatchPolicy) -> _LinkPlan:
-    """The schema's families folded under ``policy``, and its structure
-    relations.  Foreign keys take precedence over the shared-table
-    relation, primary-key ownership over plain ownership: one cell holds
-    one relation.  ``put`` writes both directions, so the shared-table
-    test need only look at one."""
-    families = (
-        _family_plan(schema.tables, 0,
-                     LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE, policy),
-        _family_plan([col.name for col in schema.columns], len(schema.tables),
-                     LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN, policy),
-    )
+def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelation], ...]:
+    """The schema-to-schema cells, with the first table at position 0, in
+    the order the matrix receives them.  Foreign keys take precedence over
+    the shared-table relation, primary-key ownership over plain ownership:
+    one cell holds one relation.  ``put`` writes both directions, so the
+    shared-table test need only look at one."""
     cells: dict[tuple[int, int], LinkRelation] = {}
 
     def put(i: int, j: int, rel: LinkRelation) -> None:
@@ -290,7 +307,19 @@ def _link_plan(schema: Schema, policy: MatchPolicy) -> _LinkPlan:
     for a, b in same_table:
         if (columns + a, columns + b) not in cells:
             put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
-    return _LinkPlan(families, tuple(cells.items()))
+    return tuple(cells.items())
+
+
+def _link_plan(schema: Schema, policy: MatchPolicy) -> _LinkPlan:
+    """The schema's families folded under ``policy``, and its structure
+    cells."""
+    families = (
+        _family_plan(schema.tables, 0,
+                     LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE, policy),
+        _family_plan([col.name for col in schema.columns], len(schema.tables),
+                     LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN, policy),
+    )
+    return _LinkPlan(families, _structure_cells(schema))
 
 
 def _exact_match_pass(

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from qurg.rewrite_diff import Interaction, build_from_interaction
 from qurg.schema_link import Column, Schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# CI selects "ci": a failing property test prints the blob that reproduces
+# it with ``@reproduce_failure``, and no example database is read or kept.
+settings.register_profile("ci", database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FLIGHTS_CONTEXT = tuple("how many arriving flights are there in each of the cities ?".split())
 FLIGHTS_QUESTION = tuple("which one has the most ?".split())
@@ -60,15 +67,30 @@ def malformed_matrix_payload(case: str) -> dict:
 
 
 # The schema of ``MALFORMED_LINK_MATRICES``.  With the question "q" and the
-# context "c", its table "t" sits at position 2 and its columns at 3 and 4.
+# context "c", its table "t" sits at position 2 and its columns at 3 and 4;
+# column "a" is the primary key, and "b" has a foreign key to it.
 LINK_SCHEMA_PAYLOAD = {
     "tables": [["t"]],
     "columns": [{"name": ["a"], "table": 0, "type": "text"},
                 {"name": ["b"], "table": 0, "type": "text"}],
     "primary_keys": [0],
-    "foreign_keys": [],
+    "foreign_keys": [[1, 0]],
 }
-LINK_SCHEMA = Schema((("t",),), (Column(("a",), 0), Column(("b",), 0)), frozenset({0}))
+LINK_SCHEMA = Schema(
+    (("t",),), (Column(("a",), 0), Column(("b",), 0)), frozenset({0}), frozenset({(1, 0)})
+)
+# The structure cells that ``LINK_SCHEMA`` gives, as ``(i, j, relation name)``.
+LINK_STRUCTURE = [
+    (3, 2, "Primary-Key-Of"), (2, 3, "Has-Primary-Key"),
+    (4, 2, "Column-Belongs-To-Table"), (2, 4, "Table-Has-Column"),
+    (4, 3, "Foreign-Key-Forward"), (3, 4, "Foreign-Key-Backward"),
+]
+
+
+def _structure_with(drop: tuple = (), add: tuple = ()) -> list:
+    """``LINK_STRUCTURE`` without the cells at ``drop``, plus ``add``."""
+    return [cell for cell in LINK_STRUCTURE if cell[:2] not in drop] + list(add)
+
 
 # The linking matrices that ``SchemaLinkMatrix`` refuses to make, by what is
 # wrong with them: cells as ``(i, j, relation name)``.
@@ -79,6 +101,16 @@ MALFORMED_LINK_MATRICES = {
     "table-match-into-column": [(0, 3, "Exact-Table-Match"), (3, 0, "Exact-Table-Match-Rev")],
     "primary-key-between-columns": [(3, 4, "Primary-Key-Of"), (4, 3, "Has-Primary-Key")],
     "boolean-index": [(True, 2, "Exact-Table-Match"), (2, True, "Exact-Table-Match-Rev")],
+    # Block and mirror are right, but the schema gives other structure cells.
+    "undeclared-primary-key": _structure_with(
+        drop=((4, 2), (2, 4)), add=((4, 2, "Primary-Key-Of"), (2, 4, "Has-Primary-Key"))
+    ),
+    "ownership-missing": _structure_with(drop=((4, 2), (2, 4))),
+    "invented-same-table": _structure_with(add=((3, 3, "Same-Table-Columns"),)),
+    "foreign-key-reversed": _structure_with(
+        drop=((4, 3), (3, 4)),
+        add=((3, 4, "Foreign-Key-Forward"), (4, 3, "Foreign-Key-Backward")),
+    ),
 }
 
 

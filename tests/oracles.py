@@ -2,10 +2,11 @@
 
 Everything here is deliberately written in plain Python (lists, dicts,
 math.fsum) with no reuse of the package's code paths, so agreement between
-the two is meaningful.  The exceptions are the last two sections: the
-op-replay restore that the direct cell reading replaced, and the per-head
-numpy layer that the head-batched encoder layer replaced, both kept
-unchanged as exact regression references.
+the two is meaningful.  The exceptions are the last three sections: the
+table-filling matchers that the bitmask form index replaced, the op-replay
+restore that the direct cell reading replaced, and the per-head numpy
+layer that the head-batched encoder layer replaced, all kept unchanged as
+exact regression references.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from qurg.rat_encoder import (
     _check_input,
     _check_relations,
 )
-from qurg.rewrite_diff import EditOp, OpKind, RewriteEditMatrix, RewriteRelation
+from qurg.rewrite_diff import EditOp, MatchPolicy, OpKind, RewriteEditMatrix, RewriteRelation
 
 Eq = Callable[[str, str], bool]
 
@@ -273,6 +274,103 @@ def reference_layer_outputs(
             layer_norm([mid[c] + ff[c] for c in range(d_x)], ln2_gain, ln2_bias)
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The matchers as they ran before the bitmask form index, copied from
+# ``qurg.rewrite_diff``, ``qurg.rouge_eval`` and ``qurg.dataset_io``: token
+# folding, the table-filling LCS with its leftmost traceback, the grounding
+# scan over every context start, and the tokenizer's character loop.  The
+# package must give the same results on every input.
+
+
+def reference_forms(policy: MatchPolicy, token: str) -> frozenset[str]:
+    t = token.lower() if policy.lowercase else token
+    forms = {t}
+    if policy.plural_stem and t.endswith("s") and len(t) > 1:
+        forms.add(t[:-1])
+        if t.endswith("ies") and len(t) > 3:
+            forms.add(t[:-3] + "y")
+    return frozenset(forms)
+
+
+def reference_fold(policy: MatchPolicy, tokens: Sequence[str]) -> tuple[frozenset[str], ...]:
+    return tuple(reference_forms(policy, tok) for tok in tokens)
+
+
+def reference_lcs(
+    a: Sequence[str], b: Sequence[str], policy: MatchPolicy
+) -> tuple[tuple[int, int], ...]:
+    n, m = len(a), len(b)
+    b_forms = reference_fold(policy, b)
+    eq = [[not x.isdisjoint(y) for y in b_forms] for x in reference_fold(policy, a)]
+    # dp[i][j] = LCS length of the suffixes a[i:], b[j:]
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row, below = dp[i], dp[i + 1]
+        for j in range(m - 1, -1, -1):
+            if eq[i][j]:
+                row[j] = below[j + 1] + 1
+            else:
+                row[j] = below[j] if below[j] >= row[j + 1] else row[j + 1]
+    pairs: list[tuple[int, int]] = []
+    i = j = 0
+    while dp[i][j] > 0:
+        target = dp[i][j]
+        found = False
+        for i2 in range(i, n):
+            if dp[i2][j] < target:
+                break
+            for j2 in range(j, m):
+                if dp[i2][j2] < target:
+                    break
+                if eq[i2][j2] and dp[i2 + 1][j2 + 1] == target - 1:
+                    pairs.append((i2, j2))
+                    i, j = i2 + 1, j2 + 1
+                    found = True
+                    break
+            if found:
+                break
+    return tuple(pairs)
+
+
+def reference_ground(
+    context: Sequence[frozenset[str]],
+    span: Sequence[frozenset[str]],
+    occurrence: str,
+) -> tuple[int, int] | None:
+    """The last or first context range matching the folded ``span``."""
+    width = len(span)
+    starts = range(len(context) - width + 1)
+    for start in reversed(starts) if occurrence == "last" else starts:
+        if all(not context[start + k].isdisjoint(span[k]) for k in range(width)):
+            return start, start + width
+    return None
+
+
+# ROUGE-L's length-only table loop with exact token equality is the loop
+# of ``dp_lcs_length`` with its default ``eq``.
+reference_lcs_length = dp_lcs_length
+
+DETACHED_PUNCT = (".", ",", "?", "!")
+
+
+def reference_tokenize(text: str) -> tuple[str, ...]:
+    tokens: list[str] = []
+    for chunk in text.split():
+        lead: list[str] = []
+        trail: list[str] = []
+        while chunk and chunk[0] in DETACHED_PUNCT:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and chunk[-1] in DETACHED_PUNCT:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(lead)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trail))
+    return tuple(tokens)
 
 
 # ---------------------------------------------------------------------------

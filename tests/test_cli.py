@@ -360,6 +360,17 @@ class TestSchemaLink:
         payload = json.loads(out.read_text())
         assert len(payload["cells"]) == 36
 
+    @pytest.mark.parametrize("flags", [[], ["--no-lowercase"], ["--no-plural-stem"]])
+    @pytest.mark.parametrize("interactions", [
+        ["--interactions", str(FIXTURES / "interactions_flights.json")],
+        ["--interactions", str(FIXTURES / "sparc_sample.json"), "--interactions-format", "sparc"],
+    ])
+    def test_output_reloads(self, tmp_path, interactions, flags):
+        out = tmp_path / "link.json"
+        assert run(["schema-link", *interactions, "--schema",
+                    str(FIXTURES / "schema_flights.json"), "--out", str(out), *flags]) == 0
+        assert run(["stats", "--link-matrix", str(out)]) == 0
+
     def test_bad_index(self, tmp_path, fixtures_dir, capsys):
         code = run([
             "schema-link",
@@ -835,6 +846,27 @@ class TestEncode:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: d_x must be at least 2: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_huge_config_exits_one(self, tmp_path, fixtures_dir, capsys):
+        # The first weight alone would take 728 TiB, more than a 64-bit
+        # address space offers, so the allocation fails at once.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"d_x": 10**7, "d_z": 10**7, "heads": 1}))
+        matrix_path = tmp_path / "flights.matrix.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(matrix_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "states.json"
+        assert run([
+            "encode",
+            "--interactions", str(fixtures_dir / "interactions_flights.json"),
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--matrix", str(matrix_path),
+            "--config", str(config_path),
+            "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_malformed_config_names_the_file(self, tmp_path, capsys):

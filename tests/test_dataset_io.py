@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import json_strategies
+import oracles
 from conftest import (
     FIXTURES,
     FLIGHTS_CONTEXT,
@@ -76,6 +77,11 @@ class TestTokenize:
     def test_bare_punctuation(self):
         assert tokenize("?") == ("?",)
         assert tokenize("") == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=".,?! \t\nab'", max_size=30) | st.text(max_size=20))
+    def test_matches_character_loop(self, text):
+        assert tokenize(text) == oracles.reference_tokenize(text)
 
 
 class TestTokensValidatedOnce:

@@ -19,6 +19,8 @@ from qurg.rewrite_diff import (
     OpKind,
     RewriteRelation,
     SpanKind,
+    _find_context_occurrence,
+    _form_masks,
     build_from_interaction,
     build_rewrite_matrix,
     extract_edit_ops,
@@ -135,6 +137,52 @@ class TestLcs:
                 assert i1 < i2 and j1 < j2
             for i, j in pairs:
                 assert DEFAULT_POLICY.matches(inter.question[i], rewrite[j])
+
+
+# Folding collisions ("cities" matches "citie" and "city", which do not
+# match each other), case variants and one-letter tokens; in sequences of up
+# to 24 tokens from 13 words, repeated tokens are the rule.
+collision_words = st.sampled_from(
+    ["city", "cities", "citie", "City", "CITIES", "s", "S", "ies", "y", "ys", "bus", "buss", "a"]
+)
+policies = st.sampled_from(generators.POLICIES)
+
+
+class TestFormIndex:
+    """The bitmask matchers against the table-filling ones they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(collision_words, max_size=24), st.lists(collision_words, max_size=24),
+           policies)
+    def test_lcs_matches_table_oracle(self, a, b, policy):
+        assert lcs(a, b, policy) == oracles.reference_lcs(a, b, policy)
+
+    def test_lcs_matches_table_oracle_on_long_pairs(self):
+        rng = random.Random(16)
+        for policy in generators.POLICIES:
+            for _ in range(10):
+                a = generators.random_tokens(rng, 60, 90, generators.VARIANT_VOCAB)
+                b = generators.random_tokens(rng, 60, 90, generators.VARIANT_VOCAB)
+                assert lcs(a, b, policy) == oracles.reference_lcs(a, b, policy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(collision_words, max_size=24), st.lists(collision_words, min_size=1,
+           max_size=4), policies, st.sampled_from(["last", "first"]))
+    def test_grounding_matches_scan_oracle(self, context, span, policy, occurrence):
+        got = _find_context_occurrence(
+            _form_masks(policy.fold(context)), policy.fold(span), occurrence
+        )
+        expected = oracles.reference_ground(
+            oracles.reference_fold(policy, context), oracles.reference_fold(policy, span),
+            occurrence,
+        )
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(collision_words | st.text(alphabet="sSiIeEyY\u0130\u03a3", min_size=1, max_size=6)
+           | st.text(min_size=1, max_size=6), policies)
+    def test_forms_match_set_building_oracle(self, token, policy):
+        assert policy.forms(token) == oracles.reference_forms(policy, token)
 
 
 class TestTagEdits:

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 import oracles
 from qurg.rewrite_diff import MatchPolicy, lcs
-from qurg.rouge_eval import corpus_rouge, rouge_l, rouge_n
+from qurg.rouge_eval import RougeScore, corpus_rouge, rouge_l, rouge_n
 
 EXACT = MatchPolicy(lowercase=True, plural_stem=False)
 
 token_lists = st.lists(
     st.sampled_from(["a", "b", "c", "d", "e"]), min_size=0, max_size=8
+).map(tuple)
+cased_lists = st.lists(
+    st.sampled_from(["a", "A", "b", "B", "c", "ab", "Ab"]), min_size=0, max_size=24
 ).map(tuple)
 
 
@@ -113,6 +116,14 @@ class TestProperties:
         assert rouge_n(tokens, tokens, 1).f1 == 1.0
         assert rouge_n(tokens, tokens, 2).f1 == 1.0
         assert rouge_l(tokens, tokens).f1 == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(cased_lists, cased_lists)
+    def test_rouge_l_matches_table_oracle(self, cand, ref):
+        length = oracles.reference_lcs_length(
+            [t.lower() for t in cand], [t.lower() for t in ref]
+        )
+        assert rouge_l(cand, ref) == RougeScore.from_counts(length, len(cand), len(ref))
 
     @settings(max_examples=100, deadline=None)
     @given(token_lists, token_lists)

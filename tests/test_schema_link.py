@@ -8,7 +8,7 @@ import pytest
 import generators
 import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
-from qurg.rewrite_diff import MatchPolicy, RewriteRelation
+from qurg.rewrite_diff import MalformedMatrixError, MatchPolicy, RewriteRelation
 from qurg.schema_link import (
     Column,
     LinkRelation,
@@ -190,6 +190,15 @@ class TestStructureRelations:
         assert matrix.relation_at(a, b) is LinkRelation.FOREIGN_KEY_FORWARD
         assert matrix.relation_at(b, a) is LinkRelation.FOREIGN_KEY_BACKWARD
         assert "Same-Table-Columns" not in link_stats(matrix)
+
+    def test_structure_other_than_the_schema_gives_is_refused(self):
+        # Column "b" made the primary key of table "t", although it belongs
+        # to "u" and the schema declares no primary key.
+        schema = Schema((("t",), ("u",)), (Column(("a",), 0), Column(("b",), 1)))
+        cells = {(4, 1): LinkRelation.PRIMARY_KEY_OF, (1, 4): LinkRelation.HAS_PRIMARY_KEY}
+        with pytest.raises(MalformedMatrixError, match=r"^cell \(1,3\) carries no relation "
+                           r"where the schema gives Table-Has-Column$"):
+            SchemaLinkMatrix(("q",), (), schema, cells)
 
 
 class TestHandEnumeratedCounts:
