@@ -230,7 +230,9 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
     from . import rat_encoder
 
     if args.config:
-        config = rat_encoder.EncoderConfig.from_dict(dataset_io.read_json(args.config))
+        config = dataset_io._constructed(
+            args.config, rat_encoder.EncoderConfig.from_dict, dataset_io.read_json(args.config)
+        )
     else:
         config = rat_encoder.EncoderConfig()
     if args.seed is not None:

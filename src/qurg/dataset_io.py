@@ -167,10 +167,12 @@ def read_json(path: str | Path) -> Any:
     return _parse_json(read_text(path), path)
 
 
-def _check_version(payload: Any, path: str | Path) -> None:
-    if not isinstance(payload, dict) or "qurg_fmt" not in payload:
+def _check_version(payload: Any, path: str | Path, *, optional: bool = False) -> None:
+    """Check the ``qurg_fmt`` field of a JSON object, which must be present
+    unless ``optional`` (a rewrite corpus line)."""
+    if not isinstance(payload, dict) or not (optional or "qurg_fmt" in payload):
         raise FormatVersionError(f"{path}: missing qurg_fmt version field")
-    version = payload["qurg_fmt"]
+    version = payload.get("qurg_fmt", FORMAT_VERSION)
     # ``True == 1`` in Python, but JSON true is not a version number.
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise FormatVersionError(f"{path}: unsupported format version {version!r}")
@@ -179,24 +181,26 @@ def _check_version(payload: Any, path: str | Path) -> None:
 _NUMBER = (int, float)
 _JSON_KINDS = {
     dict: "an object", list: "an array", str: "a string", int: "an integer", _NUMBER: "a number",
+    bool: "a boolean", int | None: "an integer or null",
 }
 
 
-def _expect(value: Any, kind: type | tuple[type, ...], where: str) -> Any:
-    # JSON true/false are not numbers, although Python's bool subclasses int.
-    if isinstance(value, bool) or not isinstance(value, kind):
+def _expect(value: Any, kind: Any, where: str) -> Any:
+    """``value``, checking that it has the JSON type ``kind``, a key of
+    ``_JSON_KINDS``."""
+    # JSON true/false are only booleans, although Python's bool subclasses int.
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise DatasetError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
     return value
 
 
-def _field(
-    record: Any, key: str, where: str, kind: type | tuple[type, ...] | None = None
-) -> Any:
+def _field(record: Any, key: str, where: str, kind: Any = None) -> Any:
     """``record[key]``, checking that ``record`` is an object holding ``key``
-    and, when ``kind`` is given, that the value has that JSON type."""
+    and, when ``kind`` is given, that the value has that JSON type; a type
+    error names the key."""
     if key not in _expect(record, dict, where):
         raise DatasetError(f"{where}: missing required field {key!r}")
-    return record[key] if kind is None else _expect(record[key], kind, where)
+    return record[key] if kind is None else _expect(record[key], kind, f"{where}: {key}")
 
 
 def _strings(value: Any, where: str) -> tuple[str, ...]:
@@ -232,7 +236,7 @@ def load_interactions(path: str | Path, format: str = "native") -> list[Interact
         return []
     payload = _parse_json(text, path)
     if format == "sparc":
-        return convert_sparc_interactions(payload)
+        return _constructed(path, convert_sparc_interactions, payload)
     _check_version(payload, path)
     records = _field(payload, "interactions", str(path), list)
     out: list[Interaction] = []
@@ -242,22 +246,15 @@ def load_interactions(path: str | Path, format: str = "native") -> list[Interact
         if not utterances:
             raise DatasetError(f"{where}: empty interaction")
         turns = [tokenize(_expect(u, str, where)) for u in utterances]
-        if not turns[-1]:
-            raise DatasetError(f"{where}: current question has no tokens")
         # A missing, null or empty rewrite means none; other non-strings are errors.
         rewrite = record.get("rewrite")
         if rewrite is not None and _expect(rewrite, str, f"{where}: rewrite"):
             rewrite = tokenize(rewrite)
         else:
             rewrite = None
-        out.append(
-            Interaction(
-                tuple(turns[:-1]),
-                turns[-1],
-                rewrite,
-                interaction_id=_expect(record.get("id", str(pos)), str, f"{where}: id"),
-            )
-        )
+        example_id = _expect(record.get("id", str(pos)), str, f"{where}: id")
+        out.append(_constructed(where, Interaction, tuple(turns[:-1]), turns[-1], rewrite,
+                                example_id))
     return out
 
 
@@ -286,16 +283,9 @@ def convert_sparc_interactions(raw: Sequence[Mapping[str, Any]]) -> list[Interac
             for t, item in enumerate(items)
         ]
         for t in range(len(turns)):
-            if not turns[t]:
-                raise DatasetError(f"interaction {pos}: turn {t + 1} has no tokens")
-            out.append(
-                Interaction(
-                    tuple(turns[:t]),
-                    turns[t],
-                    None,
-                    interaction_id=f"{entry.get('database_id', pos)}#{pos}.{t + 1}",
-                )
-            )
+            example_id = f"{entry.get('database_id', pos)}#{pos}.{t + 1}"
+            out.append(_constructed(f"{where}: turn {t + 1}", Interaction, tuple(turns[:t]),
+                                    turns[t], None, example_id))
     return out
 
 
@@ -313,23 +303,22 @@ def load_rewrite_corpus(path: str | Path) -> list[Interaction]:
             continue
         where = f"{path}:{lineno}"
         record = _expect(_parse_json(line, where), dict, where)
-        if "qurg_fmt" in record:
-            _check_version(record, where)
+        _check_version(record, where, optional=True)
         history = [
             tokenize(_expect(turn, str, f"{where}: history"))
             for turn in _field(record, "history", where, list)
         ]
         question = tokenize(_field(record, "question", where, str))
         rewrite = tokenize(_field(record, "rewrite", where, str))
-        example_id = _expect(_field(record, "id", where), str, f"{where}: id")
+        example_id = _field(record, "id", where, str)
         if example_id in seen:
             raise DatasetError(f"{where}: duplicate example id {example_id!r}")
         seen.add(example_id)
-        if not question:
-            raise DatasetError(f"{where}: question has no tokens")
+        # ``Interaction`` refuses an empty question, not an empty rewrite.
         if not rewrite:
             raise DatasetError(f"{where}: rewrite has no tokens")
-        examples.append(Interaction(tuple(history), question, rewrite, example_id))
+        examples.append(_constructed(where, Interaction, tuple(history), question, rewrite,
+                                     example_id))
     return examples
 
 
@@ -503,7 +492,7 @@ def load_rouge_report(path: str | Path) -> CorpusRougeReport:
     where = str(path)
 
     def score(key: str) -> RougeScore:
-        block = _expect(_field(payload, key, where), dict, f"{where}: {key}")
+        block = _field(payload, key, where, dict)
         values = []
         for name in ("precision", "recall", "f1"):
             value = _field(block, name, f"{where}: {key}", _NUMBER)
@@ -513,7 +502,7 @@ def load_rouge_report(path: str | Path) -> CorpusRougeReport:
             values.append(float(value))
         return RougeScore(*values)
 
-    pairs = _expect(_field(payload, "pairs", where), int, f"{where}: pairs")
+    pairs = _field(payload, "pairs", where, int)
     if pairs < 0:
         raise DatasetError(f"{where}: pairs must be non-negative, got {pairs}")
     return CorpusRougeReport(score("r1"), score("r2"), score("rl"), pairs)

@@ -34,11 +34,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .dataset_io import read_json, write_json
+from .dataset_io import (
+    FORMAT_VERSION, DatasetError, _check_version, _constructed, _expect, _field, read_json,
+    write_json,
+)
 from .rewrite_diff import (
     DEFAULT_POLICY,
     Interaction,
@@ -56,6 +59,7 @@ from .schema_link import (
 
 __all__ = [
     "LAYER_NORM_EPS",
+    "MAX_LAYERS",
     "RW_RELATION_IDS",
     "LINK_RELATION_IDS",
     "EncoderConfig",
@@ -101,6 +105,9 @@ LINK_RELATION_IDS: dict[str, int] = {
 
 _PRECISIONS = {"double": np.float64, "single": np.float32}
 
+# Most layers per stream: ``init_params`` and every pass loop over them.
+MAX_LAYERS = 1024
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -111,6 +118,7 @@ class EncoderConfig:
     by ``heads``.  ``d_ff`` defaults to ``4 * d_x``.  ``single_fc_ff``
     switches the feed-forward block from the standard two-projection form
     to a literal single fully-connected layer applied after the ReLU.
+    Each stream has at most ``MAX_LAYERS`` layers.
     """
 
     d_x: int = 16
@@ -140,8 +148,10 @@ class EncoderConfig:
                 "d_z must equal d_x: the attention output is added to the "
                 "input by the residual connection"
             )
-        if self.layers_link < 1 or self.layers_rw < 1:
-            raise ValueError("both streams need at least one layer")
+        if not (1 <= self.layers_link <= MAX_LAYERS and 1 <= self.layers_rw <= MAX_LAYERS):
+            raise ValueError(f"each stream needs between 1 and {MAX_LAYERS} layers")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.precision not in _PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(_PRECISIONS)}")
         if self.link_relation_count < 1 or self.rw_relation_count < 1:
@@ -163,30 +173,15 @@ class EncoderConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> EncoderConfig:
-        """Build a config from a JSON object, checking each field's JSON type."""
-        if not isinstance(payload, dict):
-            raise ValueError("encoder config must be a JSON object")
-        unknown = set(payload) - set(cls.__dataclass_fields__)
+    def from_dict(cls, payload: object) -> EncoderConfig:
+        """Build a config from a JSON object, checking each field's JSON type
+        against its annotation."""
+        where = "encoder config"
+        kinds = get_type_hints(cls)
+        unknown = set(_expect(payload, dict, where)) - set(kinds)
         if unknown:
-            raise ValueError(f"unknown encoder config fields: {sorted(unknown)}")
-        for name, value in payload.items():
-            # Annotations are strings here (postponed evaluation).
-            kinds, expected = _CONFIG_JSON_TYPES[cls.__dataclass_fields__[name].type]
-            # JSON true/false are not integers, although Python's bool subclasses int.
-            if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
-                raise ValueError(
-                    f"encoder config field {name!r} must be {expected}, got {value!r:.40}"
-                )
-        return cls(**payload)
-
-
-_CONFIG_JSON_TYPES = {
-    "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
-    "str": ((str,), "a string"),
-    "bool": ((bool,), "a boolean"),
-}
+            raise DatasetError(f"{where}: unknown fields {sorted(unknown)}")
+        return cls(**{name: _field(payload, name, where, kinds[name]) for name in payload})
 
 
 _ARRAY_NAMES = (
@@ -937,30 +932,44 @@ def _layer_from_payload(
     shape ``_layer_shapes`` gives for ``config``, except that
     ``ff_w2``/``ff_b2`` are absent exactly when ``single_fc`` is true, which
     it must be exactly when the config's ``single_fc_ff`` is."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{where}: expected an object")
-    single_fc = payload.get("single_fc", False)
-    if not isinstance(single_fc, bool):
-        raise ValueError(f"{where}: single_fc must be a boolean")
+    _expect(payload, dict, where)
+    single_fc = _expect(payload.get("single_fc", False), bool, f"{where}: single_fc")
     shapes = _layer_shapes(config.d_x, config.heads, config.ff_width, relation_count, single_fc)
     for name in _ARRAY_NAMES:
-        if name in shapes and name not in payload:
-            raise ValueError(f"{where}: missing field {name!r}")
         if name not in shapes and name in payload:
             raise ValueError(f"{where}: field {name!r} must be absent when single_fc is true")
     if single_fc != config.single_fc_ff:
         raise ValueError(f"{where}: single_fc is {single_fc}, but single_fc_ff is not")
-    arrays = {}
-    for name, shape in shapes.items():
-        try:
-            arrays[name] = np.asarray(payload[name], dtype=config.np_dtype)
-        except (TypeError, ValueError):
-            raise ValueError(f"{where}: field {name!r} is not a numeric array") from None
-        if arrays[name].shape != shape:
-            raise ValueError(
-                f"{where}: field {name!r} has shape {arrays[name].shape}, expected {shape}"
-            )
+    arrays = {
+        name: _parameter_array(_field(payload, name, where), shape, config.np_dtype,
+                               f"{where}: field {name!r}")
+        for name, shape in shapes.items()
+    }
     return _layer_of(arrays, single_fc).freeze()
+
+
+def _parameter_array(
+    value: object, shape: tuple[int, ...], dtype: type, where: str
+) -> np.ndarray:
+    """``value``, nested JSON arrays of finite numbers, as an array of
+    ``shape``."""
+    try:
+        with np.errstate(over="ignore"):  # a float past single precision becomes inf
+            array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} is not a numeric array") from None
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{where} holds a value that is not a finite number") from None
+    if array.shape != shape:
+        raise ValueError(f"{where} has shape {array.shape}, expected {shape}")
+    # The conversion also reads numeric strings, true and false, and null as NaN.
+    leaves = np.asarray(value, dtype=object).flat
+    if not (np.isfinite(array).all() and all(type(v) in (int, float) for v in leaves)):
+        raise ValueError(f"{where} holds a value that is not a finite number")
+    return array
+
+
+_PARAMS_KIND = "qurg-encoder-params"
 
 
 def save_params(path, params: EncoderParams) -> None:
@@ -969,8 +978,8 @@ def save_params(path, params: EncoderParams) -> None:
     write_json(
         path,
         {
-            "qurg_fmt": 1,
-            "kind": "qurg-encoder-params",
+            "qurg_fmt": FORMAT_VERSION,
+            "kind": _PARAMS_KIND,
             "config": params.config.to_dict(),
             "link_layers": [_layer_payload(layer) for layer in params.link_layers],
             "rw_layers": [_layer_payload(layer) for layer in params.rw_layers],
@@ -981,17 +990,16 @@ def save_params(path, params: EncoderParams) -> None:
 
 def load_params(path) -> EncoderParams:
     """Load a parameter set written by :func:`save_params`.  The layer counts
-    and every array shape must agree with the file's config."""
+    and every array shape must agree with the file's config, and every
+    array value must be a finite JSON number."""
     payload = read_json(path)
-    is_params = isinstance(payload, dict) and payload.get("kind") == "qurg-encoder-params"
-    if not is_params or payload.get("qurg_fmt") != 1:
-        raise ValueError(f"{path}: not a version-1 encoder parameter file")
-    config = EncoderConfig.from_dict(payload.get("config"))
+    _check_version(payload, path)
+    if _field(payload, "kind", str(path)) != _PARAMS_KIND:
+        raise DatasetError(f"{path}: not an encoder parameter file")
+    config = _constructed(path, EncoderConfig.from_dict, _field(payload, "config", str(path)))
 
     def layers(key: str, count_field: str, relation_count: int) -> tuple[RatLayerParams, ...]:
-        entries = payload.get(key)
-        if not isinstance(entries, list):
-            raise ValueError(f"{path}: {key} must be an array of layers")
+        entries = _field(payload, key, str(path), list)
         parsed = tuple(
             _layer_from_payload(p, config, relation_count, f"{path}: {key}[{k}]")
             for k, p in enumerate(entries)

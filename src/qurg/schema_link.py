@@ -9,15 +9,17 @@ empty: in this architecture utterance-to-utterance relations travel in the
 rewrite matrix instead.  Name matching is a lookup in indexes keyed on
 every word form of every name, with the same tie rule as a scan of all
 names: longest n-gram first, then earliest start, then earliest element.
-The folded names, the indexes and the structure cells depend only on the
-schema and the match policy, so each schema builds them once per policy,
-on first use, and keeps them for every later call.
+The structure cells depend only on the schema, so each schema builds them
+once.  The folded names and their indexes depend on the schema and the
+match policy, so each schema builds them once per policy.  Both are built
+on first use and kept for every later call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -115,6 +117,13 @@ class Schema:
         object.__setattr__(self, "primary_keys", frozenset(primary_keys))
         object.__setattr__(self, "foreign_keys", frozenset(foreign_keys))
 
+    @cached_property
+    def _structure(self) -> tuple[tuple[tuple[int, int], LinkRelation], ...]:
+        """The schema-to-schema cells, built on first use for the builder and
+        the ``SchemaLinkMatrix`` check alike.  Not a field: ``==``, ``hash``
+        and ``repr`` ignore it, and ``dataclasses.replace`` starts anew."""
+        return _structure_cells(self)
+
 
 class LinkRelation(Relation):
     """Relation vocabulary of the schema-linking matrix, each member with
@@ -164,7 +173,7 @@ class SchemaLinkMatrix(RelationMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
         t = self.table_offset
-        expected = {(i + t, j + t): rel for (i, j), rel in _structure_cells(self.schema)}
+        expected = {(i + t, j + t): rel for (i, j), rel in self.schema._structure}
         found = {key: rel for key, rel in self.cells.items() if min(key) >= t}
         if found != expected:
             cell = min(key for key in expected.keys() | found.keys()
@@ -251,15 +260,6 @@ class _FamilyPlan(NamedTuple):
     partial: LinkRelation
 
 
-class _LinkPlan(NamedTuple):
-    """Everything linking needs that depends only on the schema and the
-    policy.  ``structure`` holds the schema-to-schema cells in the order
-    the matrix receives them, with the first table at position 0."""
-
-    families: tuple[_FamilyPlan, _FamilyPlan]
-    structure: tuple[tuple[tuple[int, int], LinkRelation], ...]
-
-
 def _family_plan(
     names: Sequence[TokenSeq],
     base: int,
@@ -310,16 +310,14 @@ def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelatio
     return tuple(cells.items())
 
 
-def _link_plan(schema: Schema, policy: MatchPolicy) -> _LinkPlan:
-    """The schema's families folded under ``policy``, and its structure
-    cells."""
-    families = (
+def _link_plan(schema: Schema, policy: MatchPolicy) -> tuple[_FamilyPlan, _FamilyPlan]:
+    """The schema's tables and columns folded and indexed under ``policy``."""
+    return (
         _family_plan(schema.tables, 0,
                      LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE, policy),
         _family_plan([col.name for col in schema.columns], len(schema.tables),
                      LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN, policy),
     )
-    return _LinkPlan(families, _structure_cells(schema))
 
 
 def _exact_match_pass(
@@ -378,13 +376,13 @@ def build_schema_link_matrix(
     tables = len(question) + len(context)
     # The schema's plan under ``policy`` is built on first use and kept on
     # the schema, which is immutable.
-    plan = schema._link_plans.get(policy)
-    if plan is None:
-        plan = schema._link_plans[policy] = _link_plan(schema, policy)
+    families = schema._link_plans.get(policy)
+    if families is None:
+        families = schema._link_plans[policy] = _link_plan(schema, policy)
     # Match cells are written inline with their mirrors: on the wide
     # benchmark schema a ``put`` call per cell costs about a tenth of a call
     # on a reused schema.
-    for family in plan.families:
+    for family in families:
         offset = tables + family.base
         exact, exact_rev = family.exact, family.exact.mirror
         partial, partial_rev = family.partial, family.partial.mirror
@@ -401,7 +399,7 @@ def build_schema_link_matrix(
                         cells[(offset + elem, base + k)] = partial_rev
     # Utterance cells and schema-to-schema cells never share a key, so the
     # structure cells, shifted to the first table's position, come last.
-    for (i, j), rel in plan.structure:
+    for (i, j), rel in schema._structure:
         cells[(i + tables, j + tables)] = rel
     # Every cell above lies in its relation's block and has its mirror.
     return _prevalidated(SchemaLinkMatrix, question_tokens=question, context_tokens=context,

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from qurg.dataset_io import load_schema
 from qurg.rewrite_diff import Interaction, build_from_interaction
-from qurg.schema_link import Column, Schema
+from qurg.schema_link import Column, Schema, build_schema_link_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,6 +32,21 @@ def flights_matrix_payload() -> dict:
         "qurg_fmt": 1,
         "context_tokens": list(FLIGHTS_CONTEXT),
         "question_tokens": list(FLIGHTS_QUESTION),
+        "cells": [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()],
+    }
+
+
+def flights_link_matrix_payload() -> dict:
+    """The linking matrix file of the flights example against
+    ``schema_flights.json``, as a JSON value."""
+    schema_payload = json.loads((FIXTURES / "schema_flights.json").read_text())
+    schema = load_schema(FIXTURES / "schema_flights.json")
+    matrix = build_schema_link_matrix(FLIGHTS_QUESTION, FLIGHTS_CONTEXT, schema)
+    return {
+        "qurg_fmt": 1,
+        "question_tokens": list(FLIGHTS_QUESTION),
+        "context_tokens": list(FLIGHTS_CONTEXT),
+        **schema_payload,
         "cells": [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()],
     }
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import random
+from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from conftest import (
     MALFORMED_LINK_MATRICES,
     MALFORMED_MATRICES,
     corpus_record,
+    flights_link_matrix_payload,
     flights_matrix_payload,
     malformed_link_matrix_payload,
     malformed_matrix_payload,
@@ -382,6 +385,25 @@ class TestSchemaLink:
         assert code == 1
 
 
+def _encode_argv(role: str) -> Callable[[str, Path], list[str]]:
+    """The arguments of ``encode`` on the flights example under
+    ``TINY_CONFIG``, with ``path`` as its ``role`` input file."""
+
+    def argv(path: str, work: Path) -> list[str]:
+        (work / "matrix.json").write_text(json.dumps(flights_matrix_payload()))
+        (work / "config.json").write_text(json.dumps(TINY_CONFIG))
+        inputs = {
+            "--interactions": str(FIXTURES / "interactions_flights.json"),
+            "--schema": str(FIXTURES / "schema_flights.json"),
+            "--matrix": str(work / "matrix.json"),
+            role: path,
+        }
+        return ["encode", *(arg for item in inputs.items() for arg in item),
+                "--config", str(work / "config.json"), "--out", str(work / "states.json")]
+
+    return argv
+
+
 class TestMalformedInputs:
     """A malformed input file ends in one ``error:`` line and exit code 1."""
 
@@ -663,6 +685,49 @@ class TestMalformedInputs:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "Traceback" not in err.getvalue()
 
+    # Each fuzzed input: the valid JSON value to start from, and the
+    # arguments that make a command read it from ``path``.
+    FUZZED_INPUTS = {
+        "build-matrix": (corpus_record(), lambda path, work: [
+            "build-matrix", "--corpus", path, "--out-dir", str(work / "out")]),
+        "stats-corpus": (corpus_record(), lambda path, work: ["stats", "--corpus", path]),
+        "stats-matrix": (flights_matrix_payload(), lambda path, work: ["stats", "--matrix", path]),
+        "stats-link-matrix": (
+            flights_link_matrix_payload(), lambda path, work: ["stats", "--link-matrix", path]
+        ),
+        "encode-interactions": (
+            json.loads((FIXTURES / "interactions_flights.json").read_text()),
+            _encode_argv("--interactions"),
+        ),
+        "encode-schema": (
+            json.loads((FIXTURES / "schema_flights.json").read_text()), _encode_argv("--schema")
+        ),
+        "encode-matrix": (flights_matrix_payload(), _encode_argv("--matrix")),
+    }
+
+    @pytest.mark.parametrize("target", sorted(FUZZED_INPUTS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_reading_commands_on_any_json(self, tmp_path_factory, target, data):
+        """``build-matrix --corpus``, ``stats`` on each of its inputs, and
+        ``encode`` on each of its input files under a fixed tiny config,
+        with any JSON value in that file, succeed or print one ``error:``
+        line and exit 1.  The config is never fuzzed: it sets sizes."""
+        base, argv_of = self.FUZZED_INPUTS[target]
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / "input.json"
+        path.write_text(json.dumps(data.draw(json_strategies.json_files(base))) + "\n")
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv_of(str(path), work))
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Traceback" not in err.getvalue()
+
     @pytest.mark.parametrize("command", ["restore", "roundtrip", "rouge"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -845,7 +910,8 @@ class TestEncode:
             "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: d_x must be at least 2: ") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {config_path}: d_x must be at least 2: ")
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_huge_config_exits_one(self, tmp_path, fixtures_dir, capsys):
@@ -875,6 +941,26 @@ class TestEncode:
         assert run(["encode", "--config", str(config_path), "--check-gradients"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {config_path}: malformed JSON at line 1: Expecting value\n"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"seed": "x"}, "encoder config: seed: expected an integer, got 'x'"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            # Refused before anything is allocated or looped over.
+            ({"layers_link": 10**9}, "each stream needs between 1 and 1024 layers"),
+        ],
+        ids=["seed-string", "seed-negative", "layers-past-bound"],
+    )
+    def test_config_error_names_the_file_and_field(self, tmp_path, capsys, config, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert run(["encode", "--config", str(config_path), "--check-gradients"]) == 1
+        assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+
+    def test_negative_seed_flag_exits_one(self, capsys):
+        assert run(["encode", "--seed", "-1", "--check-gradients"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
 class TestStats:

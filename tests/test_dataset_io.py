@@ -17,6 +17,7 @@ from conftest import (
     MALFORMED_LINK_MATRICES,
     MALFORMED_MATRICES,
     corpus_record,
+    flights_link_matrix_payload,
     flights_matrix_payload,
     malformed_link_matrix_payload,
     malformed_matrix_payload,
@@ -143,6 +144,28 @@ class TestTokensValidatedOnce:
             Interaction((), ())
         with pytest.raises(ValueError, match="^expected a sequence of tokens, got the string 'ab'$"):
             build_rewrite_matrix([], ("a",), "ab")
+
+    @pytest.mark.parametrize(
+        "loader, payload, where",
+        [
+            (load_interactions, {"qurg_fmt": 1, "interactions": [{"utterances": ["a", " "]}]},
+             ": interaction 0"),
+            (lambda path: load_interactions(path, format="sparc"),
+             [{"interaction": [{"utterance": "a"}, {"utterance": " "}]}],
+             ": interaction 0: turn 2"),
+            (load_rewrite_corpus, {"history": [], "question": " ", "rewrite": "a", "id": "x"},
+             ":1"),
+        ],
+        ids=["native", "sparc", "corpus"],
+    )
+    def test_loaders_leave_the_empty_question_to_interaction(
+        self, tmp_path, loader, payload, where
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        message = f"{path}{where}: interaction question must be non-empty"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            loader(path)
 
     def test_hand_offs_build_what_the_constructors_build(self, tmp_path, flights_interaction):
         path = tmp_path / "corpus.jsonl"
@@ -570,16 +593,6 @@ class TestLoaderTotality:
             read_json(path)
 
 
-def _link_matrix_payload() -> dict:
-    schema = load_schema(FIXTURES / "schema_flights.json")
-    matrix = build_schema_link_matrix(FLIGHTS_QUESTION, FLIGHTS_CONTEXT, schema)
-    payload = {"qurg_fmt": 1, "question_tokens": list(FLIGHTS_QUESTION),
-               "context_tokens": list(FLIGHTS_CONTEXT)}
-    payload.update(json.loads((FIXTURES / "schema_flights.json").read_text()))
-    payload["cells"] = [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()]
-    return payload
-
-
 def _rouge_report_payload() -> dict:
     return {
         "qurg_fmt": 1,
@@ -593,7 +606,7 @@ def _rouge_report_payload() -> dict:
 # is JSON lines; the one-line text of a JSON value is such a file.
 _FUZZED_LOADERS = {
     "schema": (load_schema, json.loads((FIXTURES / "schema_flights.json").read_text())),
-    "link-matrix": (load_link_matrix, _link_matrix_payload()),
+    "link-matrix": (load_link_matrix, flights_link_matrix_payload()),
     "native": (
         load_interactions, json.loads((FIXTURES / "interactions_flights.json").read_text())
     ),

@@ -1,21 +1,28 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import generators
+import json_strategies
 import oracles
-from qurg.dataset_io import DatasetError
+from qurg.dataset_io import DatasetError, FormatVersionError
 from qurg.rewrite_diff import Interaction, RewriteEditMatrix, build_from_interaction
 from qurg.schema_link import Column, Schema, build_schema_link_matrix
 from qurg.rat_encoder import (
     LINK_RELATION_IDS,
+    MAX_LAYERS,
     RW_RELATION_IDS,
     EncoderConfig,
     context_reversal_permutation,
@@ -37,6 +44,15 @@ from qurg.rat_encoder import (
 from qurg.rat_encoder import _sum_terms
 
 TINY = EncoderConfig(d_x=8, d_z=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
+
+
+@functools.cache
+def tiny_params_payload() -> dict:
+    """The parameter file of ``init_params(TINY)``, as a JSON value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        save_params(path, init_params(TINY))
+        return json.loads(path.read_text())
 
 
 def edited_layer(payload, stream, drop=(), **fields):
@@ -82,6 +98,48 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig.from_dict({"d_q": 4})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"seed": "1"}, "seed: expected an integer, got '1'"),
+            ({"d_ff": 2.5}, "d_ff: expected an integer or null, got 2.5"),
+            ({"single_fc_ff": 1}, "single_fc_ff: expected a boolean, got 1"),
+            ({"heads": True}, "heads: expected an integer, got True"),
+        ],
+        ids=["seed-string", "d_ff-float", "single_fc_ff-integer", "heads-boolean"],
+    )
+    def test_type_error_names_the_field(self, payload, message):
+        with pytest.raises(DatasetError, match=f"^encoder config: {re.escape(message)}$"):
+            EncoderConfig.from_dict(payload)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            EncoderConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "depths", [{"layers_link": 10**9}, {"layers_rw": MAX_LAYERS + 1}], ids=repr
+    )
+    def test_depth_past_the_bound_rejected(self, depths):
+        # The constructor refuses at once; ``init_params`` would loop over every layer.
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_LAYERS} layers"):
+            EncoderConfig(**depths)
+
+    def test_depth_at_the_bound_accepted(self):
+        assert EncoderConfig(layers_link=MAX_LAYERS, layers_rw=MAX_LAYERS).layers_rw == MAX_LAYERS
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        payload=json_strategies.json_files(TINY.to_dict())
+        | st.dictionaries(
+            st.sampled_from(sorted(TINY.to_dict())), json_strategies.json_values, max_size=6
+        )
+    )
+    def test_any_json_gives_a_config_or_a_value_error(self, payload):
+        try:
+            EncoderConfig.from_dict(payload)
+        except ValueError:
+            pass
 
 
 class TestInitParams:
@@ -148,9 +206,10 @@ class TestInitParams:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (lambda p: [p], "not a version-1"),
-            (lambda p: {k: v for k, v in p.items() if k != "config"}, "config must be"),
-            (lambda p: {**p, "link_layers": 5}, "link_layers must be an array"),
+            (lambda p: [p], "missing qurg_fmt version field"),
+            (lambda p: {k: v for k, v in p.items() if k != "config"},
+             "missing required field 'config'"),
+            (lambda p: {**p, "link_layers": 5}, "link_layers: expected an array, got 5"),
             (lambda p: {**p, "rw_layers": p["rw_layers"] + [7]}, r"rw_layers\[1\]: expected an"),
             (lambda p: {**p, "link_layers": [{**p["link_layers"][0], "w_q": {"a": 1}}]},
              "'w_q' is not a numeric array"),
@@ -179,6 +238,38 @@ class TestInitParams:
         path.write_text(json.dumps(change(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=message):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["2.5", True, None, float("nan"), float("inf"), 10**400],
+        ids=["string", "boolean", "null", "NaN", "Infinity", "huge-integer"],
+    )
+    def test_array_value_not_a_finite_number_rejected(self, tmp_path, value):
+        payload = tiny_params_payload()
+        w_q = json.loads(json.dumps(payload["link_layers"][0]["w_q"]))
+        w_q[1][2][3] = value
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(edited_layer(payload, "link_layers", w_q=w_q)))
+        message = r"link_layers\[0\]: field 'w_q' holds a value that is not a finite number$"
+        with pytest.raises(ValueError, match=message):
+            load_params(path)
+
+    def test_version_true_rejected(self, tmp_path):
+        # JSON true is not the version number 1, although ``True == 1``.
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**tiny_params_payload(), "qurg_fmt": True}))
+        with pytest.raises(FormatVersionError, match="unsupported format version True"):
+            load_params(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_any_json_loads_or_fails_with_a_value_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "params.json"
+        path.write_text(json.dumps(data.draw(json_strategies.json_files(tiny_params_payload()))))
+        try:
+            load_params(path)
+        except ValueError:
+            pass
 
     def test_bad_params_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ import pytest
 import generators
 import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
+from qurg import schema_link
 from qurg.rewrite_diff import MalformedMatrixError, MatchPolicy, RewriteRelation
 from qurg.schema_link import (
     Column,
@@ -437,3 +438,24 @@ class TestReusedSchema:
         assert matrix.relation_at(2, col) is LinkRelation.EXACT_COLUMN
         assert matrix.relation_at(1, col) is None
         assert build_schema_link_matrix(question, (), schema).cells == first.cells
+
+    def test_structure_cells_built_once_per_schema(self, monkeypatch):
+        built = []
+
+        def counted(schema):
+            built.append(schema)
+            return structure_cells(schema)
+
+        structure_cells = schema_link._structure_cells
+        monkeypatch.setattr(schema_link, "_structure_cells", counted)
+        schema = self._schema(random.Random(5))
+        question, context = ("city", "names"), ("the", "flights")
+        for policy in generators.POLICIES:
+            for _ in range(2):
+                matrix = build_schema_link_matrix(question, context, schema, policy)
+                SchemaLinkMatrix(question, context, schema, dict(matrix.cells))
+        assert len(built) == 1 and built[0] is schema
+        replaced = dataclasses.replace(schema, primary_keys=frozenset())
+        assert replaced._structure != schema._structure
+        assert len(built) == 2 and built[1] is replaced
+        assert replaced._structure == structure_cells(replaced)
