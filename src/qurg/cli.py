@@ -5,14 +5,14 @@ stats.  Human-readable summaries go to stdout, machine-readable payloads to
 canonical JSON files.  Exit codes: 0 success, 1 operation error, 2 usage
 error.  The corpus commands (``build-matrix --corpus``, ``roundtrip``) run
 their examples one after another in id order; an example that fails is
-reported as ``error: example <id>: ...`` on stderr and makes the exit code
-1, without stopping the others.  Their summary files (``index.json``, the
-``roundtrip`` report) are written last, through a temporary file that
-then replaces the target, so a run that fails or is interrupted never
-leaves a half-written one: an ``index.json`` that exists was written by a
-run that finished.  The output files of ``restore``, ``rouge``,
-``schema-link``, ``encode`` (``--out`` and ``--save-params``) and ``stats``
-are replaced the same way; only matrix files are written in place.
+reported as ``error: example <id>: ...`` on stderr (the id as a Python
+literal if it holds a character that does not print, such as a newline) and
+makes the exit code 1, without stopping the others.  Every file a command
+writes goes to a temporary file that then replaces the target, so a run
+that fails or is interrupted never leaves a half-written one, except the
+matrix files, which are written in place.  The summary files of the corpus
+commands (``index.json``, the ``roundtrip`` report) are written last, so an
+``index.json`` that exists was written by a run that finished.
 Nothing is synced to disk, so this does not hold across a power loss or a
 kernel crash.  Only ``encode`` imports the encoder and numpy; the other
 commands never load them.
@@ -120,12 +120,10 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             return {"id": ex.interaction_id, "file": name, "cells": len(matrix.cells)}
 
         entries, failures = _run_examples(examples, build_one)
-        # The index is written last and atomically: it is the record that
-        # the run finished, and it names only matrices that were written.
+        # The index is written last: it is the record that the run
+        # finished, and it names only matrices that were written.
         dataset_io.write_json(
-            out_dir / "index.json",
-            {"qurg_fmt": dataset_io.FORMAT_VERSION, "examples": entries},
-            atomic=True,
+            out_dir / "index.json", {"qurg_fmt": dataset_io.FORMAT_VERSION, "examples": entries}
         )
         summary = f"built {len(entries)}/{len(examples)} matrices -> {out_dir}"
         return CommandResult(0, summary, failures)
@@ -152,9 +150,7 @@ def cmd_restore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Co
     )
     if args.out:
         dataset_io.write_json(
-            args.out,
-            {"qurg_fmt": dataset_io.FORMAT_VERSION, "tokens": list(restored.tokens)},
-            atomic=True,
+            args.out, {"qurg_fmt": dataset_io.FORMAT_VERSION, "tokens": list(restored.tokens)}
         )
     return CommandResult(0, restored.text())
 
@@ -290,7 +286,7 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
             payload[key] = [
                 {"scores": t.scores.tolist(), "weights": t.weights.tolist()} for t in traces
             ]
-    dataset_io.write_json(args.out, payload, atomic=True)
+    dataset_io.write_json(args.out, payload)
     return CommandResult(
         0,
         f"encoded {states.n_question}+{states.n_context}+{states.n_schema} "
@@ -328,7 +324,7 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
             "relations": link_stats(link_matrix),
         }
     if args.out:
-        dataset_io.write_json(args.out, payload, atomic=True)
+        dataset_io.write_json(args.out, payload)
     return CommandResult(0, dataset_io.dump_canonical(payload).rstrip("\n"))
 
 
@@ -415,7 +411,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         result = args.func(args, parser)
         for example_id, message in result.failures:
-            print(f"error: example {example_id}: {message}", file=sys.stderr)
+            # Each error is one line, whatever the id holds.
+            shown = example_id if example_id.isprintable() else repr(example_id)
+            print(f"error: example {shown}: {message}", file=sys.stderr)
         # A summary can hold tokens that standard output cannot encode, such
         # as a lone surrogate read from a JSON escape.
         if result.summary:

@@ -65,7 +65,7 @@ FORMAT_VERSION = 1
 
 _T = TypeVar("_T")
 
-_DETACHED_PUNCT = (".", ",", "?", "!")
+_DETACHED_PUNCT = ".,?!"
 
 
 class DatasetError(ValueError):
@@ -80,21 +80,16 @@ def tokenize(text: str) -> TokenSeq:
     """Whitespace tokenization with ``. , ? !`` detached as own tokens."""
     tokens: list[str] = []
     for chunk in text.split():
-        if chunk[0] not in _DETACHED_PUNCT and chunk[-1] not in _DETACHED_PUNCT:
-            tokens.append(chunk)
-            continue
-        lead: list[str] = []
-        trail: list[str] = []
-        while chunk and chunk[0] in _DETACHED_PUNCT:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in _DETACHED_PUNCT:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trail))
+        body = chunk.lstrip(_DETACHED_PUNCT)
+        word = body.rstrip(_DETACHED_PUNCT)
+        # A strip that removes nothing returns its string itself, so a chunk
+        # with no mark at either end skips both slices.
+        if body is not chunk:
+            tokens += chunk[: len(chunk) - len(body)]
+        if word:
+            tokens.append(word)
+        if word is not body:
+            tokens += body[len(word):]
     return tuple(tokens)
 
 
@@ -104,29 +99,21 @@ def dump_canonical(payload: Any) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def write_json(path: str | Path, payload: Any, *, atomic: bool = False) -> None:
-    """Write ``payload`` to ``path`` as canonical UTF-8 JSON.
-
-    With ``atomic``, the text goes to a temporary file beside ``path`` that
+def _replace(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it that
     then replaces it, keeping the old file's permission bits.  A write that
     fails inside the process (an exception, a full disk, an interrupt)
     keeps whatever was there before and removes the temporary file.
     Nothing is synced to disk, so a power loss or a kernel crash can still
     lose the new text.  A symbolic link, or a target that is not a regular
     file (``/dev/stdout``), is written in place: replacing it would replace
-    the link or the device.  Replacing costs much more than overwriting in
-    place: with every matrix file replaced, ``build-matrix --corpus`` took
-    about 40% more CPU per example on a 2-vCPU virtual machine.  So the
-    matrix files are written in place, and a command's single output
-    files and the files that record a finished run are replaced.
-    """
+    the link or the device."""
     path = Path(path)
-    text = dump_canonical(payload)
     try:
-        mode = os.lstat(path).st_mode if atomic else None
+        mode = os.lstat(path).st_mode
     except OSError:
         mode = None
-    if not atomic or (mode is not None and not stat.S_ISREG(mode)):
+    if mode is not None and not stat.S_ISREG(mode):
         path.write_text(text, encoding="utf-8")
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -138,6 +125,14 @@ def write_json(path: str | Path, payload: Any, *, atomic: bool = False) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write ``payload`` to ``path`` as canonical UTF-8 JSON, replacing the
+    file whole: a write that fails leaves the previous file and no
+    temporary one (see ``_replace``).  Every file the package writes goes
+    this way except the matrix files of ``save_matrix``."""
+    _replace(path, dump_canonical(payload))
 
 
 def _parse_json(text: str, path: str | Path) -> Any:
@@ -323,22 +318,21 @@ def load_rewrite_corpus(path: str | Path) -> list[Interaction]:
 
 
 def save_rewrite_corpus(path: str | Path, examples: Iterable[Interaction]) -> None:
-    """Write interactions as a rewrite corpus; each must carry a gold rewrite."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for ex in examples:
-            if ex.gold_rewrite is None:
-                raise ValueError(f"interaction {ex.interaction_id!r} has no gold rewrite")
-            handle.write(
-                dump_canonical(
-                    {
-                        "qurg_fmt": FORMAT_VERSION,
-                        "history": [" ".join(t) for t in ex.context_turns],
-                        "question": " ".join(ex.question),
-                        "rewrite": " ".join(ex.gold_rewrite),
-                        "id": ex.interaction_id,
-                    }
-                )
-            )
+    """Write interactions as a rewrite corpus; each must carry a gold rewrite.
+    The whole text is built first, so an example without one leaves the
+    previous file as it was."""
+    lines = []
+    for ex in examples:
+        if ex.gold_rewrite is None:
+            raise ValueError(f"interaction {ex.interaction_id!r} has no gold rewrite")
+        lines.append(dump_canonical({
+            "qurg_fmt": FORMAT_VERSION,
+            "history": [" ".join(t) for t in ex.context_turns],
+            "question": " ".join(ex.question),
+            "rewrite": " ".join(ex.gold_rewrite),
+            "id": ex.interaction_id,
+        }))
+    _replace(path, "".join(lines))
 
 
 def _cells_payload(matrix: RewriteEditMatrix | SchemaLinkMatrix) -> list[dict[str, Any]]:
@@ -369,16 +363,20 @@ def _parse_cells(
 
 
 def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
-    """Write a rewrite edit matrix; cells sorted by (i, j) for determinism."""
-    write_json(
-        path,
-        {
-            "qurg_fmt": FORMAT_VERSION,
-            "context_tokens": list(matrix.context_tokens),
-            "question_tokens": list(matrix.question_tokens),
-            "cells": _cells_payload(matrix),
-        },
-    )
+    """Write a rewrite edit matrix; cells sorted by (i, j) for determinism.
+
+    The one file written in place rather than replaced: ``build-matrix
+    --corpus`` writes one per example, and replacing each one cost about
+    40% more CPU per example on a 2-vCPU virtual machine.  ``index.json``,
+    written last and replaced, names only the matrices a finished run wrote.
+    """
+    payload = {
+        "qurg_fmt": FORMAT_VERSION,
+        "context_tokens": list(matrix.context_tokens),
+        "question_tokens": list(matrix.question_tokens),
+        "cells": _cells_payload(matrix),
+    }
+    Path(path).write_text(dump_canonical(payload), encoding="utf-8")
 
 
 def load_matrix(path: str | Path) -> RewriteEditMatrix:
@@ -405,7 +403,7 @@ def _schema_payload(schema: Schema) -> dict[str, Any]:
 
 
 def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
-    """Write a linking matrix atomically: it is a run's one output file."""
+    """Write a linking matrix with its schema and relation vocabulary."""
     write_json(
         path,
         {
@@ -416,7 +414,6 @@ def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
             "relations": list(LINK_RELATION_NAMES),
             "cells": _cells_payload(matrix),
         },
-        atomic=True,
     )
 
 
@@ -471,7 +468,7 @@ def _score_payload(score: RougeScore) -> dict[str, float]:
 
 
 def save_rouge_report(path: str | Path, report: CorpusRougeReport) -> None:
-    """Write a score report atomically: it records a finished run."""
+    """Write a corpus score report."""
     write_json(
         path,
         {
@@ -482,7 +479,6 @@ def save_rouge_report(path: str | Path, report: CorpusRougeReport) -> None:
             "rl": _score_payload(report.rl),
             "pairs": report.pair_count,
         },
-        atomic=True,
     )
 
 

@@ -236,7 +236,10 @@ class RatLayerParams:
     ln2_bias: np.ndarray
     rel_key: np.ndarray
     rel_value: np.ndarray
-    single_fc: bool = False
+
+    @property
+    def single_fc(self) -> bool:
+        return self.ff_w2 is None
 
     @property
     def heads(self) -> int:
@@ -266,11 +269,9 @@ class RatLayerParams:
         return self
 
 
-def _layer_of(arrays: dict[str, np.ndarray], single_fc: bool) -> RatLayerParams:
+def _layer_of(arrays: dict[str, np.ndarray]) -> RatLayerParams:
     """A layer from its arrays by name; ``ff_w2``/``ff_b2`` may be absent."""
-    return RatLayerParams(
-        **{name: arrays.get(name) for name in _ARRAY_NAMES}, single_fc=single_fc
-    )
+    return RatLayerParams(**{name: arrays.get(name) for name in _ARRAY_NAMES})
 
 
 @dataclass(eq=False)
@@ -636,7 +637,7 @@ def _init_layer(
             arrays[name] = (np.ones if name.endswith("_gain") else np.zeros)(shape, dtype=dtype)
     arrays["rel_key"][0] = 0.0
     arrays["rel_value"][0] = 0.0
-    return _layer_of(arrays, config.single_fc_ff).freeze()
+    return _layer_of(arrays).freeze()
 
 
 def init_params(config: EncoderConfig) -> EncoderParams:
@@ -871,7 +872,7 @@ def random_layer_params(
         else:
             bound = 0.3 if name.startswith("ff_") else 0.5
             arrays[name] = rng.uniform(-bound, bound, shape)
-    return _layer_of(arrays, single_fc)
+    return _layer_of(arrays)
 
 
 def _perturbed(layer: RatLayerParams, name: str, flat_index: int, delta: float) -> RatLayerParams:
@@ -945,7 +946,7 @@ def _layer_from_payload(
                                f"{where}: field {name!r}")
         for name, shape in shapes.items()
     }
-    return _layer_of(arrays, single_fc).freeze()
+    return _layer_of(arrays).freeze()
 
 
 def _parameter_array(
@@ -973,8 +974,7 @@ _PARAMS_KIND = "qurg-encoder-params"
 
 
 def save_params(path, params: EncoderParams) -> None:
-    """Serialize a parameter set (versioned JSON, exact float round-trip),
-    replacing ``path`` atomically."""
+    """Serialize a parameter set (versioned JSON, exact float round-trip)."""
     write_json(
         path,
         {
@@ -984,7 +984,6 @@ def save_params(path, params: EncoderParams) -> None:
             "link_layers": [_layer_payload(layer) for layer in params.link_layers],
             "rw_layers": [_layer_payload(layer) for layer in params.rw_layers],
         },
-        atomic=True,
     )
 
 

@@ -97,10 +97,6 @@ class Schema:
             _listed(fk, "a foreign key")
             for fk in _listed(self.foreign_keys, "foreign_keys")
         )
-        # Link plans per match policy, built on first use by
-        # ``build_schema_link_matrix``.  Not a field: ``==``, ``hash`` and
-        # ``repr`` ignore it, and ``dataclasses.replace`` starts a new one.
-        object.__setattr__(self, "_link_plans", {})
         for idx, col in enumerate(self.columns):
             if not _is_index(col.table, len(self.tables)):
                 raise SchemaError(
@@ -123,6 +119,12 @@ class Schema:
         the ``SchemaLinkMatrix`` check alike.  Not a field: ``==``, ``hash``
         and ``repr`` ignore it, and ``dataclasses.replace`` starts anew."""
         return _structure_cells(self)
+
+    @cached_property
+    def _link_plans(self) -> dict[MatchPolicy, tuple[_FamilyPlan, _FamilyPlan]]:
+        """The link plan per match policy, each built on first use by
+        ``build_schema_link_matrix``; not a field, like ``_structure``."""
+        return {}
 
 
 class LinkRelation(Relation):

@@ -99,6 +99,17 @@ class TestBuildMatrix:
         written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
         assert written == ["d1/d2/out/index.json", "d1/d2/out/ok.matrix.json"]
 
+    def test_failing_id_that_does_not_print_stays_on_one_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"history": [], "question": "a b", "rewrite": "a b", "id": "x/\ny"}) + "\n"
+        )
+        code = run(["build-matrix", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: example 'x/\\ny': id 'x/\\ny' is not a plain file name\n"
+        )
+
     def test_corpus_parallel_identical(self, tmp_path, fixtures_dir):
         seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
         corpus = str(fixtures_dir / "corpus_small.jsonl")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -650,7 +652,7 @@ class TestAtomicWrite:
         save_rouge_report(path, corpus_rouge([]))
         before = path.read_bytes()
         with pytest.raises(UnicodeEncodeError):
-            write_json(path, {"text": "x" * 10_000 + "\ud800"}, atomic=True)
+            write_json(path, {"text": "x" * 10_000 + "\ud800"})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
@@ -659,7 +661,7 @@ class TestAtomicWrite:
         target.write_text("old")
         link = tmp_path / "link.json"
         link.symlink_to(target)
-        write_json(link, {"a": 1}, atomic=True)
+        write_json(link, {"a": 1})
         assert link.is_symlink()
         assert read_json(target) == {"a": 1}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
@@ -668,10 +670,99 @@ class TestAtomicWrite:
         path = tmp_path / "matrix.json"
         path.write_text("old")
         path.chmod(0o640)
-        write_json(path, {"a": 1}, atomic=True)
+        write_json(path, {"a": 1})
         assert read_json(path) == {"a": 1}
         assert path.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.json"]
+
+
+def _with_rewrite(inter: Interaction, rewrite) -> Interaction:
+    return Interaction(inter.context_turns, inter.question, rewrite, "other")
+
+
+# (saver, a value it writes, a value whose write fails, the error).  A lone
+# surrogate is a valid token that UTF-8 cannot encode, so its write fails
+# after part of the text could have been written.  The failing interactions
+# come second, after one that a save in place would already have written.
+FAILING_SAVES = {
+    "interactions": (
+        save_interactions,
+        lambda fx: [fx, _with_rewrite(fx, ("which", "city"))],
+        lambda fx: [fx, _with_rewrite(fx, ("which", "\ud800"))],
+        UnicodeEncodeError,
+    ),
+    "schema": (
+        save_schema,
+        lambda fx: LINK_SCHEMA,
+        lambda fx: Schema(LINK_SCHEMA.tables + (("\ud800",),), LINK_SCHEMA.columns),
+        UnicodeEncodeError,
+    ),
+    "corpus-surrogate": (
+        save_rewrite_corpus,
+        lambda fx: [fx, _with_rewrite(fx, ("which", "city"))],
+        lambda fx: [fx, _with_rewrite(fx, ("which", "\ud800"))],
+        UnicodeEncodeError,
+    ),
+    "corpus-no-rewrite": (
+        save_rewrite_corpus,
+        lambda fx: [fx, _with_rewrite(fx, ("which", "city"))],
+        lambda fx: [fx, _with_rewrite(fx, None)],
+        ValueError,
+    ),
+}
+
+
+class TestFailedSaveKeepsPreviousFile:
+    """Every library saver replaces its file whole: a save that fails leaves
+    the previous bytes and no temporary file."""
+
+    @pytest.mark.parametrize("case", sorted(FAILING_SAVES))
+    def test_failed_save(self, tmp_path, flights_interaction, case):
+        save, good, bad, error = FAILING_SAVES[case]
+        path = tmp_path / "saved.json"
+        save(path, good(flights_interaction))
+        before = path.read_bytes()
+        with pytest.raises(error):
+            save(path, bad(flights_interaction))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["saved.json"]
+
+
+def _file_writers(module: Path) -> set[str]:
+    """The functions of ``module`` that open a file for writing: ``open``
+    (built-in, ``os`` or a path's) with a mode other than reading, or a
+    path's ``write_text``/``write_bytes``."""
+    writers = set()
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(func):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name in ("write_text", "write_bytes"):
+                writers.add(func.name)
+            elif name == "open":
+                # ``open(path, mode)``, ``path.open(mode)``; any ``os.open`` counts.
+                owner = getattr(call.func, "value", None)
+                if isinstance(owner, ast.Name) and owner.id == "os":
+                    writers.add(func.name)
+                    continue
+                position = 1 if isinstance(call.func, ast.Name) else 0
+                modes = call.args[position:position + 1]
+                modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    writers.add(func.name)
+    return writers
+
+
+def test_only_the_replace_writer_and_save_matrix_write_files():
+    package = Path(dataset_io.__file__).parent
+    writers = {(path.stem, name) for path in sorted(package.glob("*.py"))
+               for name in _file_writers(path)}
+    assert writers == {("dataset_io", "_replace"), ("dataset_io", "save_matrix")}
 
 
 class TestReportSerialization:

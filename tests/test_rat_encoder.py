@@ -442,6 +442,15 @@ class TestRatLayer:
         assert np.abs(y - np.asarray(expected)).max() < 1e-12
         assert gradient_check(layer, x, relations) < 1e-4
 
+    def test_single_fc_is_read_from_the_arrays(self):
+        rng = np.random.default_rng(6)
+        layers = [random_layer_params(rng, d_x=4, heads=2, d_ff=8, relation_count=3,
+                                      single_fc=single_fc) for single_fc in (False, True)]
+        assert [layer.single_fc for layer in layers] == [False, True]
+        # No flag of its own, so no layer can claim a mode its arrays lack.
+        with pytest.raises(TypeError):
+            dataclasses.replace(layers[0], single_fc=True)
+
 
 class TestLayerBackward:
     def test_zero_upstream_gives_zero_grads(self):
