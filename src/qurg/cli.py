@@ -221,6 +221,10 @@ def cmd_schema_link(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
+    run_flags = ("interactions", "schema", "matrix", "out", "save_params", "traces")
+    given = [f"--{name.replace('_', '-')}" for name in run_flags if getattr(args, name)]
+    if args.check_gradients and given:
+        parser.error(f"--check-gradients runs alone; drop {', '.join(given)}")
     import numpy as np
 
     from . import rat_encoder
@@ -252,11 +256,7 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
             worst = max(worst, rat_encoder.gradient_check(layer, x, relations))
         ok = worst < 1e-4
         summary = f"gradient check: max relative error {worst:.3e} ({'ok' if ok else 'FAILED'})"
-        if not (args.interactions and args.schema and args.matrix):
-            return CommandResult(0 if ok else 1, summary)
-        print(summary)
-        if not ok:
-            return CommandResult(1, "gradient check failed")
+        return CommandResult(0 if ok else 1, summary)
 
     if not (args.interactions and args.schema and args.matrix):
         parser.error("encode requires --interactions, --schema and --matrix")
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-gradients",
         action="store_true",
-        help="verify analytic gradients against finite differences",
+        help="only verify analytic gradients against finite differences",
     )
     _add_policy_flags(p)
     p.set_defaults(func=cmd_encode)

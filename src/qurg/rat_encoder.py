@@ -32,8 +32,9 @@ are bit for bit those of the per-head layer.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
@@ -46,6 +47,7 @@ from .rewrite_diff import (
     DEFAULT_POLICY,
     Interaction,
     MatchPolicy,
+    RelationMatrix,
     RewriteEditMatrix,
     RewriteRelation,
     TokenSeq,
@@ -184,12 +186,6 @@ class EncoderConfig:
         return cls(**{name: _field(payload, name, where, kinds[name]) for name in payload})
 
 
-_ARRAY_NAMES = (
-    "w_q", "w_k", "w_v", "ff_w1", "ff_b1", "ff_w2", "ff_b2",
-    "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "rel_key", "rel_value",
-)
-
-
 def _layer_shapes(
     d_x: int, heads: int, d_ff: int, relation_count: int, single_fc: bool
 ) -> dict[str, tuple[int, ...]]:
@@ -267,6 +263,9 @@ class RatLayerParams:
         for _, arr in self.named_arrays():
             arr.setflags(write=False)
         return self
+
+
+_ARRAY_NAMES = tuple(f.name for f in fields(RatLayerParams))
 
 
 def _layer_of(arrays: dict[str, np.ndarray]) -> RatLayerParams:
@@ -670,23 +669,15 @@ def _word_vector(word: str, d_x: int, seed: int, dtype: type) -> np.ndarray:
 def encoder_context_tokens(interaction: Interaction) -> TokenSeq:
     """Context tokens in encoder order: most recent turn first, token order
     preserved inside each turn."""
-    return tuple(
-        tok for turn in reversed(interaction.context_turns) for tok in turn
-    )
+    context = interaction.flat_context()
+    return tuple(context[p] for p in context_reversal_permutation(interaction.turn_lengths()))
 
 
 def context_reversal_permutation(turn_lengths: Sequence[int]) -> tuple[int, ...]:
     """Map encoder context positions (recent-first) to chronological
     flat-context positions."""
-    offsets = []
-    total = 0
-    for length in turn_lengths:
-        offsets.append(total)
-        total += length
-    perm: list[int] = []
-    for offset, length in zip(reversed(offsets), reversed(list(turn_lengths))):
-        perm.extend(range(offset, offset + length))
-    return tuple(perm)
+    turns = list(itertools.pairwise(itertools.accumulate(turn_lengths, initial=0)))
+    return tuple(p for start, end in reversed(turns) for p in range(start, end))
 
 
 def embed_inputs(
@@ -721,13 +712,18 @@ def embed_inputs(
     return x_question, x_context, x_schema
 
 
+def _relation_ids(matrix: RelationMatrix, ids_of: dict[str, int]) -> np.ndarray:
+    # The dense relation-id matrix in the matrix's stored layout.
+    ids = np.zeros((matrix.size, matrix.size), dtype=np.int64)
+    for (i, j), rel in matrix.cells.items():
+        ids[i, j] = ids_of[rel.value]
+    return ids
+
+
 def link_relation_ids(matrix: SchemaLinkMatrix) -> np.ndarray:
     """Dense relation-id matrix over the linking layout (already
     ``[question; context; tables; columns]``)."""
-    ids = np.zeros((matrix.size, matrix.size), dtype=np.int64)
-    for (i, j), rel in matrix.cells.items():
-        ids[i, j] = LINK_RELATION_IDS[rel.value]
-    return ids
+    return _relation_ids(matrix, LINK_RELATION_IDS)
 
 
 def rewrite_relation_ids(
@@ -742,20 +738,12 @@ def rewrite_relation_ids(
     """
     n_ctx, n_q = matrix.context_size, matrix.question_size
     if context_permutation is None:
-        context_permutation = tuple(range(n_ctx))
+        context_permutation = range(n_ctx)
     if sorted(context_permutation) != list(range(n_ctx)):
         raise ValueError("context_permutation must permute the context positions")
-    stored_to_encoder = [0] * n_ctx
-    for enc_pos, stored_pos in enumerate(context_permutation):
-        stored_to_encoder[stored_pos] = n_q + enc_pos
-
-    def enc(pos: int) -> int:
-        return pos - n_ctx if pos >= n_ctx else stored_to_encoder[pos]
-
-    ids = np.zeros((n_q + n_ctx, n_q + n_ctx), dtype=np.int64)
-    for (i, j), rel in matrix.cells.items():
-        ids[enc(i), enc(j)] = RW_RELATION_IDS[rel.value]
-    return ids
+    # The stored position of each encoder position.
+    order = [*range(n_ctx, n_ctx + n_q), *context_permutation]
+    return _relation_ids(matrix, RW_RELATION_IDS)[np.ix_(order, order)]
 
 
 def two_stream_encode(

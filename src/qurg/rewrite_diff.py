@@ -5,7 +5,9 @@ context, and a self-contained rewrite of that question, this module aligns
 question and rewrite with an LCS, tags the out-of-alignment words as ADD
 (rewrite side) or DEL (question side), grounds the ADD spans in the context,
 and records the resulting substitute/insert operations as a square relation
-matrix over the ``[context; question]`` token positions.  Tagging and
+matrix over the ``[context; question]`` token positions.  An operation is
+two ranges: the context range that replaces a question range, where an
+empty question range ``(a, a)`` inserts before token ``a``.  Tagging and
 grounding take one walk over the gaps between consecutive alignment pairs;
 each gap holds at most one DEL run and one ADD run.  Alignment and
 grounding look tokens up in a form index, one bitmask of positions per
@@ -166,19 +168,20 @@ class SpanKind(Enum):
 
 @dataclass(frozen=True)
 class EditSpan:
-    """A maximal run of same-tag tokens on one side of the alignment."""
+    """A maximal run of same-tag tokens on one side of the alignment: ADD
+    spans index the rewrite, DEL spans the question."""
 
     kind: SpanKind
     start: int
     end_exclusive: int
-    side: str  # "rewrite" for ADD, "question" for DEL
 
     def __post_init__(self) -> None:
         if self.start >= self.end_exclusive:
             raise ValueError("edit span must be non-empty")
-        expected = "rewrite" if self.kind is SpanKind.ADD else "question"
-        if self.side != expected:
-            raise ValueError(f"{self.kind.value} spans live on the {expected} side")
+
+    @property
+    def side(self) -> str:
+        return "rewrite" if self.kind is SpanKind.ADD else "question"
 
     def indices(self) -> range:
         return range(self.start, self.end_exclusive)
@@ -191,34 +194,32 @@ class OpKind(Enum):
 
 @dataclass(frozen=True)
 class EditOp:
-    """A grounded edit: a context span substituted for, or inserted before,
-    question tokens.
+    """A grounded edit: the context range that replaces a question range.
 
-    ``question_anchor`` is the replaced range start for substitutes and the
-    insertion point for inserts; an anchor equal to ``len(question)`` means
-    a virtual end-of-question insertion point.
+    A non-empty question range ``(qs, qe)`` is a Substitute of those
+    question tokens.  An empty range ``(a, a)`` is an Insert before
+    question token ``a``; ``a == len(question)`` is the virtual
+    end-of-question anchor, an append.
     """
 
-    kind: OpKind
     context_range: tuple[int, int]
-    question_anchor: int
-    question_range: tuple[int, int] | None = None
+    question_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        cs, ce = self.context_range
-        if cs >= ce:
+        if self.context_range[0] >= self.context_range[1]:
             raise ValueError("context_range must be non-empty")
-        if self.kind is OpKind.INSERT:
-            if self.question_range is not None:
-                raise ValueError("insert ops carry no question_range")
-        else:
-            if self.question_range is None:
-                raise ValueError("substitute ops require a question_range")
-            qs, qe = self.question_range
-            if qs >= qe:
-                raise ValueError("question_range must be non-empty")
-            if qs != self.question_anchor:
-                raise ValueError("substitute anchor must equal question_range start")
+        if self.question_range[0] > self.question_range[1]:
+            raise ValueError("question_range must not end before it starts")
+
+    @property
+    def kind(self) -> OpKind:
+        qs, qe = self.question_range
+        return OpKind.SUBSTITUTE if qs < qe else OpKind.INSERT
+
+    @property
+    def question_anchor(self) -> int:
+        """The replaced range's start, or the insertion point."""
+        return self.question_range[0]
 
 
 class Relation(Enum):
@@ -433,9 +434,9 @@ def tag_edits(
     pairs = lcs(question, rewrite, policy)
     for (qs, qe), (rs, re) in _gaps(pairs, len(question), len(rewrite)):
         if qs < qe:
-            del_spans.append(EditSpan(SpanKind.DEL, qs, qe, "question"))
+            del_spans.append(EditSpan(SpanKind.DEL, qs, qe))
         if rs < re:
-            add_spans.append(EditSpan(SpanKind.ADD, rs, re, "rewrite"))
+            add_spans.append(EditSpan(SpanKind.ADD, rs, re))
     return del_spans, add_spans
 
 
@@ -467,9 +468,10 @@ def extract_edit_ops(
 
     Between two consecutive LCS pairs there is at most one ADD span and one
     DEL span.  An ADD span that occurs contiguously in the context becomes
-    a Substitute over the DEL span between the same pairs, or, when there
-    is none, an Insert anchored at the next aligned question index
-    (``len(question)`` after the last pair).  ADD spans with no context
+    one op: its context range replacing the question range of the DEL span
+    between the same pairs, a Substitute, or, when there is none, the
+    empty range at the next aligned question index (``len(question)``
+    after the last pair), an Insert.  ADD spans with no context
     occurrence are dropped.  ``occurrence`` selects the "last" (most recent
     turn) or "first" context occurrence when the span appears more than once.
     """
@@ -484,14 +486,8 @@ def extract_edit_ops(
         ctx_range = _find_context_occurrence(
             context_index, policy.fold(rewrite[rs:re]), occurrence
         )
-        if ctx_range is None:
-            continue
-        if qs < qe:
-            ops.append(
-                EditOp(OpKind.SUBSTITUTE, ctx_range, question_anchor=qs, question_range=(qs, qe))
-            )
-        else:
-            ops.append(EditOp(OpKind.INSERT, ctx_range, question_anchor=qe))
+        if ctx_range is not None:
+            ops.append(EditOp(ctx_range, (qs, qe)))
     return ops
 
 
@@ -538,25 +534,18 @@ def _edit_cells(
         cells[(j, i)] = rel.mirror
 
     for op in ops:
-        cs, ce = op.context_range
-        if not (0 <= cs < ce <= n_ctx):
-            raise ValueError(f"context_range {op.context_range} out of bounds")
-        if op.kind is OpKind.SUBSTITUTE:
-            qs, qe = op.question_range  # type: ignore[misc]
-            if not (0 <= qs < qe <= n_q):
-                raise ValueError(f"question_range {op.question_range} out of bounds")
-            for ci in range(cs, ce):
-                for qi in range(qs, qe):
-                    put(ci, n_ctx + qi, RewriteRelation.C_Q_SUB)
+        (cs, ce), (qs, qe) = op.context_range, op.question_range
+        if not (0 <= cs < ce <= n_ctx and 0 <= qs <= qe <= n_q):
+            raise ValueError(f"edit op {op.context_range}, {op.question_range} out of bounds")
+        if qs < qe:
+            columns, rel = range(qs, qe), RewriteRelation.C_Q_SUB
+        elif qs < n_q:
+            columns, rel = (qs,), RewriteRelation.C_Q_INS
         else:
-            if not (0 <= op.question_anchor <= n_q):
-                raise ValueError(f"insert anchor {op.question_anchor} out of bounds")
-            if op.question_anchor == n_q:
-                anchor, rel = n_q - 1, RewriteRelation.C_Q_APP
-            else:
-                anchor, rel = op.question_anchor, RewriteRelation.C_Q_INS
-            for ci in range(cs, ce):
-                put(ci, n_ctx + anchor, rel)
+            columns, rel = (n_q - 1,), RewriteRelation.C_Q_APP
+        for ci in range(cs, ce):
+            for qi in columns:
+                put(ci, n_ctx + qi, rel)
     return cells
 
 

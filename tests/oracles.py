@@ -426,18 +426,11 @@ def recover_ops(matrix: RewriteEditMatrix) -> list[EditOp]:
         ):
             end += 1
         for qs, qe in _contiguous_runs(list(targets)):
-            ops.append(
-                EditOp(
-                    OpKind.SUBSTITUTE,
-                    (start_ci, grouped[end - 1][0] + 1),
-                    question_anchor=qs,
-                    question_range=(qs, qe),
-                )
-            )
+            ops.append(EditOp((start_ci, grouped[end - 1][0] + 1), (qs, qe)))
         idx = end
     for anchor in sorted(ins_pairs):
         for cs, ce in _contiguous_runs(sorted(ins_pairs[anchor])):
-            ops.append(EditOp(OpKind.INSERT, (cs, ce), question_anchor=anchor))
+            ops.append(EditOp((cs, ce), (anchor, anchor)))
     ops.sort(key=lambda op: (op.context_range, op.question_anchor, op.kind.value))
     return ops
 

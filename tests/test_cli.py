@@ -823,6 +823,21 @@ class TestEncode:
         out = capsys.readouterr().out
         assert "max relative error" in out
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--interactions", "x"], ["--schema", "x"], ["--matrix", "x"], ["--out", "x"],
+         ["--save-params", "x"], ["--traces"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_check_gradients_runs_alone(self, tmp_path, capsys, flag):
+        # The usage error comes first: the missing config file is never read.
+        missing = str(tmp_path / "absent.json")
+        assert run(["encode", "--config", missing, "--check-gradients", *flag]) == 2
+        captured = capsys.readouterr()
+        assert "max relative error" not in captured.out
+        assert f"--check-gradients runs alone; drop {flag[0]}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_mismatched_matrix_exits_one(self, tmp_path, fixtures_dir, capsys):
         matrix_path = tmp_path / "other.matrix.json"
         assert run([

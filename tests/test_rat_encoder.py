@@ -770,6 +770,34 @@ class TestRelationIdMatrices:
             "Q-C-App": 1, "Q-C-Ins-App": 1, "C-Q-App": 3, "C-Q-Ins-App": 3,
         }
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), empty_at=st.lists(st.integers(0, 4), max_size=3))
+    def test_encoder_order_matches_a_remap_by_stored_position(self, seed, empty_at):
+        inter, rewrite = generators.random_triple(random.Random(seed))
+        turns = list(inter.context_turns)
+        for k in empty_at:
+            turns.insert(min(k, len(turns)), ())
+        inter = Interaction(tuple(turns), inter.question)
+        matrix = build_from_interaction(inter, rewrite)
+        n_ctx, n_q = matrix.context_size, matrix.question_size
+        # Stored context position -> encoder position, turn by turn.
+        encoder_pos: dict[int, int] = {}
+        stored = 0
+        for t, turn in enumerate(inter.context_turns):
+            later = sum(len(u) for u in inter.context_turns[t + 1 :])
+            for k in range(len(turn)):
+                encoder_pos[stored] = n_q + later + k
+                stored += 1
+        encoder_pos.update({n_ctx + i: i for i in range(n_q)})
+        expected = np.zeros((n_q + n_ctx, n_q + n_ctx), dtype=np.int64)
+        for (i, j), rel in matrix.cells.items():
+            expected[encoder_pos[i], encoder_pos[j]] = RW_RELATION_IDS[rel.value]
+
+        perm = context_reversal_permutation(inter.turn_lengths())
+        assert np.array_equal(rewrite_relation_ids(matrix, perm), expected)
+        context = inter.flat_context()
+        assert encoder_context_tokens(inter) == tuple(context[p] for p in perm)
+
     def test_bad_permutation_rejected(self):
         matrix = RewriteEditMatrix(("a", "b"), ("q",), {})
         with pytest.raises(ValueError):

@@ -250,6 +250,30 @@ class TestExtractEditOps:
             extract_edit_ops(("a",), ("b",), ("c",), occurrence="middle")
 
 
+class TestEditModel:
+    @pytest.mark.parametrize(
+        "question_range, kind, anchor",
+        [((1, 3), OpKind.SUBSTITUTE, 1), ((1, 1), OpKind.INSERT, 1), ((4, 4), OpKind.INSERT, 4)],
+        ids=["substitute", "insert", "append-anchor"],
+    )
+    def test_op_derives_kind_and_anchor(self, question_range, kind, anchor):
+        op = EditOp((0, 2), question_range)
+        assert (op.kind, op.question_anchor) == (kind, anchor)
+
+    @pytest.mark.parametrize(
+        "context_range, question_range", [((2, 2), (0, 1)), ((3, 2), (0, 1)), ((0, 1), (2, 1))]
+    )
+    def test_op_refuses_empty_context_and_reversed_question_range(
+        self, context_range, question_range
+    ):
+        with pytest.raises(ValueError):
+            EditOp(context_range, question_range)
+
+    def test_span_side_follows_kind(self):
+        assert EditSpan(SpanKind.ADD, 0, 1).side == "rewrite"
+        assert EditSpan(SpanKind.DEL, 0, 1).side == "question"
+
+
 class TestBuildRewriteMatrix:
     def test_empty_ops(self):
         matrix = build_rewrite_matrix([], ("a", "b", "c", "d", "e"), ("x", "y", "z"))
@@ -262,8 +286,8 @@ class TestBuildRewriteMatrix:
         context = ("x1", "x2", "x3", "x4", "x5")
         question = ("x6", "x7", "x8")
         ops = [
-            EditOp(OpKind.SUBSTITUTE, (1, 2), question_anchor=1, question_range=(1, 2)),
-            EditOp(OpKind.INSERT, (3, 5), question_anchor=2),
+            EditOp((1, 2), (1, 2)),
+            EditOp((3, 5), (2, 2)),
         ]
         matrix = build_rewrite_matrix(ops, context, question)
         assert matrix.cells == {
@@ -276,25 +300,30 @@ class TestBuildRewriteMatrix:
         }
 
     def test_single_pair_substitute(self):
-        ops = [EditOp(OpKind.SUBSTITUTE, (0, 1), question_anchor=0, question_range=(0, 1))]
+        ops = [EditOp((0, 1), (0, 1))]
         matrix = build_rewrite_matrix(ops, ("c",), ("q",))
         assert len(matrix.cells) == 2
 
     def test_conflicting_ops_rejected(self):
         ops = [
-            EditOp(OpKind.SUBSTITUTE, (0, 1), question_anchor=0, question_range=(0, 1)),
-            EditOp(OpKind.INSERT, (0, 1), question_anchor=0),
+            EditOp((0, 1), (0, 1)),
+            EditOp((0, 1), (0, 0)),
         ]
         with pytest.raises(EditConflictError):
             build_rewrite_matrix(ops, ("c",), ("q", "r"))
 
-    def test_out_of_bounds_rejected(self):
-        ops = [EditOp(OpKind.INSERT, (0, 4), question_anchor=0)]
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "context_range, question_range",
+        [((-1, 1), (0, 0)), ((0, 4), (0, 0)), ((0, 1), (-1, 1)), ((0, 1), (0, 2))],
+        ids=["context-start", "context-end", "question-start", "question-end"],
+    )
+    def test_out_of_bounds_rejected(self, context_range, question_range):
+        ops = [EditOp(context_range, question_range)]
+        with pytest.raises(ValueError, match="out of bounds"):
             build_rewrite_matrix(ops, ("c",), ("q",))
 
     def test_end_anchor_appends_in_last_column(self):
-        ops = [EditOp(OpKind.INSERT, (0, 1), question_anchor=2)]
+        ops = [EditOp((0, 1), (2, 2))]
         matrix = build_rewrite_matrix(ops, ("c",), ("q", "r"))
         assert matrix.cells == {
             (0, 1 + 1): RewriteRelation.C_Q_APP,
@@ -303,7 +332,7 @@ class TestBuildRewriteMatrix:
 
     @pytest.mark.parametrize("anchors", [(1, 2), (2, 1), (1, 2, 1), (2, 1, 2)])
     def test_insert_before_last_and_append_share_a_cell(self, anchors):
-        ops = [EditOp(OpKind.INSERT, (0, 1), question_anchor=a) for a in anchors]
+        ops = [EditOp((0, 1), (a, a)) for a in anchors]
         matrix = build_rewrite_matrix(ops, ("c",), ("q", "r"))
         assert matrix.cells == {
             (0, 1 + 1): RewriteRelation.C_Q_INS_APP,
@@ -312,8 +341,8 @@ class TestBuildRewriteMatrix:
 
     def test_substitute_and_append_conflict(self):
         ops = [
-            EditOp(OpKind.SUBSTITUTE, (0, 1), question_anchor=1, question_range=(1, 2)),
-            EditOp(OpKind.INSERT, (0, 1), question_anchor=2),
+            EditOp((0, 1), (1, 2)),
+            EditOp((0, 1), (2, 2)),
         ]
         with pytest.raises(EditConflictError, match=r"cell \(0,2\) assigned both C-Q-Sub and C-Q-App"):
             build_rewrite_matrix(ops, ("c",), ("q", "r"))
