@@ -11,11 +11,13 @@ makes the exit code 1, without stopping the others.  Every file a command
 writes goes to a temporary file that then replaces the target, so a run
 that fails or is interrupted never leaves a half-written one, except the
 matrix files, which are written in place.  The summary files of the corpus
-commands (``index.json``, the ``roundtrip`` report) are written last, so an
-``index.json`` that exists was written by a run that finished.
-Nothing is synced to disk, so this does not hold across a power loss or a
-kernel crash.  Only ``encode`` imports the encoder and numpy; the other
-commands never load them.
+commands (``index.json``, the ``roundtrip`` report) are written last, and a
+corpus run removes an old ``index.json`` first, so one that exists was
+written by the run that wrote its matrices, and that run finished.  Nothing
+is synced to disk, so this does not hold across a power loss or a kernel
+crash.  ``encode --check-gradients`` refuses any flag but ``--config`` and
+``--seed`` away from its default.  Only ``encode`` imports the encoder and
+numpy; the other commands never load them.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         examples = dataset_io.load_rewrite_corpus(args.corpus)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # An old index would name this run's matrices, so it goes before the first.
+        (out_dir / "index.json").unlink(missing_ok=True)
 
         def build_one(ex: Interaction) -> dict:
             name = _matrix_file_name(ex.interaction_id)
@@ -221,10 +225,13 @@ def cmd_schema_link(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:
-    run_flags = ("interactions", "schema", "matrix", "out", "save_params", "traces")
-    given = [f"--{name.replace('_', '-')}" for name in run_flags if getattr(args, name)]
-    if args.check_gradients and given:
-        parser.error(f"--check-gradients runs alone; drop {', '.join(given)}")
+    if args.check_gradients:
+        # The check reads only --config and --seed; any other flag set is refused.
+        defaults = vars(parser.parse_args(["encode", "--check-gradients"]))
+        given = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+                 if name not in ("config", "seed") and value != defaults[name]]
+        if given:
+            parser.error(f"--check-gradients runs alone; drop {', '.join(given)}")
     import numpy as np
 
     from . import rat_encoder

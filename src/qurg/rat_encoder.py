@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
@@ -115,27 +115,29 @@ MAX_LAYERS = 1024
 class EncoderConfig:
     """Dimensions, depths, and seeding for both encoder streams.
 
-    ``d_z`` (total attention width) must equal ``d_x`` because the residual
-    adds the concatenated heads back onto the input, and must be divisible
-    by ``heads``.  ``d_ff`` defaults to ``4 * d_x``.  ``single_fc_ff``
-    switches the feed-forward block from the standard two-projection form
-    to a literal single fully-connected layer applied after the ReLU.
-    Each stream has at most ``MAX_LAYERS`` layers.
+    ``d_x`` must be divisible by ``heads``; ``d_ff`` defaults to ``4 * d_x``.
+    ``single_fc_ff`` switches the feed-forward block from the standard
+    two-projection form to a literal single fully-connected layer applied
+    after the ReLU.  Each stream has at most ``MAX_LAYERS`` layers.  Three
+    fields are derived, not set: ``d_z`` (total attention width) is ``d_x``,
+    as the residual adds the concatenated heads back onto the input, and
+    the relation counts are the sizes of the two relation vocabularies.
     """
 
     d_x: int = 16
-    d_z: int = 16
+    d_z: int = field(init=False)
     heads: int = 4
     layers_link: int = 8
     layers_rw: int = 4
     d_ff: int | None = None
-    link_relation_count: int = len(LINK_RELATION_IDS)
-    rw_relation_count: int = len(set(RW_RELATION_IDS.values()))
+    link_relation_count: int = field(default=len(LINK_RELATION_IDS), init=False)
+    rw_relation_count: int = field(default=len(set(RW_RELATION_IDS.values())), init=False)
     seed: int = 0
     precision: str = "double"
     single_fc_ff: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d_z", self.d_x)
         if self.d_x < 2:
             raise ValueError(
                 "d_x must be at least 2: layer norm over one feature outputs its "
@@ -143,21 +145,14 @@ class EncoderConfig:
             )
         if self.d_ff is not None and self.d_ff < 1:
             raise ValueError("d_ff must be positive")
-        if self.heads < 1 or self.d_z % self.heads != 0:
-            raise ValueError("d_z must be a positive multiple of heads")
-        if self.d_z != self.d_x:
-            raise ValueError(
-                "d_z must equal d_x: the attention output is added to the "
-                "input by the residual connection"
-            )
+        if self.heads < 1 or self.d_x % self.heads != 0:
+            raise ValueError("d_x must be a positive multiple of heads")
         if not (1 <= self.layers_link <= MAX_LAYERS and 1 <= self.layers_rw <= MAX_LAYERS):
             raise ValueError(f"each stream needs between 1 and {MAX_LAYERS} layers")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.precision not in _PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(_PRECISIONS)}")
-        if self.link_relation_count < 1 or self.rw_relation_count < 1:
-            raise ValueError("relation vocabularies must be non-empty")
 
     @property
     def head_width(self) -> int:
@@ -177,13 +172,21 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, payload: object) -> EncoderConfig:
         """Build a config from a JSON object, checking each field's JSON type
-        against its annotation."""
+        against its annotation.  A derived field may be given only at the
+        value the others give it."""
         where = "encoder config"
         kinds = get_type_hints(cls)
         unknown = set(_expect(payload, dict, where)) - set(kinds)
         if unknown:
             raise DatasetError(f"{where}: unknown fields {sorted(unknown)}")
-        return cls(**{name: _field(payload, name, where, kinds[name]) for name in payload})
+        given = {name: _field(payload, name, where, kinds[name]) for name in payload}
+        config = cls(**{f.name: given[f.name] for f in fields(cls) if f.init and f.name in given})
+        # Saved configs carry the derived fields, each only at its one value.
+        for f in fields(cls):
+            derived = getattr(config, f.name)
+            if not f.init and given.get(f.name, derived) != derived:
+                raise DatasetError(f"{where}: {f.name} must be {derived}, got {given[f.name]}")
+        return config
 
 
 def _layer_shapes(
@@ -322,9 +325,11 @@ class EncodedStates:
 def _sum_terms(term: Callable[[int], np.ndarray], count: int, pairwise: bool) -> np.ndarray:
     # sum(term(c) for c in range(count)) from +0.0, in one of numpy's two
     # orders: pairwise, as .sum adds an axis that is innermost in memory, or
-    # one term after another, as it adds any other axis.  Never writes into
-    # the arrays term returns.
-    if pairwise:
+    # one term after another, as it adds any other axis.  Below eight terms
+    # the two orders are one: numpy's pairwise base case adds left to right
+    # from -0.0, which gives the bits of starting from +0.0 once the final
+    # +0.0 is added.  Never writes into the arrays term returns.
+    if pairwise and count >= 8:
         total = _pairwise(term, 0, count)
         total += 0.0
         return total
@@ -335,14 +340,9 @@ def _sum_terms(term: Callable[[int], np.ndarray], count: int, pairwise: bool) ->
 
 
 def _pairwise(term: Callable[[int], np.ndarray], start: int, count: int) -> np.ndarray:
-    # numpy's pairwise summation, into a new array: left to right from -0.0
-    # below eight terms, eight interleaved accumulators up to 128 terms,
-    # halves (at a multiple of eight) above.
-    if count < 8:
-        total = -0.0 + term(start)
-        for c in range(start + 1, start + count):
-            total += term(c)
-        return total
+    # numpy's pairwise summation of at least eight terms, into a new array:
+    # eight interleaved accumulators up to 128 terms, halves (at a multiple
+    # of eight, so each has at least 64 terms) above.
     if count <= 128:
         acc = [-0.0 + term(start + r) for r in range(8)]
         stop = start + count - count % 8
@@ -773,32 +773,27 @@ def two_stream_encode(
     if rewrite_matrix.question_size != n_q or rewrite_matrix.context_size != n_c:
         raise ValueError("rewrite matrix layout does not match the embeddings")
 
-    link_ids = link_relation_ids(link_matrix)
-    rw_ids = rewrite_relation_ids(rewrite_matrix, context_permutation)
-
-    link_traces: list[AttentionTrace] = []
-    rw_traces: list[AttentionTrace] = []
-    h_link = np.concatenate([x_question, x_context, x_schema], axis=0)
-    for layer in params.link_layers:
-        h_link, trace = rat_layer_forward(h_link, link_ids, layer)
-        if keep_traces:
-            link_traces.append(trace)
-    h_rw = np.concatenate([x_question, x_context], axis=0)
-    for layer in params.rw_layers:
-        h_rw, trace = rat_layer_forward(h_rw, rw_ids, layer)
-        if keep_traces:
-            rw_traces.append(trace)
+    x_utterance = np.concatenate([x_question, x_context], axis=0)
+    streams = (
+        (np.concatenate([x_utterance, x_schema]), link_relation_ids(link_matrix),
+         params.link_layers),
+        (x_utterance, rewrite_relation_ids(rewrite_matrix, context_permutation),
+         params.rw_layers),
+    )
+    outputs, traces = [], []
+    for h, ids, layers in streams:
+        kept = []
+        for layer in layers:
+            h, trace = rat_layer_forward(h, ids, layer)
+            if keep_traces:
+                kept.append(trace)
+        outputs.append(h)
+        traces.append(tuple(kept) if keep_traces else None)
+    h_link, h_rw = outputs
 
     h_final = np.concatenate([h_link[: n_q + n_c] + h_rw, h_link[n_q + n_c :]], axis=0)
     return EncodedStates(
-        h_link,
-        h_rw,
-        h_final,
-        n_q,
-        n_c,
-        n_s,
-        link_traces=tuple(link_traces) if keep_traces else None,
-        rw_traces=tuple(rw_traces) if keep_traces else None,
+        h_link, h_rw, h_final, n_q, n_c, n_s, link_traces=traces[0], rw_traces=traces[1]
     )
 
 
@@ -849,8 +844,8 @@ def random_layer_params(
     (gain 1, bias 0) the sum-of-squares loss of a norm-final layer is almost
     invariant to upstream parameters and finite differences lose signal.
     """
-    if d_x % heads != 0:
-        raise ValueError("d_x must be divisible by heads")
+    if heads < 1 or d_x % heads != 0:
+        raise ValueError("d_x must be a positive multiple of heads")
     arrays = {}
     for name, shape in _layer_shapes(d_x, heads, d_ff, relation_count, single_fc).items():
         if name in _WEIGHT_NAMES:

@@ -271,7 +271,7 @@ def _random_encode_case(seed: int):
 
 def test_c08_aggregation_identity():
     crit = Criterion("C8 two-stream aggregation identity (50 encodes)", 30.0)
-    config = EncoderConfig(d_x=8, d_z=8, heads=2, layers_link=1, layers_rw=1,
+    config = EncoderConfig(d_x=8, heads=2, layers_link=1, layers_rw=1,
                            d_ff=12, seed=42)
     params = init_params(config)
     ok = True

@@ -311,10 +311,32 @@ class TestSummaryFileCommit:
         names = sorted(p.name for p in out.iterdir())
         assert "index.json" not in names and names
         assert all(name.endswith(".matrix.json") for name in names)
+        # The run rewrites every matrix, so an earlier index must not stay.
         (out / "index.json").write_text("previous")
         assert run(argv) == 1
-        assert (out / "index.json").read_text() == "previous"
-        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["index.json"])
+        assert sorted(p.name for p in out.iterdir()) == names
+
+    def test_interrupted_run_leaves_no_index(self, tmp_path, fixtures_dir, monkeypatch):
+        import qurg.dataset_io
+
+        out = tmp_path / "out"
+        argv = ["build-matrix", "--corpus", str(fixtures_dir / "corpus_small.jsonl"),
+                "--out-dir", str(out)]
+        assert run(argv) == 0
+        assert (out / "index.json").exists()
+        real, saved = qurg.dataset_io.save_matrix, []
+
+        def save_then_stop(path, matrix):
+            if len(saved) == 2:
+                raise KeyboardInterrupt
+            real(path, matrix)
+            saved.append(path)
+
+        monkeypatch.setattr(qurg.dataset_io, "save_matrix", save_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            run([*argv, "--no-plural-stem"])
+        assert len(saved) == 2
+        assert not (out / "index.json").exists()
 
     def test_roundtrip_report(self, tmp_path, fixtures_dir, capsys, failing_summary):
         report = tmp_path / "report.json"
@@ -826,7 +848,8 @@ class TestEncode:
     @pytest.mark.parametrize(
         "flag",
         [["--interactions", "x"], ["--schema", "x"], ["--matrix", "x"], ["--out", "x"],
-         ["--save-params", "x"], ["--traces"]],
+         ["--save-params", "x"], ["--traces"], ["--no-lowercase"], ["--no-plural-stem"],
+         ["--index", "7"], ["--interactions-format", "sparc"]],
         ids=lambda flag: flag[0],
     )
     def test_check_gradients_runs_alone(self, tmp_path, capsys, flag):
@@ -983,6 +1006,40 @@ class TestEncode:
         config_path.write_text(json.dumps(config))
         assert run(["encode", "--config", str(config_path), "--check-gradients"]) == 1
         assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+
+    def test_config_without_d_z_loads(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"d_x": 8, "heads": 2}))
+        assert run(["encode", "--config", str(config_path), "--check-gradients"]) == 0
+        assert "max relative error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"link_relation_count": 3}, "link_relation_count must be 16, got 3"),
+            ({"rw_relation_count": 9}, "rw_relation_count must be 5, got 9"),
+            ({"d_x": 8, "d_z": 16, "heads": 2}, "d_z must be 8, got 16"),
+        ],
+        ids=["link-count", "rw-count", "d_z"],
+    )
+    def test_derived_field_refused_before_any_write(
+        self, tmp_path, fixtures_dir, capsys, config, message
+    ):
+        matrix_path, config_path = self._setup(tmp_path, fixtures_dir)
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        params, out = tmp_path / "p.json", tmp_path / "states.json"
+        assert run([
+            "encode",
+            "--interactions", str(fixtures_dir / "interactions_flights.json"),
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--matrix", str(matrix_path),
+            "--config", str(config_path),
+            "--save-params", str(params),
+            "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {config_path}: encoder config: {message}\n"
+        assert not params.exists() and not out.exists()
 
     def test_negative_seed_flag_exits_one(self, capsys):
         assert run(["encode", "--seed", "-1", "--check-gradients"]) == 1

@@ -43,7 +43,7 @@ from qurg.rat_encoder import (
 )
 from qurg.rat_encoder import _sum_terms
 
-TINY = EncoderConfig(d_x=8, d_z=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
+TINY = EncoderConfig(d_x=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
 
 
 @functools.cache
@@ -79,11 +79,11 @@ class TestConfig:
 
     def test_d_z_divisibility(self):
         with pytest.raises(ValueError):
-            EncoderConfig(d_x=9, d_z=9, heads=2)
+            EncoderConfig(d_x=9, heads=2)
 
     def test_d_z_must_equal_d_x(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(d_x=8, d_z=16, heads=2)
+        with pytest.raises(DatasetError, match="^encoder config: d_z must be 8, got 16$"):
+            EncoderConfig.from_dict({"d_x": 8, "d_z": 16, "heads": 2})
 
     @pytest.mark.parametrize("d_x", [1, 0, -1])
     def test_width_below_two_rejected(self, d_x):
@@ -92,8 +92,44 @@ class TestConfig:
             EncoderConfig.from_dict({"d_x": d_x, "d_z": d_x, "heads": 1})
 
     def test_round_trips_through_dict(self):
-        config = EncoderConfig(d_x=8, d_z=8, heads=2, seed=3)
+        config = EncoderConfig(d_x=8, heads=2, seed=3)
         assert EncoderConfig.from_dict(config.to_dict()) == config
+
+    def test_derived_fields_are_not_settable(self):
+        settable = [f.name for f in dataclasses.fields(EncoderConfig) if f.init]
+        assert settable == [
+            "d_x", "heads", "layers_link", "layers_rw", "d_ff", "seed", "precision",
+            "single_fc_ff",
+        ]
+        assert list(EncoderConfig().to_dict()) == [
+            "d_x", "d_z", "heads", "layers_link", "layers_rw", "d_ff", "link_relation_count",
+            "rw_relation_count", "seed", "precision", "single_fc_ff",
+        ]
+        with pytest.raises(TypeError):
+            EncoderConfig(d_x=8, d_z=8, heads=2)
+
+    def test_derived_fields_follow_d_x_and_the_vocabularies(self):
+        for config in (EncoderConfig(d_x=8, heads=2),
+                       EncoderConfig.from_dict({"d_x": 8, "heads": 2})):
+            assert (config.d_z, config.head_width) == (8, 4)
+            assert config.link_relation_count == len(LINK_RELATION_IDS) == 16
+            assert config.rw_relation_count == 5
+        assert dataclasses.replace(TINY, d_x=6).d_z == 6
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"link_relation_count": 3}, "link_relation_count must be 16, got 3"),
+            ({"rw_relation_count": 9}, "rw_relation_count must be 5, got 9"),
+            ({"d_x": 8, "heads": 2, "d_z": 16, "link_relation_count": 3},
+             "d_z must be 8, got 16"),
+            ({"d_z": 16.0}, "d_z: expected an integer, got 16.0"),
+        ],
+        ids=["link-count", "rw-count", "first-in-field-order", "d_z-float"],
+    )
+    def test_derived_field_off_its_value_rejected(self, payload, message):
+        with pytest.raises(DatasetError, match=f"^encoder config: {re.escape(message)}$"):
+            EncoderConfig.from_dict(payload)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
@@ -496,6 +532,13 @@ class TestLayerBackward:
         x = rng.standard_normal((4, 8))
         assert gradient_check(layer, x, None) < 1e-4
 
+    @pytest.mark.parametrize("heads", [0, -2, 3])
+    def test_random_layer_needs_a_positive_divisor_of_d_x(self, heads):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match="^d_x must be a positive multiple of heads$"):
+            random_layer_params(rng, d_x=8, heads=heads, d_ff=12, relation_count=5)
+        assert random_layer_params(rng, d_x=1, heads=1, d_ff=9, relation_count=7).d_x == 1
+
     def test_shape_mismatch_rejected(self):
         params = init_params(TINY)
         layer = params.rw_layers[0]
@@ -552,6 +595,23 @@ class TestSumTerms:
                 assert_bitwise(in_order, rows.sum(0), f"in order, {count} terms")
                 orders_differ += not np.array_equal(pairwise, in_order)
         assert orders_differ > 100
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_short_sums_take_one_order(self, dtype):
+        # Below eight terms numpy's pairwise sum is its in-order loop; signed
+        # zeros, infinities and subnormals show any difference in the bits.
+        tiny = np.finfo(dtype).smallest_subnormal
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny, 1.0], dtype)
+        rng = np.random.default_rng(14)
+        for count in range(1, 8):
+            terms = rng.choice(pool, size=(200, count))
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                pairwise = _sum_terms(lambda c: terms[:, c], count, pairwise=True)
+                in_order = _sum_terms(lambda c: terms[:, c], count, pairwise=False)
+                expected = terms.sum(-1)
+            # Bytes, not values: inf + -inf gives a NaN, which equals nothing.
+            assert pairwise.dtype == in_order.dtype == expected.dtype
+            assert pairwise.tobytes() == in_order.tobytes() == expected.tobytes(), count
 
     def test_never_writes_into_the_terms(self):
         terms = np.arange(300.0).reshape(3, 100)
@@ -711,6 +771,19 @@ class TestTwoStreamEncode:
         assert states.link_traces is not None
         assert len(states.link_traces) == TINY.layers_link
         assert len(states.rw_traces) == TINY.layers_rw
+
+    def test_traces_follow_their_stream(self):
+        params = init_params(dataclasses.replace(TINY, layers_link=3, layers_rw=2))
+        inter, schema, matrix = tiny_encode_case(601)
+        states, _ = encode_interaction(inter, schema, matrix, params, keep_traces=True)
+        n_link, n_rw = len(states.h_link), len(states.h_rw)
+        assert [t.y.shape[0] for t in states.link_traces] == [n_link] * 3
+        assert [t.y.shape[0] for t in states.rw_traces] == [n_rw] * 2
+        assert np.array_equal(states.link_traces[-1].y, states.h_link)
+        assert np.array_equal(states.rw_traces[-1].y, states.h_rw)
+        plain, _ = encode_interaction(inter, schema, matrix, params)
+        assert plain.link_traces is None and plain.rw_traces is None
+        assert np.array_equal(plain.h_final, states.h_final)
 
     def test_first_turn_has_empty_context(self):
         params = init_params(TINY)
