@@ -200,14 +200,10 @@ def cmd_rouge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
 
 
 def _pick_interaction(args: argparse.Namespace) -> Interaction:
-    interactions = dataset_io.load_interactions(
-        args.interactions, format=args.interactions_format
-    )
-    if not interactions:
-        raise DatasetError(f"{args.interactions}: no interactions")
+    interactions = dataset_io.load_interactions(args.interactions)
     if not (0 <= args.index < len(interactions)):
         raise DatasetError(
-            f"interaction index {args.index} out of range "
+            f"{args.interactions}: interaction index {args.index} out of range "
             f"(file has {len(interactions)})"
         )
     return interactions[args.index]
@@ -376,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schema-link", help="build a schema linking matrix")
     p.add_argument("--interactions", required=True)
-    p.add_argument("--interactions-format", choices=("native", "sparc"), default="native")
     p.add_argument("--index", type=int, default=0, help="interaction index in the file")
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
@@ -385,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="run the two-stream encoder")
     p.add_argument("--interactions")
-    p.add_argument("--interactions-format", choices=("native", "sparc"), default="native")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--schema")
     p.add_argument("--matrix", help="rewrite edit matrix file")

@@ -1,11 +1,12 @@
 """File formats: interaction corpora, rewrite corpora, schemas, matrices,
 and score reports.
 
-All files are UTF-8 JSON carrying a ``"qurg_fmt": 1`` version field.  The
-native interaction format is a single JSON document; rewrite corpora are
-JSON lines (one example per line, the version field optional per line but
-always written).  Serialization is canonical: reloading and re-saving any
-file reproduces it byte for byte.
+All files are UTF-8 JSON carrying a ``"qurg_fmt": 1`` version field, except
+SParC/CoSQL interaction files, which are JSON arrays.  The native
+interaction format is a single JSON object; rewrite corpora are JSON lines
+(one example per line, the version field optional per line but always
+written).  Serialization is canonical: reloading and re-saving any file the
+package wrote reproduces it byte for byte.
 
 Tokenization rule: whitespace split with the punctuation marks ``. , ? !``
 detached from word boundaries as separate tokens.  Case is preserved;
@@ -54,7 +55,6 @@ __all__ = [
     "save_schema",
     "save_rouge_report",
     "load_rouge_report",
-    "convert_sparc_interactions",
     "dump_canonical",
     "write_json",
     "read_json",
@@ -219,19 +219,18 @@ def _constructed(
         raise error(f"{where}: {exc}") from None
 
 
-def load_interactions(path: str | Path, format: str = "native") -> list[Interaction]:
-    """Load interactions from the native JSON document (or SParC-style JSON).
+def load_interactions(path: str | Path) -> list[Interaction]:
+    """Load interactions from a file whose JSON type names its format: an
+    array is raw SParC/CoSQL JSON; anything else is the native document.
 
     An empty (zero-byte or whitespace-only) file yields an empty list.
     """
-    if format not in ("native", "sparc"):
-        raise ValueError(f"unknown interactions format {format!r}")
     text = read_text(path)
     if not text.strip():
         return []
     payload = _parse_json(text, path)
-    if format == "sparc":
-        return _constructed(path, convert_sparc_interactions, payload)
+    if isinstance(payload, list):
+        return _constructed(path, _sparc_interactions, payload)
     _check_version(payload, path)
     records = _field(payload, "interactions", str(path), list)
     out: list[Interaction] = []
@@ -241,36 +240,44 @@ def load_interactions(path: str | Path, format: str = "native") -> list[Interact
         if not utterances:
             raise DatasetError(f"{where}: empty interaction")
         turns = [tokenize(_expect(u, str, where)) for u in utterances]
-        # A missing, null or empty rewrite means none; other non-strings are errors.
+        # A missing or null rewrite, or one with no tokens, means none; other types fail.
         rewrite = record.get("rewrite")
-        if rewrite is not None and _expect(rewrite, str, f"{where}: rewrite"):
-            rewrite = tokenize(rewrite)
-        else:
-            rewrite = None
+        if rewrite is not None:
+            rewrite = tokenize(_expect(rewrite, str, f"{where}: rewrite")) or None
         example_id = _expect(record.get("id", str(pos)), str, f"{where}: id")
         out.append(_constructed(where, Interaction, tuple(turns[:-1]), turns[-1], rewrite,
                                 example_id))
     return out
 
 
+def _joined(tokens: TokenSeq, interaction_id: str) -> str:
+    """``tokens`` joined by spaces; a ``ValueError`` unless ``tokenize``
+    reads the text back as the same tokens, so a file loads as saved."""
+    text = " ".join(tokens)
+    if tokenize(text) != tokens:
+        raise ValueError(f"interaction {interaction_id!r}: {tokens!r:.60} would not load as saved")
+    return text
+
+
 def save_interactions(path: str | Path, interactions: Sequence[Interaction]) -> None:
     records = []
     for inter in interactions:
+        turns = (*inter.context_turns, inter.question)
         record: dict[str, Any] = {
             "id": inter.interaction_id,
-            "utterances": [" ".join(t) for t in (*inter.context_turns, inter.question)],
+            "utterances": [_joined(t, inter.interaction_id) for t in turns],
         }
         if inter.gold_rewrite is not None:
-            record["rewrite"] = " ".join(inter.gold_rewrite)
+            record["rewrite"] = _joined(inter.gold_rewrite, inter.interaction_id)
         records.append(record)
     write_json(path, {"qurg_fmt": FORMAT_VERSION, "interactions": records})
 
 
-def convert_sparc_interactions(raw: Sequence[Mapping[str, Any]]) -> list[Interaction]:
+def _sparc_interactions(raw: list[Any]) -> list[Interaction]:
     """Adapt raw SParC/CoSQL-style JSON: every turn of every interaction
     becomes one Interaction with the cumulative preceding turns as context."""
     out: list[Interaction] = []
-    for pos, entry in enumerate(_expect(raw, list, "SParC file")):
+    for pos, entry in enumerate(raw):
         where = f"interaction {pos}"
         items = _expect(_expect(entry, dict, where).get("interaction", []), list, where)
         turns = [
@@ -309,9 +316,6 @@ def load_rewrite_corpus(path: str | Path) -> list[Interaction]:
         if example_id in seen:
             raise DatasetError(f"{where}: duplicate example id {example_id!r}")
         seen.add(example_id)
-        # ``Interaction`` refuses an empty question, not an empty rewrite.
-        if not rewrite:
-            raise DatasetError(f"{where}: rewrite has no tokens")
         examples.append(_constructed(where, Interaction, tuple(history), question, rewrite,
                                      example_id))
     return examples
@@ -319,17 +323,17 @@ def load_rewrite_corpus(path: str | Path) -> list[Interaction]:
 
 def save_rewrite_corpus(path: str | Path, examples: Iterable[Interaction]) -> None:
     """Write interactions as a rewrite corpus; each must carry a gold rewrite.
-    The whole text is built first, so an example without one leaves the
-    previous file as it was."""
+    The whole text is built first, so an example without one, or one that
+    would load back as other tokens, leaves the previous file as it was."""
     lines = []
     for ex in examples:
         if ex.gold_rewrite is None:
             raise ValueError(f"interaction {ex.interaction_id!r} has no gold rewrite")
         lines.append(dump_canonical({
             "qurg_fmt": FORMAT_VERSION,
-            "history": [" ".join(t) for t in ex.context_turns],
-            "question": " ".join(ex.question),
-            "rewrite": " ".join(ex.gold_rewrite),
+            "history": [_joined(t, ex.interaction_id) for t in ex.context_turns],
+            "question": _joined(ex.question, ex.interaction_id),
+            "rewrite": _joined(ex.gold_rewrite, ex.interaction_id),
             "id": ex.interaction_id,
         }))
     _replace(path, "".join(lines))

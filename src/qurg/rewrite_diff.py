@@ -132,6 +132,7 @@ class Interaction:
 
     ``context_turns`` is chronological (first turn first).  ``turn_index``
     is derived: the current question is turn ``len(context_turns) + 1``.
+    The question, and the gold rewrite unless it is ``None``, hold tokens.
     """
 
     context_turns: tuple[TokenSeq, ...]
@@ -148,6 +149,8 @@ class Interaction:
             object.__setattr__(self, "gold_rewrite", token_seq(self.gold_rewrite))
         if not self.question:
             raise ValueError("interaction question must be non-empty")
+        if self.gold_rewrite == ():
+            raise ValueError("interaction gold rewrite must be non-empty")
 
     @property
     def turn_index(self) -> int:
@@ -182,9 +185,6 @@ class EditSpan:
     @property
     def side(self) -> str:
         return "rewrite" if self.kind is SpanKind.ADD else "question"
-
-    def indices(self) -> range:
-        return range(self.start, self.end_exclusive)
 
 
 class OpKind(Enum):

@@ -399,7 +399,7 @@ class TestSchemaLink:
     @pytest.mark.parametrize("flags", [[], ["--no-lowercase"], ["--no-plural-stem"]])
     @pytest.mark.parametrize("interactions", [
         ["--interactions", str(FIXTURES / "interactions_flights.json")],
-        ["--interactions", str(FIXTURES / "sparc_sample.json"), "--interactions-format", "sparc"],
+        ["--interactions", str(FIXTURES / "sparc_sample.json")],
     ])
     def test_output_reloads(self, tmp_path, interactions, flags):
         out = tmp_path / "link.json"
@@ -557,13 +557,25 @@ class TestMalformedInputs:
         assert line.startswith(f"error: {corpus}:1: id: expected a string"), line
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra", [("schema-link", []), ("encode", ["--matrix", "absent.json"])]
+    )
+    def test_empty_interactions_file_names_the_file(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "empty.json"
+        path.write_text("")
+        line = self._assert_clean_failure([
+            command, "--interactions", str(path),
+            "--schema", str(FIXTURES / "schema_flights.json"), "--out", str(tmp_path / "x.json"),
+            *extra,
+        ], capsys)
+        assert line == f"error: {path}: interaction index 0 out of range (file has 0)"
+
     def test_sparc_turn_not_an_object(self, tmp_path, fixtures_dir, capsys):
         sparc = tmp_path / "sparc.json"
         sparc.write_text(json.dumps([{"database_id": "d", "interaction": [5]}]))
         self._assert_clean_failure([
             "schema-link",
             "--interactions", str(sparc),
-            "--interactions-format", "sparc",
             "--schema", str(fixtures_dir / "schema_flights.json"),
             "--out", str(tmp_path / "x.json"),
         ], capsys)
@@ -837,6 +849,22 @@ class TestEncode:
         payload = json.loads(dumps[0])
         assert payload["layout"] == {"question": 6, "context": 12, "schema": 7}
 
+    def test_sparc_file_needs_no_format_flag(self, tmp_path, fixtures_dir):
+        matrix_path = tmp_path / "sparc.matrix.json"
+        assert run([
+            "build-matrix", "Which one has the most?",
+            "--context", "How many arriving flights are there in each of the cities?",
+            "--rewrite", "Which city has the most arriving flights?", "--out", str(matrix_path),
+        ]) == 0
+        out = tmp_path / "states.json"
+        assert run([
+            "encode", "--interactions", str(fixtures_dir / "sparc_sample.json"), "--index", "1",
+            "--schema", str(fixtures_dir / "schema_flights.json"), "--matrix", str(matrix_path),
+            "--out", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["layout"] == {"question": 6, "context": 12, "schema": 7}
+
     def test_check_gradients(self, tmp_path, fixtures_dir, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(TINY_CONFIG))
@@ -849,7 +877,7 @@ class TestEncode:
         "flag",
         [["--interactions", "x"], ["--schema", "x"], ["--matrix", "x"], ["--out", "x"],
          ["--save-params", "x"], ["--traces"], ["--no-lowercase"], ["--no-plural-stem"],
-         ["--index", "7"], ["--interactions-format", "sparc"]],
+         ["--index", "7"]],
         ids=lambda flag: flag[0],
     )
     def test_check_gradients_runs_alone(self, tmp_path, capsys, flag):
@@ -1072,6 +1100,30 @@ class TestExitCodes:
 
     def test_missing_file_is_operation_error(self, tmp_path, capsys):
         assert run(["restore", "--matrix", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build-matrix", "--corpus", "c.jsonl"], "--corpus mode requires --out-dir"),
+            (["build-matrix", "q", "--rewrite", "q"],
+             "--out is required when building a single matrix"),
+            (["encode", "--interactions", "i", "--schema", "s", "--matrix", "m"],
+             "encode requires --out for the state dump"),
+            (["schema-link", "--interactions", "i", "--schema", "s", "--out", "o",
+              "--interactions-format", "sparc"],
+             "unrecognized arguments: --interactions-format sparc"),
+            (["encode", "--interactions-format", "native"],
+             "unrecognized arguments: --interactions-format native"),
+        ],
+        ids=["corpus-without-out-dir", "single-without-out", "encode-without-out",
+             "schema-link-format", "encode-format"],
+    )
+    def test_usage_error_reads_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
+        # The named files do not exist: each error comes before any is read.
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCrossProcessDeterminism:

@@ -152,7 +152,7 @@ class TestTokensValidatedOnce:
         [
             (load_interactions, {"qurg_fmt": 1, "interactions": [{"utterances": ["a", " "]}]},
              ": interaction 0"),
-            (lambda path: load_interactions(path, format="sparc"),
+            (load_interactions,
              [{"interaction": [{"utterance": "a"}, {"utterance": " "}]}],
              ": interaction 0: turn 2"),
             (load_rewrite_corpus, {"history": [], "question": " ", "rewrite": "a", "id": "x"},
@@ -168,6 +168,21 @@ class TestTokensValidatedOnce:
         message = f"{path}{where}: interaction question must be non-empty"
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             loader(path)
+
+    def test_only_interaction_refuses_an_empty_gold_rewrite(self, tmp_path):
+        with pytest.raises(ValueError, match="^interaction gold rewrite must be non-empty$"):
+            Interaction((), ("a",), ())
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({**corpus_record(), "rewrite": " "}) + "\n")
+        message = f"{corpus}:1: interaction gold rewrite must be non-empty"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_rewrite_corpus(corpus)
+        # The native document reads a rewrite with no tokens as none, as it reads "".
+        native = tmp_path / "native.json"
+        native.write_text(
+            json.dumps({"qurg_fmt": 1, "interactions": [{"utterances": ["a"], "rewrite": " "}]})
+        )
+        assert load_interactions(native)[0].gold_rewrite is None
 
     def test_hand_offs_build_what_the_constructors_build(self, tmp_path, flights_interaction):
         path = tmp_path / "corpus.jsonl"
@@ -260,7 +275,7 @@ class TestInteractions:
 
 class TestSparcAdapter:
     def test_sample_token_counts(self, fixtures_dir):
-        loaded = load_interactions(fixtures_dir / "sparc_sample.json", format="sparc")
+        loaded = load_interactions(fixtures_dir / "sparc_sample.json")
         # Two turns expand into two interactions with cumulative context.
         assert len(loaded) == 2
         first, second = loaded
@@ -271,6 +286,17 @@ class TestSparcAdapter:
         assert len(second.flat_context()) == 12
         # "Which one has the most?" = 6 tokens
         assert len(second.question) == 6
+
+    def test_json_type_picks_the_format(self, tmp_path):
+        assert "convert_sparc_interactions" not in dataset_io.__all__
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps([{"database_id": "d", "interaction": [{"utterance": "a b"}]}]))
+        assert load_interactions(path) == [Interaction((), ("a", "b"), None, "d#0.1")]
+        # Any other value is read as the native document, which it is not.
+        for payload in ("text", 5, None):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(FormatVersionError, match="missing qurg_fmt version field$"):
+                load_interactions(path)
 
 
 class TestRewriteCorpus:
@@ -562,7 +588,7 @@ class TestLinkMatrixSerialization:
 class TestLoaderTotality:
     def test_every_good_fixture_parses(self, fixtures_dir):
         load_interactions(fixtures_dir / "interactions_flights.json")
-        load_interactions(fixtures_dir / "sparc_sample.json", format="sparc")
+        load_interactions(fixtures_dir / "sparc_sample.json")
         load_rewrite_corpus(fixtures_dir / "corpus_small.jsonl")
         load_schema(fixtures_dir / "schema_flights.json")
 
@@ -613,7 +639,7 @@ _FUZZED_LOADERS = {
         load_interactions, json.loads((FIXTURES / "interactions_flights.json").read_text())
     ),
     "sparc": (
-        lambda path: load_interactions(path, format="sparc"),
+        load_interactions,
         json.loads((FIXTURES / "sparc_sample.json").read_text()),
     ),
     "matrix": (load_matrix, flights_matrix_payload()),
@@ -709,6 +735,19 @@ FAILING_SAVES = {
         lambda fx: [fx, _with_rewrite(fx, None)],
         ValueError,
     ),
+    # Tokens that the loader would read back as others: "city?" as "city", "?".
+    "interactions-lossy": (
+        save_interactions,
+        lambda fx: [fx, _with_rewrite(fx, ("which", "city"))],
+        lambda fx: [fx, _with_rewrite(fx, ("which", "city?"))],
+        ValueError,
+    ),
+    "corpus-lossy": (
+        save_rewrite_corpus,
+        lambda fx: [fx, _with_rewrite(fx, ("which", "city"))],
+        lambda fx: [fx, Interaction((("how", "many?"),), fx.question, fx.gold_rewrite, "x")],
+        ValueError,
+    ),
 }
 
 
@@ -726,6 +765,12 @@ class TestFailedSaveKeepsPreviousFile:
             save(path, bad(flights_interaction))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["saved.json"]
+
+    @pytest.mark.parametrize("save", [save_interactions, save_rewrite_corpus])
+    def test_lossy_save_names_the_interaction(self, tmp_path, save):
+        inter = Interaction((("how", "many?"),), ("city?",), ("city?",), "x")
+        with pytest.raises(ValueError, match="^interaction 'x': "):
+            save(tmp_path / "saved.json", [inter])
 
 
 def _file_writers(module: Path) -> set[str]:

@@ -66,8 +66,7 @@ def _flights_matrix(path: Path) -> Path:
 
 def _link_args(fmt: str, index: int, out: Path) -> list[str]:
     interactions = "interactions_flights.json" if fmt == "native" else "sparc_sample.json"
-    return ["schema-link", "--interactions", str(FIXTURES / interactions),
-            "--interactions-format", fmt, "--index", str(index),
+    return ["schema-link", "--interactions", str(FIXTURES / interactions), "--index", str(index),
             "--schema", str(FIXTURES / "schema_flights.json"), "--out", str(out)]
 
 

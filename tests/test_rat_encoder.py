@@ -154,6 +154,16 @@ class TestConfig:
             EncoderConfig(seed=-1)
 
     @pytest.mark.parametrize(
+        "fields, message",
+        [({"d_ff": 0}, "d_ff must be positive"),
+         ({"precision": "half"}, "precision must be one of ['double', 'single']")],
+        ids=["d_ff-zero", "precision-unknown"],
+    )
+    def test_value_out_of_range_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EncoderConfig(**fields)
+
+    @pytest.mark.parametrize(
         "depths", [{"layers_link": 10**9}, {"layers_rw": MAX_LAYERS + 1}], ids=repr
     )
     def test_depth_past_the_bound_rejected(self, depths):
@@ -461,6 +471,18 @@ class TestRatLayer:
         with pytest.raises(ValueError, match="^input must have at least one row$"):
             rat_layer_forward(np.zeros((0, 8)), relations, params.rw_layers[0])
 
+    @pytest.mark.parametrize(
+        "x_shape, relations, message",
+        [((2, 7), np.zeros((2, 2), dtype=int), "input must be (n, 8), got (2, 7)"),
+         ((2, 8), np.zeros((2, 2)), "relation matrix must hold integer type ids"),
+         ((2, 8), None, "rat_layer_forward requires a relation matrix")],
+        ids=["input-width", "float-relations", "no-relations"],
+    )
+    def test_bad_arguments_rejected(self, x_shape, relations, message):
+        layer = init_params(TINY).rw_layers[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rat_layer_forward(np.zeros(x_shape), relations, layer)
+
     def test_relation_shape_mismatch_rejected(self):
         params = init_params(TINY)
         x = np.zeros((3, 8))
@@ -749,6 +771,23 @@ class TestTwoStreamEncode:
         with pytest.raises(ValueError):
             two_stream_encode(x_q, x_c, x_s, link_matrix, wrong, params)
 
+    @pytest.mark.parametrize(
+        "extra_token, extra_table, message",
+        [(("zz",), (), "linking matrix layout does not match the embeddings"),
+         ((), (("zz",),), "linking matrix schema size does not match the embeddings")],
+        ids=["layout", "schema-size"],
+    )
+    def test_linking_matrix_mismatch_rejected(self, extra_token, extra_table, message):
+        params = init_params(TINY)
+        inter, schema, matrix = tiny_encode_case(300)
+        x_q, x_c, x_s = embed_inputs(inter, schema, params)
+        link_matrix = build_schema_link_matrix(
+            inter.question + extra_token, encoder_context_tokens(inter),
+            Schema(schema.tables + extra_table, schema.columns),
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            two_stream_encode(x_q, x_c, x_s, link_matrix, matrix, params)
+
     def test_mismatched_interaction_rejected(self):
         params = init_params(TINY)
         inter, schema, matrix = tiny_encode_case(400)
@@ -793,6 +832,15 @@ class TestTwoStreamEncode:
         states, _ = encode_interaction(inter, schema, matrix, params)
         assert states.n_context == 0
         assert states.h_final.shape == (4 + 0 + 2, TINY.d_x)
+
+    def test_schema_without_elements(self):
+        params = init_params(TINY)
+        inter = Interaction((("show", "flights"),), ("how", "many", "?"))
+        matrix = build_from_interaction(inter, inter.question)
+        states, _ = encode_interaction(inter, Schema((), ()), matrix, params)
+        assert states.n_schema == 0
+        assert states.h_final.shape == (3 + 2, TINY.d_x)
+        assert np.array_equal(states.h_final, states.h_link + states.h_rw)
 
 
 class TestRelationIdMatrices:

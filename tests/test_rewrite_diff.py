@@ -273,6 +273,11 @@ class TestEditModel:
         assert EditSpan(SpanKind.ADD, 0, 1).side == "rewrite"
         assert EditSpan(SpanKind.DEL, 0, 1).side == "question"
 
+    @pytest.mark.parametrize("start, end", [(1, 1), (2, 1)])
+    def test_empty_span_rejected(self, start, end):
+        with pytest.raises(ValueError, match="^edit span must be non-empty$"):
+            EditSpan(SpanKind.ADD, start, end)
+
 
 class TestBuildRewriteMatrix:
     def test_empty_ops(self):
@@ -321,6 +326,10 @@ class TestBuildRewriteMatrix:
         ops = [EditOp(context_range, question_range)]
         with pytest.raises(ValueError, match="out of bounds"):
             build_rewrite_matrix(ops, ("c",), ("q",))
+
+    def test_ops_on_an_empty_question_rejected(self):
+        with pytest.raises(ValueError, match="^an empty question cannot host edit operations$"):
+            build_rewrite_matrix([EditOp((0, 1), (0, 0))], ("c",), ())
 
     def test_end_anchor_appends_in_last_column(self):
         ops = [EditOp((0, 1), (2, 2))]

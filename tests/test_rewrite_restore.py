@@ -111,6 +111,12 @@ class TestRecoverOps:
         with pytest.raises(MalformedMatrixError, match="out of bounds for size 2"):
             RewriteEditMatrix(("a",), ("q",), cells)
 
+    @pytest.mark.parametrize("value", ["C-Q-Sub", None])
+    def test_non_relation_value_detected(self, value):
+        cells = {(0, 1): value, (1, 0): RewriteRelation.Q_C_SUB}
+        with pytest.raises(MalformedMatrixError, match=r"^cell \(0,1\) carries a non-relation"):
+            RewriteEditMatrix(("a",), ("q",), cells)
+
     @pytest.mark.parametrize(
         "rel", [RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP]
     )
