@@ -165,7 +165,7 @@ def cmd_roundtrip(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     def roundtrip_one(ex: Interaction) -> tuple:
         matrix = build_from_interaction(ex, ex.gold_rewrite, policy, args.context_occurrence)
-        restored = rewrite_restore.restore(ex.question, ex.flat_context(), matrix)
+        restored = rewrite_restore.restore(ex.question, matrix.context_tokens, matrix)
         return restored.tokens, ex.gold_rewrite
 
     pairs, failures = _run_examples(examples, roundtrip_one)

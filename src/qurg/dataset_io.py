@@ -279,13 +279,14 @@ def _sparc_interactions(raw: list[Any]) -> list[Interaction]:
     out: list[Interaction] = []
     for pos, entry in enumerate(raw):
         where = f"interaction {pos}"
-        items = _expect(_expect(entry, dict, where).get("interaction", []), list, where)
+        items = _field(entry, "interaction", where, list)
         turns = [
             tokenize(_field(item, "utterance", f"{where}: turn {t + 1}", str))
             for t, item in enumerate(items)
         ]
+        database_id = _expect(entry.get("database_id", str(pos)), str, f"{where}: database_id")
         for t in range(len(turns)):
-            example_id = f"{entry.get('database_id', pos)}#{pos}.{t + 1}"
+            example_id = f"{database_id}#{pos}.{t + 1}"
             out.append(_constructed(f"{where}: turn {t + 1}", Interaction, tuple(turns[:t]),
                                     turns[t], None, example_id))
     return out

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 TokenSeq = tuple[str, ...]
@@ -66,6 +67,14 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
     if isinstance(tokens, str):
         raise ValueError(f"expected a sequence of tokens, got the string {tokens!r}")
     out = tuple(tokens)
+    try:
+        # One pass in C accepts a valid sequence: joined and split again, it
+        # comes back the same only if every token is a non-empty string with
+        # no whitespace.  The loop below finds the offending token.
+        if " ".join(out).split() == list(out):
+            return out
+    except TypeError:  # a non-string token
+        pass
     for tok in out:
         if not isinstance(tok, str) or not tok:
             raise ValueError(f"empty or non-string token: {tok!r}")
@@ -78,9 +87,10 @@ def _prevalidated(cls: type[_T], **fields: object) -> _T:
     """An instance of the frozen dataclass ``cls`` holding ``fields``, made
     without ``__post_init__``.  Its callers, ``build_from_interaction`` and
     ``build_schema_link_matrix``, validate their tokens and write each cell
-    in its block with its mirror.  The check would cost them 15 against 2
-    microseconds per short spliced example, and 2.2 ms per turn of the wide
-    benchmark schema, which links in 0.6-0.9 ms (2-vCPU Xeon, Python 3.11)."""
+    in its block with its mirror.  The check would cost them 9-18 against
+    0.6-1.1 microseconds per short spliced example, and 1.4-3.0 ms per turn
+    of the wide benchmark schema, which links in 0.4-0.65 ms (shared 2-vCPU
+    Xeon, Python 3.11; the ranges are the host's drift)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -107,17 +117,23 @@ class MatchPolicy:
 
     def forms(self, token: str) -> frozenset[str]:
         # "cities" -> {"cities", "citie", "city"}, "flights" -> {"flights", "flight"}
-        t = token.lower() if self.lowercase else token
-        if not (self.plural_stem and t.endswith("s") and len(t) > 1):
-            return frozenset((t,))
-        if t.endswith("ies") and len(t) > 3:
-            return frozenset((t, t[:-1], t[:-3] + "y"))
-        return frozenset((t, t[:-1]))
+        return self.fold((token,))[0]
 
     def fold(self, tokens: Iterable[str]) -> tuple[frozenset[str], ...]:
         """Each token's forms, computed once for a whole sequence; folded
         tokens ``x`` and ``y`` match when ``not x.isdisjoint(y)``."""
-        return tuple(map(self.forms, tokens))
+        folded = map(str.lower, tokens) if self.lowercase else tokens
+        if not self.plural_stem:
+            return tuple(frozenset((t,)) for t in folded)
+        out = []
+        for t in folded:
+            if not t.endswith("s") or len(t) < 2:
+                out.append(frozenset((t,)))
+            elif t.endswith("ies") and len(t) > 3:
+                out.append(frozenset((t, t[:-1], t[:-3] + "y")))
+            else:
+                out.append(frozenset((t, t[:-1])))
+        return tuple(out)
 
     def matches(self, a: str, b: str) -> bool:
         return not self.forms(a).isdisjoint(self.forms(b))
@@ -158,7 +174,7 @@ class Interaction:
 
     def flat_context(self) -> TokenSeq:
         """Context turns concatenated chronologically, no separators."""
-        return tuple(tok for turn in self.context_turns for tok in turn)
+        return tuple(chain.from_iterable(self.context_turns))
 
     def turn_lengths(self) -> tuple[int, ...]:
         return tuple(len(turn) for turn in self.context_turns)

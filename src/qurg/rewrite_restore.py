@@ -18,6 +18,14 @@ from .rewrite_diff import MalformedMatrixError, RewriteEditMatrix, RewriteRelati
 
 __all__ = ["MalformedMatrixError", "RestoredQuestion", "restore"]
 
+# Looking a member up on its enum class costs about 0.2 microseconds in
+# Python 3.11, several times a module global, and the cell loop compares
+# each cell with up to four members.
+_INS, _SUB, _APP, _INS_APP = (
+    RewriteRelation.C_Q_INS, RewriteRelation.C_Q_SUB,
+    RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP,
+)
+
 
 @dataclass(frozen=True)
 class RestoredQuestion:
@@ -41,7 +49,8 @@ def restore(
     question tokens it replaces, at the run's first token.  The appended
     tokens (``C-Q-App``, ``C-Q-Ins-App``) come after everything else.
     Tokens placed at one index keep their context order.  The matrix
-    checked its cells when it was made, so they are read without checks.
+    checked its cells when it was made, so they are read without checks,
+    and only the context rows: the question rows hold their mirrors.
     """
     question, context = tuple(question), tuple(context)
     if question != matrix.question_tokens or context != matrix.context_tokens:
@@ -51,16 +60,16 @@ def restore(
     subs_at: dict[int, list[str]] = defaultdict(list)
     replaced: set[int] = set()
     appended: list[str] = []
-    for (i, j), rel in sorted(cells.items()):
-        if rel is RewriteRelation.C_Q_INS:
+    for (i, j), rel in sorted([cell for cell in cells.items() if cell[0][0] < n_ctx]):
+        if rel is _INS:
             inserts_at[j - n_ctx].append(context[i])
-        elif rel is RewriteRelation.C_Q_SUB:
+        elif rel is _SUB:
             replaced.add(j - n_ctx)
-            if cells.get((i, j - 1)) is not RewriteRelation.C_Q_SUB:
+            if cells.get((i, j - 1)) is not _SUB:
                 subs_at[j - n_ctx].append(context[i])
-        elif rel is RewriteRelation.C_Q_APP:
+        elif rel is _APP:
             appended.append(context[i])
-        elif rel is RewriteRelation.C_Q_INS_APP:
+        elif rel is _INS_APP:
             inserts_at[j - n_ctx].append(context[i])
             appended.append(context[i])
 

@@ -1,12 +1,14 @@
 """ROUGE-1/2/L scoring for rewrite fidelity evaluation.
 
 Scores are computed on lowercased tokens with no stemming and kept in the
-0-1 range; the CLI scales to 0-100 for display.
+0-1 range; the CLI scales to 0-100 for display.  ``corpus_rouge``
+lowercases each pair once and scores R-1, R-2 and R-L from that one
+normalization, through the same helpers as ``rouge_n`` and ``rouge_l``;
+each corpus mean keeps the order of addition of its pairs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,6 +19,15 @@ __all__ = ["RougeScore", "CorpusRougeReport", "rouge_n", "rouge_l", "corpus_roug
 NORMALIZATION = "lowercase, no stemming"
 
 
+_Scores = tuple[float, float, float]  # precision, recall, F1
+
+
+def _scores(match: int, candidate_total: int, reference_total: int) -> _Scores:
+    p = match / candidate_total if candidate_total else 0.0
+    r = match / reference_total if reference_total else 0.0
+    return p, r, 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
+
 @dataclass(frozen=True)
 class RougeScore:
     precision: float
@@ -25,10 +36,7 @@ class RougeScore:
 
     @classmethod
     def from_counts(cls, match: int, candidate_total: int, reference_total: int) -> RougeScore:
-        p = match / candidate_total if candidate_total else 0.0
-        r = match / reference_total if reference_total else 0.0
-        f1 = 0.0 if p + r == 0 else 2 * p * r / (p + r)
-        return cls(p, r, f1)
+        return cls(*_scores(match, candidate_total, reference_total))
 
     @classmethod
     def zero(cls) -> RougeScore:
@@ -47,8 +55,32 @@ def _normalize(tokens: Sequence[str]) -> list[str]:
     return [t.lower() for t in tokens]
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: list[str], n: int) -> Iterable:
+    return zip(*[tokens[i:] for i in range(n)]) if n > 1 else tokens
+
+
+def _rouge_n_scores(cand: list[str], ref: list[str], n: int) -> _Scores:
+    """R-n of normalized sides.  Each candidate n-gram matches while the
+    reference has an unmatched copy of it left, which clips the match to
+    the smaller count of each n-gram.  The counts live in a plain dict:
+    ``Counter``'s constructor costs more than counting a question."""
+    left: dict = {}
+    for gram in _ngrams(ref, n):
+        left[gram] = left.get(gram, 0) + 1
+    match = 0
+    for gram in _ngrams(cand, n):
+        k = left.get(gram)
+        if k:
+            left[gram] = k - 1
+            match += 1
+    return _scores(match, max(len(cand) - n + 1, 0), max(len(ref) - n + 1, 0))
+
+
+def _rouge_l_scores(cand: list[str], ref: list[str]) -> _Scores:
+    # Exact token equality on the normalized forms: each token is its only form.
+    index = _form_masks((tok,) for tok in reversed(ref))
+    dropped = _lcs_rows([index.get(tok, 0) for tok in cand], len(ref))[0].bit_count()
+    return _scores(len(ref) - dropped, len(cand), len(ref))
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
@@ -59,50 +91,36 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cand = _normalize(candidate)
-    ref = _normalize(reference)
-    cand_counts = _ngram_counts(cand, n)
-    ref_counts = _ngram_counts(ref, n)
-    match = sum((cand_counts & ref_counts).values())
-    return RougeScore.from_counts(
-        match,
-        max(len(cand) - n + 1, 0),
-        max(len(ref) - n + 1, 0),
-    )
-
-
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # Exact token equality on the normalized forms: each token is its only form.
-    index = _form_masks((tok,) for tok in reversed(b))
-    return len(b) - _lcs_rows([index.get(tok, 0) for tok in a], len(b))[0].bit_count()
+    return RougeScore(*_rouge_n_scores(_normalize(candidate), _normalize(reference), n))
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """Longest-common-subsequence score: P = lcs/|candidate|, R = lcs/|reference|."""
-    cand = _normalize(candidate)
-    ref = _normalize(reference)
-    return RougeScore.from_counts(_lcs_length(cand, ref), len(cand), len(ref))
+    return RougeScore(*_rouge_l_scores(_normalize(candidate), _normalize(reference)))
 
 
 def corpus_rouge(
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
 ) -> CorpusRougeReport:
-    """Unweighted mean of per-pair scores over (candidate, reference) pairs."""
-    scores: list[tuple[RougeScore, RougeScore, RougeScore]] = [
-        (rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref))
-        for cand, ref in pairs
-    ]
-    if not scores:
+    """Unweighted mean of per-pair scores over (candidate, reference) pairs.
+
+    Each pair is normalized once and scored by the helpers of
+    :func:`rouge_n` and :func:`rouge_l`.  Each mean adds its pairs' scores
+    left to right in pair order, so it equals, bit for bit, the mean of
+    those functions' scores taken in that order.
+    """
+    rows: list[tuple[_Scores, _Scores, _Scores]] = []
+    for cand, ref in pairs:
+        cand, ref = _normalize(cand), _normalize(ref)
+        rows.append(
+            (_rouge_n_scores(cand, ref, 1), _rouge_n_scores(cand, ref, 2),
+             _rouge_l_scores(cand, ref))
+        )
+    if not rows:
         zero = RougeScore.zero()
         return CorpusRougeReport(zero, zero, zero, 0)
-
-    def mean(values: list[RougeScore]) -> RougeScore:
-        k = len(values)
-        return RougeScore(
-            sum(s.precision for s in values) / k,
-            sum(s.recall for s in values) / k,
-            sum(s.f1 for s in values) / k,
-        )
-
-    r1, r2, rl = (mean([row[col] for row in scores]) for col in range(3))
-    return CorpusRougeReport(r1, r2, rl, len(scores))
+    k = len(rows)
+    r1, r2, rl = (
+        RougeScore(*(sum(column) / k for column in zip(*per_pair))) for per_pair in zip(*rows)
+    )
+    return CorpusRougeReport(r1, r2, rl, k)

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written in plain Python (lists, dicts,
 math.fsum) with no reuse of the package's code paths, so agreement between
-the two is meaningful.  The exceptions are the last three sections: the
-table-filling matchers that the bitmask form index replaced, the op-replay
-restore that the direct cell reading replaced, and the per-head numpy
-layer that the head-batched encoder layer replaced, all kept unchanged as
-exact regression references.
+the two is meaningful.  The exceptions are the last four sections: the
+table-filling matchers that the bitmask form index replaced, the token
+check that the one-call check replaced, the op-replay restore that the
+direct cell reading replaced, and the per-head numpy layer that the
+head-batched encoder layer replaced, all kept unchanged as exact
+regression references.
 """
 
 from __future__ import annotations
@@ -371,6 +372,23 @@ def reference_tokenize(text: str) -> tuple[str, ...]:
             tokens.append(chunk)
         tokens.extend(reversed(trail))
     return tuple(tokens)
+
+
+# Token validation as it ran before the one-call check for a valid
+# sequence, copied from ``qurg.rewrite_diff.token_seq``: each token is
+# checked in turn, and the first bad one names the error.
+
+
+def reference_token_seq(tokens) -> tuple[str, ...]:
+    if isinstance(tokens, str):
+        raise ValueError(f"expected a sequence of tokens, got the string {tokens!r}")
+    out = tuple(tokens)
+    for tok in out:
+        if not isinstance(tok, str) or not tok:
+            raise ValueError(f"empty or non-string token: {tok!r}")
+        if tok.split() != [tok]:
+            raise ValueError(f"token contains whitespace: {tok!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

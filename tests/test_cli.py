@@ -570,6 +570,27 @@ class TestMalformedInputs:
         ], capsys)
         assert line == f"error: {path}: interaction index 0 out of range (file has 0)"
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"database_id": "d", "interactions": [{"utterance": "a"}]},
+             "interaction 0: missing required field 'interaction'"),
+            ({"database_id": {"k": [1]}, "interaction": [{"utterance": "a"}]},
+             "interaction 0: database_id: expected a string, got {'k': [1]}"),
+        ],
+        ids=["misspelt-interaction", "object-database-id"],
+    )
+    def test_sparc_dialogue_fields(self, tmp_path, fixtures_dir, capsys, entry, message):
+        sparc = tmp_path / "sparc.json"
+        sparc.write_text(json.dumps([entry]))
+        line = self._assert_clean_failure([
+            "schema-link",
+            "--interactions", str(sparc),
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--out", str(tmp_path / "x.json"),
+        ], capsys)
+        assert line == f"error: {sparc}: {message}"
+
     def test_sparc_turn_not_an_object(self, tmp_path, fixtures_dir, capsys):
         sparc = tmp_path / "sparc.json"
         sparc.write_text(json.dumps([{"database_id": "d", "interaction": [5]}]))

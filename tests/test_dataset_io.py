@@ -298,6 +298,31 @@ class TestSparcAdapter:
             with pytest.raises(FormatVersionError, match="missing qurg_fmt version field$"):
                 load_interactions(path)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"database_id": "d"}, "interaction 0: missing required field 'interaction'"),
+            ({"database_id": "d", "interactions": [{"utterance": "a"}]},
+             "interaction 0: missing required field 'interaction'"),
+            ({"database_id": {"k": [1]}, "interaction": [{"utterance": "a"}]},
+             "interaction 0: database_id: expected a string, got {'k': [1]}"),
+            ({"database_id": 7, "interaction": [{"utterance": "a"}]},
+             "interaction 0: database_id: expected a string, got 7"),
+        ],
+        ids=["no-interaction", "misspelt-interaction", "object-database-id", "number-database-id"],
+    )
+    def test_dialogue_fields_are_checked(self, tmp_path, entry, message):
+        path = tmp_path / "sparc.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_interactions(path)
+
+    def test_missing_database_id_falls_back_to_the_position(self, tmp_path):
+        path = tmp_path / "sparc.json"
+        path.write_text(json.dumps([{"database_id": "d", "interaction": []},
+                                    {"interaction": [{"utterance": "a"}]}]))
+        assert [inter.interaction_id for inter in load_interactions(path)] == ["1#1.1"]
+
 
 class TestRewriteCorpus:
     def test_one_line_file(self, tmp_path):
@@ -670,6 +695,25 @@ class TestLoaderFuzz:
             loader(path)
         except (DatasetError, SchemaError, ValueError):
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=json_strategies.near_valid(_FUZZED_LOADERS["sparc"][1]))
+    def test_sparc_file_that_loads_has_every_dialogue_field(self, tmp_path_factory, payload):
+        # A dialogue is never skipped for a missing key, and its id is its
+        # string database_id or, when that key is absent, its position.
+        path = tmp_path_factory.mktemp("fuzz") / "input.json"
+        path.write_text(json.dumps(payload))
+        try:
+            loaded = load_interactions(path)
+        except (DatasetError, ValueError):
+            return
+        expected = [
+            f"{entry.get('database_id', pos)}#{pos}.{t}"
+            for pos, entry in enumerate(payload)
+            for t in range(1, len(entry["interaction"]) + 1)
+        ]
+        assert all(isinstance(entry.get("database_id", ""), str) for entry in payload)
+        assert [inter.interaction_id for inter in loaded] == expected
 
 
 class TestAtomicWrite:

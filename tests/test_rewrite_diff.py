@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,30 @@ class TestTokenSeq:
             with pytest.raises(ValueError, match="^token contains whitespace: "):
                 token_seq([tok])
         assert token_seq(["\u200b", "x\ufeff"]) == ("\u200b", "x\ufeff")
+
+    @pytest.mark.parametrize(
+        "tokens",
+        ["name", "", ["a", 5], [None], ("a", b"b"), ["a", ""], [""], ["a", "b c"], ["a\tb"],
+         ["a", "\x1c"], ["x\u3000"], [" a"], ["a "], ["a", "b", "c d", ""]],
+        ids=repr,
+    )
+    def test_errors_name_the_first_bad_token_as_before(self, tokens):
+        with pytest.raises(ValueError) as expected:
+            oracles.reference_token_seq(tokens)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            token_seq(tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="ab \t\x1c\u3000\u0130", max_size=3)
+                    | st.integers() | st.none(), max_size=6))
+    def test_agrees_with_the_token_loop(self, tokens):
+        try:
+            expected = oracles.reference_token_seq(tokens)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                token_seq(tokens)
+        else:
+            assert token_seq(tokens) == expected
 
 
 class TestLcs:
@@ -183,6 +208,20 @@ class TestFormIndex:
            | st.text(min_size=1, max_size=6), policies)
     def test_forms_match_set_building_oracle(self, token, policy):
         assert policy.forms(token) == oracles.reference_forms(policy, token)
+
+    @pytest.mark.parametrize("policy", generators.POLICIES, ids=repr)
+    def test_fold_edge_tokens(self, policy):
+        # "\u0130" lowercases to two characters; "" must fold, not raise.
+        tokens = ["", "s", "ies", "IES", "\u0130", "\u0130S", "Cities"]
+        assert policy.fold(tokens) == tuple(map(policy.forms, tokens))
+        assert policy.fold(tokens) == oracles.reference_fold(policy, tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(collision_words | st.text(max_size=5), max_size=8), policies)
+    def test_fold_is_each_tokens_forms(self, tokens, policy):
+        assert policy.fold(tokens) == tuple(map(policy.forms, tokens))
+        assert policy.fold(tokens) == oracles.reference_fold(policy, tokens)
+        assert policy.fold(iter(tokens)) == policy.fold(tokens)
 
 
 class TestTagEdits:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,6 +14,11 @@ EXACT = MatchPolicy(lowercase=True, plural_stem=False)
 
 token_lists = st.lists(
     st.sampled_from(["a", "b", "c", "d", "e"]), min_size=0, max_size=8
+).map(tuple)
+# Repeated tokens, case variants, empty and one-token sides, and sides
+# with no bigram in common.
+messy_sides = st.lists(
+    st.sampled_from(["a", "A", "b", "B", "ab", "aB", "c", "\u0130", "i\u0307"]), max_size=9
 ).map(tuple)
 cased_lists = st.lists(
     st.sampled_from(["a", "A", "b", "B", "c", "ab", "Ab"]), min_size=0, max_size=24
@@ -162,3 +167,27 @@ class TestCorpusRouge:
         rev = corpus_rouge(list(reversed(pairs)))
         assert fwd.r1.f1 == rev.r1.f1
         assert fwd.rl.precision == rev.rl.precision
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(messy_sides, messy_sides), max_size=12))
+    @example([((), ()), ((), ("a",)), (("A",), ()), (("a",), ("A",)), (("a", "b"), ("b", "a"))])
+    @example([(("a", "A", "a"), ("A", "a")), (("x",), ("x", "x", "X"))])
+    def test_same_bits_as_the_mean_of_the_pair_functions(self, pairs):
+        # Each mean adds the pairs' scores left to right, in pair order.
+        columns = [
+            [(rouge_n(c, r, 1), rouge_n(c, r, 2), rouge_l(c, r))[col] for c, r in pairs]
+            for col in range(3)
+        ]
+
+        def mean(scores: list[RougeScore]) -> RougeScore:
+            totals = [0.0, 0.0, 0.0]
+            for score in scores:
+                totals[0] += score.precision
+                totals[1] += score.recall
+                totals[2] += score.f1
+            return RougeScore(*(total / len(scores) for total in totals))
+
+        report = corpus_rouge(pairs)
+        assert report.pair_count == len(pairs)
+        if pairs:
+            assert repr((report.r1, report.r2, report.rl)) == repr(tuple(map(mean, columns)))
