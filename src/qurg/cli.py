@@ -242,6 +242,8 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
         config = dataclasses.replace(config, seed=args.seed)
 
     if args.check_gradients:
+        n = 4
+        rat_encoder.check_fits(config, n)
         rng = np.random.default_rng(config.seed)
         worst = 0.0
         for vocab in (config.link_relation_count, config.rw_relation_count):
@@ -253,7 +255,6 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
                 vocab,
                 config.single_fc_ff,
             )
-            n = 4
             x = rng.standard_normal((n, config.d_x))
             relations = rng.integers(0, vocab, size=(n, n))
             worst = max(worst, rat_encoder.gradient_check(layer, x, relations))
@@ -268,6 +269,10 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
     interaction = _pick_interaction(args)
     schema = dataset_io.load_schema(args.schema)
     matrix = dataset_io.load_matrix(args.matrix)
+    rat_encoder.check_fits(
+        config,
+        matrix.question_size + matrix.context_size + len(schema.tables) + len(schema.columns),
+    )
     params = rat_encoder.init_params(config)
     if args.save_params:
         rat_encoder.save_params(args.save_params, params)

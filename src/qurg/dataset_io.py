@@ -371,9 +371,15 @@ def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
     """Write a rewrite edit matrix; cells sorted by (i, j) for determinism.
 
     The one file written in place rather than replaced: ``build-matrix
-    --corpus`` writes one per example, and replacing each one cost about
-    40% more CPU per example on a 2-vCPU virtual machine.  ``index.json``,
-    written last and replaced, names only the matrices a finished run wrote.
+    --corpus`` writes one per example, and ``index.json``, written last and
+    replaced, names only the matrices a finished run wrote.  The text is
+    encoded before the file is opened, so a matrix that cannot be encoded
+    leaves the old file as it was.  An existing regular file is cut to one
+    byte, not to zero: on ext4 a cut to zero frees the file's block and
+    makes ``close`` start writing the new data back to disk, which cost
+    several times the CPU of the rest of the write.  A write stopped at any
+    point, by an exception or a kill, leaves one byte and then a prefix of
+    the text, which never loads as any other matrix.
     """
     payload = {
         "qurg_fmt": FORMAT_VERSION,
@@ -381,7 +387,16 @@ def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
         "question_tokens": list(matrix.question_tokens),
         "cells": _cells_payload(matrix),
     }
-    Path(path).write_text(dump_canonical(payload), encoding="utf-8")
+    data = memoryview(dump_canonical(payload).encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        # A device such as /dev/null cannot be cut.
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, 1)
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def load_matrix(path: str | Path) -> RewriteEditMatrix:

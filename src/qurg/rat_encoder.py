@@ -62,6 +62,7 @@ from .schema_link import (
 __all__ = [
     "LAYER_NORM_EPS",
     "MAX_LAYERS",
+    "MAX_ENCODER_BYTES",
     "RW_RELATION_IDS",
     "LINK_RELATION_IDS",
     "EncoderConfig",
@@ -70,6 +71,9 @@ __all__ = [
     "AttentionTrace",
     "EncodedStates",
     "init_params",
+    "parameter_bytes",
+    "attention_bytes",
+    "check_fits",
     "embed_inputs",
     "vanilla_layer_forward",
     "rat_layer_forward",
@@ -109,6 +113,10 @@ _PRECISIONS = {"double": np.float64, "single": np.float32}
 
 # Most layers per stream: ``init_params`` and every pass loop over them.
 MAX_LAYERS = 1024
+
+# Most bytes ``check_fits`` lets the parameters take, and, apart, the
+# largest attention buffers of one layer.
+MAX_ENCODER_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -656,6 +664,43 @@ def init_params(config: EncoderConfig) -> EncoderParams:
         for _ in range(config.layers_rw)
     )
     return EncoderParams(config, link_layers, rw_layers)
+
+
+def parameter_bytes(config: EncoderConfig) -> int:
+    """The bytes of the arrays ``init_params(config)`` allocates."""
+    values = 0
+    for layers, relation_count in (
+        (config.layers_link, config.link_relation_count),
+        (config.layers_rw, config.rw_relation_count),
+    ):
+        shapes = _layer_shapes(
+            config.d_x, config.heads, config.ff_width, relation_count, config.single_fc_ff
+        )
+        values += layers * sum(math.prod(shape) for shape in shapes.values())
+    return values * np.dtype(config.np_dtype).itemsize
+
+
+def attention_bytes(config: EncoderConfig, n: int) -> int:
+    """The bytes of a layer's largest attention buffers over ``n``
+    positions: the ``(heads, width, n, n)`` value cells and the two
+    ``(width, n, n)`` relation gathers."""
+    return (config.heads + 2) * config.head_width * n * n * np.dtype(config.np_dtype).itemsize
+
+
+def check_fits(config: EncoderConfig, n: int) -> None:
+    """Refuse, before anything is allocated, a config whose parameters or
+    whose attention buffers over ``n`` positions would take more than
+    ``MAX_ENCODER_BYTES``: a process that asks for more than the machine
+    holds may be killed with no error at all."""
+    for what, size in (
+        ("its parameters", parameter_bytes(config)),
+        (f"one layer's attention over {n:,} positions", attention_bytes(config, n)),
+    ):
+        if size > MAX_ENCODER_BYTES:
+            raise ValueError(
+                f"encoder config needs {size:,} bytes for {what}, "
+                f"more than the bound of {MAX_ENCODER_BYTES:,}"
+            )
 
 
 def _word_vector(word: str, d_x: int, seed: int, dtype: type) -> np.ndarray:

@@ -208,6 +208,12 @@ class OpKind(Enum):
     INSERT = "Insert"
 
 
+# Looking a member up on its enum class costs about 0.2 microseconds in
+# Python 3.11, several times a module global, so the per-op and per-cell
+# code here and in ``rewrite_restore`` reads module aliases of the members.
+_SUBSTITUTE, _INSERT = OpKind.SUBSTITUTE, OpKind.INSERT
+
+
 @dataclass(frozen=True)
 class EditOp:
     """A grounded edit: the context range that replaces a question range.
@@ -230,7 +236,7 @@ class EditOp:
     @property
     def kind(self) -> OpKind:
         qs, qe = self.question_range
-        return OpKind.SUBSTITUTE if qs < qe else OpKind.INSERT
+        return _SUBSTITUTE if qs < qe else _INSERT
 
     @property
     def question_anchor(self) -> int:
@@ -274,6 +280,12 @@ class RewriteRelation(Relation):
     Q_C_INS_APP = "Q-C-Ins-App", "C_Q_INS_APP", "last", "context"
     C_Q_APP = "C-Q-App", "Q_C_APP", "context", "last"
     C_Q_INS_APP = "C-Q-Ins-App", "Q_C_INS_APP", "context", "last"
+
+
+_INS, _SUB, _APP, _INS_APP = (
+    RewriteRelation.C_Q_INS, RewriteRelation.C_Q_SUB,
+    RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP,
+)
 
 
 class RelationMatrix:
@@ -540,12 +552,12 @@ def _edit_cells(
         # Cells are written in mirrored pairs, so one side tells both.
         existing = cells.get((i, j))
         if existing is not None and existing is not rel:
-            if RewriteRelation.C_Q_SUB in (existing, rel):
+            if _SUB in (existing, rel):
                 raise EditConflictError(
                     f"cell ({i},{j}) assigned both {existing.value} and {rel.value}"
                 )
             # An insert before the last question token meets an append.
-            rel = RewriteRelation.C_Q_INS_APP
+            rel = _INS_APP
         cells[(i, j)] = rel
         cells[(j, i)] = rel.mirror
 
@@ -554,11 +566,11 @@ def _edit_cells(
         if not (0 <= cs < ce <= n_ctx and 0 <= qs <= qe <= n_q):
             raise ValueError(f"edit op {op.context_range}, {op.question_range} out of bounds")
         if qs < qe:
-            columns, rel = range(qs, qe), RewriteRelation.C_Q_SUB
+            columns, rel = range(qs, qe), _SUB
         elif qs < n_q:
-            columns, rel = (qs,), RewriteRelation.C_Q_INS
+            columns, rel = (qs,), _INS
         else:
-            columns, rel = (n_q - 1,), RewriteRelation.C_Q_APP
+            columns, rel = (n_q - 1,), _APP
         for ci in range(cs, ce):
             for qi in columns:
                 put(ci, n_ctx + qi, rel)

@@ -14,17 +14,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 # ``MalformedMatrixError`` is re-exported: the matrix constructor raises it.
-from .rewrite_diff import MalformedMatrixError, RewriteEditMatrix, RewriteRelation, TokenSeq
+# The cell loop compares each cell with the relation aliases, not with
+# members looked up on ``RewriteRelation`` (see ``rewrite_diff``).
+from .rewrite_diff import (
+    _APP, _INS, _INS_APP, _SUB, MalformedMatrixError, RewriteEditMatrix, TokenSeq,
+)
 
 __all__ = ["MalformedMatrixError", "RestoredQuestion", "restore"]
-
-# Looking a member up on its enum class costs about 0.2 microseconds in
-# Python 3.11, several times a module global, and the cell loop compares
-# each cell with up to four members.
-_INS, _SUB, _APP, _INS_APP = (
-    RewriteRelation.C_Q_INS, RewriteRelation.C_Q_SUB,
-    RewriteRelation.C_Q_APP, RewriteRelation.C_Q_INS_APP,
-)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,53 @@ class TestBuildMatrix:
         payload = json.loads(out.read_text())
         assert len(payload["cells"]) == 6
 
+    def test_unencodable_matrix_leaves_previous_file(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(out)]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run(["build-matrix", "a \ud800", "--rewrite", "a \ud800", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't encode character '\\ud800' in position 58: "
+            "surrogates not allowed\n"
+        )
+        assert out.read_bytes() == before
+
+    def test_unencodable_corpus_example_leaves_previous_file(self, tmp_path, capsys):
+        corpus, out_dir = tmp_path / "corpus.jsonl", tmp_path / "out"
+        argv = ["build-matrix", "--corpus", str(corpus), "--out-dir", str(out_dir)]
+
+        def write_corpus(token: str) -> None:
+            corpus.write_text(json.dumps(
+                {"history": [], "question": f"a {token}", "rewrite": f"a {token}", "id": "e1"}
+            ) + "\n")
+
+        write_corpus("b")
+        assert run(argv) == 0
+        before = (out_dir / "e1.matrix.json").read_bytes()
+        capsys.readouterr()
+        write_corpus("\ud800")
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: example e1: 'utf-8' codec can't encode character '\\ud800' in position 58: "
+            "surrogates not allowed\n"
+        )
+        assert (out_dir / "e1.matrix.json").read_bytes() == before
+
+    def test_out_to_standard_output(self, tmp_path):
+        import subprocess
+        import sys
+
+        out = tmp_path / "flights.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(out)]) == 0
+        # Standard output is a pipe here, which cannot be truncated.
+        proc = subprocess.run(
+            [sys.executable, "-m", "qurg.cli", *FLIGHTS_ARGS, "--out", "/dev/stdout"],
+            capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes() + b"wrote matrix with 6 cells -> /dev/stdout\n"
+
     def test_identity_rewrite_empty_cells(self, tmp_path):
         out = tmp_path / "id.json"
         code = run([
@@ -1013,8 +1060,8 @@ class TestEncode:
         assert not out.exists()
 
     def test_huge_config_exits_one(self, tmp_path, fixtures_dir, capsys):
-        # The first weight alone would take 728 TiB, more than a 64-bit
-        # address space offers, so the allocation fails at once.
+        # The first weight alone would take 728 TiB; the config is refused
+        # before anything is allocated.
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"d_x": 10**7, "d_z": 10**7, "heads": 1}))
         matrix_path = tmp_path / "flights.matrix.json"
@@ -1029,9 +1076,47 @@ class TestEncode:
             "--config", str(config_path),
             "--out", str(out),
         ]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate ") and len(err.splitlines()) == 1
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: encoder config needs 105,600,032,320,000,000 bytes for its parameters, "
+            "more than the bound of 1,073,741,824\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+    def test_huge_config_refused_before_gradient_check(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"d_x": 10**7, "heads": 1}))
+        assert run(["encode", "--config", str(config_path), "--check-gradients"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: encoder config needs ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+    def test_long_interaction_refused_before_allocating(self, tmp_path, fixtures_dir, capsys):
+        # At the default config one layer's attention over 2,400 positions
+        # needs about 1.1 GB; the question, matrix and schema files are small.
+        question = [f"w{k}" for k in range(2400 - 7)]
+        interactions = tmp_path / "long.json"
+        interactions.write_text(json.dumps(
+            {"qurg_fmt": 1, "interactions": [{"id": "long", "utterances": [" ".join(question)]}]}
+        ))
+        matrix_path = tmp_path / "long.matrix.json"
+        matrix_path.write_text(json.dumps(
+            {"qurg_fmt": 1, "context_tokens": [], "question_tokens": question, "cells": []}
+        ))
+        out = tmp_path / "states.json"
+        assert run([
+            "encode",
+            "--interactions", str(interactions),
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--matrix", str(matrix_path),
+            "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: encoder config needs 1,105,920,000 bytes for one layer's attention "
+            "over 2,400 positions, more than the bound of 1,073,741,824\n"
+        )
+        assert captured.out == "" and not out.exists()
 
     def test_malformed_config_names_the_file(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -449,6 +449,72 @@ class TestMatrixSerialization:
         save_matrix(second, load_matrix(first))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_shorter_matrix_over_longer_leaves_exactly_its_bytes(
+        self, tmp_path, flights_interaction
+    ):
+        short = RewriteEditMatrix(("a",), ("q",), {})
+        path, fresh = tmp_path / "m.json", tmp_path / "fresh.json"
+        save_matrix(path, build_from_interaction(flights_interaction))
+        save_matrix(path, short)
+        save_matrix(fresh, short)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert load_matrix(path) == short
+
+    def test_unencodable_matrix_leaves_previous_file(self, tmp_path, flights_interaction):
+        path = tmp_path / "m.json"
+        save_matrix(path, build_from_interaction(flights_interaction))
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError) as failed:
+            save_matrix(path, RewriteEditMatrix(("a",), ("q", "\ud800"), {}))
+        assert str(failed.value) == (
+            "'utf-8' codec can't encode character '\\ud800' in position 61: "
+            "surrogates not allowed"
+        )
+        assert path.read_bytes() == before
+
+    def test_write_cut_at_any_byte_never_loads_as_another_matrix(
+        self, tmp_path, monkeypatch
+    ):
+        old = RewriteEditMatrix(("a", "b"), ("q",), {})
+        new = build_from_interaction(Interaction((("from", "boston"),), ("flights",)),
+                                     ("flights", "from", "boston"))
+        fresh = tmp_path / "fresh.json"
+        save_matrix(fresh, new)
+        text = fresh.read_bytes()
+        real_write = dataset_io.os.write
+        path = tmp_path / "m.json"
+        for cut in range(len(text)):
+            save_matrix(path, old)
+
+            def write_then_fail(fd, data, cut=cut):
+                real_write(fd, data[:cut])
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(dataset_io.os, "write", write_then_fail)
+            with pytest.raises(OSError):
+                save_matrix(path, new)
+            monkeypatch.undo()
+            # The old matrix's first byte stays until the new one covers it.
+            assert path.read_bytes() == text[: max(cut, 1)]
+            try:
+                loaded = load_matrix(path)
+            except DatasetError:
+                continue
+            # Only the text without its final newline still parses.
+            assert (cut, loaded) == (len(text) - 1, new)
+
+    def test_overwrite_keeps_permission_bits(self, tmp_path, flights_interaction):
+        path = tmp_path / "m.json"
+        path.write_text("old")
+        path.chmod(0o640)
+        save_matrix(path, build_from_interaction(flights_interaction))
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert load_matrix(path) == build_from_interaction(flights_interaction)
+
+    def test_device_target_is_written_without_truncating(self, flights_interaction):
+        # A device cannot be truncated; /dev/null takes the text and keeps nothing.
+        save_matrix("/dev/null", build_from_interaction(flights_interaction))
+
     @pytest.mark.parametrize(
         "name", ["C_Q_INS", "c-q-ins", "Exact-Table-Match", ["C-Q-Ins"], {"C-Q-Ins": 1}, 3, None]
     )

@@ -22,9 +22,12 @@ from qurg.rewrite_diff import Interaction, RewriteEditMatrix, build_from_interac
 from qurg.schema_link import Column, Schema, build_schema_link_matrix
 from qurg.rat_encoder import (
     LINK_RELATION_IDS,
+    MAX_ENCODER_BYTES,
     MAX_LAYERS,
     RW_RELATION_IDS,
     EncoderConfig,
+    attention_bytes,
+    check_fits,
     context_reversal_permutation,
     embed_inputs,
     encode_interaction,
@@ -34,6 +37,7 @@ from qurg.rat_encoder import (
     layer_backward,
     link_relation_ids,
     load_params,
+    parameter_bytes,
     random_layer_params,
     rat_layer_forward,
     rewrite_relation_ids,
@@ -41,7 +45,7 @@ from qurg.rat_encoder import (
     two_stream_encode,
     vanilla_layer_forward,
 )
-from qurg.rat_encoder import _sum_terms
+from qurg.rat_encoder import _relation_tables, _sum_terms, _weighted_cells
 
 TINY = EncoderConfig(d_x=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
 
@@ -340,6 +344,70 @@ class TestInitParams:
         save_params(first, init_params(config))
         save_params(second, load_params(first))
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestSizeBound:
+    """``check_fits`` refuses a config whose parameters, or whose attention
+    buffers of one layer, pass ``MAX_ENCODER_BYTES``.  The refusals are
+    arithmetic only: no test here allocates what it refuses."""
+
+    SMALL = [
+        TINY,
+        EncoderConfig(),
+        EncoderConfig(d_x=6, heads=3, layers_link=2, layers_rw=3, single_fc_ff=True),
+        EncoderConfig(d_x=4, heads=1, d_ff=3, precision="single"),
+    ]
+
+    @pytest.mark.parametrize("config", SMALL, ids=repr)
+    def test_parameter_estimate_is_what_init_params_allocates(self, config):
+        params = init_params(config)
+        assert parameter_bytes(config) == sum(
+            array.nbytes
+            for layer in params.link_layers + params.rw_layers
+            for _, array in layer.named_arrays()
+        )
+
+    @pytest.mark.parametrize("config", SMALL, ids=repr)
+    def test_attention_estimate_is_what_a_layer_allocates(self, config):
+        n, dtype = 7, config.np_dtype
+        layer = init_params(config).link_layers[0]
+        relations = np.random.default_rng(0).integers(0, layer.relation_count, size=(n, n))
+        rel_key, rel_value = _relation_tables(layer, relations)
+        valued = _weighted_cells(
+            np.ones((layer.heads, 1, n, n), dtype),
+            np.ones((layer.heads, layer.head_width, n), dtype),
+            rel_value,
+        )
+        assert valued.shape == (layer.heads, layer.head_width, n, n)
+        assert attention_bytes(config, n) == rel_key.nbytes + rel_value.nbytes + valued.nbytes
+
+    def test_attention_bound_is_inclusive(self):
+        # (4 heads + 2 gathers) x width 4 x 8 bytes per cell: 2,364 positions
+        # fit under 2**30 bytes and 2,365 do not.
+        assert attention_bytes(EncoderConfig(), 2364) <= MAX_ENCODER_BYTES
+        check_fits(EncoderConfig(), 2364)
+        with pytest.raises(ValueError, match="attention over 2,365 positions"):
+            check_fits(EncoderConfig(), 2365)
+        check_fits(EncoderConfig(precision="single"), 2365)
+
+    @pytest.mark.parametrize(
+        "config, n, what",
+        [
+            # d_ff defaults to 16,384: about 18 GB over 12 layers.
+            (EncoderConfig(d_x=4096, heads=1), 4, "its parameters"),
+            (EncoderConfig(d_x=10**7, heads=1), 4, "its parameters"),
+            (EncoderConfig(layers_link=MAX_LAYERS, d_x=512, heads=8), 4, "its parameters"),
+            (EncoderConfig(), 10**6, "one layer's attention over 1,000,000 positions"),
+        ],
+        ids=["d_x-4096", "d_x-1e7", "deep-wide", "long"],
+    )
+    def test_refused(self, config, n, what):
+        message = (
+            f"^encoder config needs [0-9,]+ bytes for {re.escape(what)}, "
+            f"more than the bound of 1,073,741,824$"
+        )
+        with pytest.raises(ValueError, match=message):
+            check_fits(config, n)
 
 
 class TestEmbedInputs:
