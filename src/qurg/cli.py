@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -116,11 +117,14 @@ def cmd_build_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         out_dir.mkdir(parents=True, exist_ok=True)
         # An old index would name this run's matrices, so it goes before the first.
         (out_dir / "index.json").unlink(missing_ok=True)
+        # Matrix paths are joined as strings: a Path per example costs more
+        # than the join.
+        out_prefix = str(out_dir)
 
         def build_one(ex: Interaction) -> dict:
             name = _matrix_file_name(ex.interaction_id)
             matrix = build_from_interaction(ex, ex.gold_rewrite, policy, args.context_occurrence)
-            dataset_io.save_matrix(out_dir / name, matrix)
+            dataset_io.save_matrix(os.path.join(out_prefix, name), matrix)
             return {"id": ex.interaction_id, "file": name, "cells": len(matrix.cells)}
 
         entries, failures = _run_examples(examples, build_one)
@@ -272,6 +276,7 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
     rat_encoder.check_fits(
         config,
         matrix.question_size + matrix.context_size + len(schema.tables) + len(schema.columns),
+        traced_rw=matrix.size if args.traces else None,
     )
     params = rat_encoder.init_params(config)
     if args.save_params:

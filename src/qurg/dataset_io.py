@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
@@ -93,10 +94,49 @@ def tokenize(text: str) -> TokenSeq:
     return tuple(tokens)
 
 
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def dump_canonical(payload: Any) -> str:
     """The canonical text of a JSON value: compact separators, non-ASCII
     kept as is, one trailing newline."""
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return _CANONICAL.encode(payload) + "\n"
+
+
+# The end of a matrix cell's text per relation: each relation's name is
+# ASCII that JSON does not escape, so a cell is formatted, not encoded.
+_CELL_ENDS = {
+    rel: f',"rel":{_CANONICAL.encode(rel.value)}}}'
+    for family in (RewriteRelation, LinkRelation) for rel in family
+}
+
+
+def _matrix_text(head: dict[str, Any], matrix: RewriteEditMatrix | SchemaLinkMatrix) -> str:
+    """``dump_canonical`` of ``head`` with one more key, ``cells``: the
+    matrix's cells sorted by (i, j), each ``{"i":I,"j":J,"rel":"NAME"}``.
+    The head goes through the encoder; the cells are formatted directly."""
+    ends = _CELL_ENDS
+    cells = ",".join([
+        f'{{"i":{i},"j":{j}{ends[rel]}' for (i, j), rel in sorted(matrix.cells.items())
+    ])
+    return f'{_CANONICAL.encode(head)[:-1]},"cells":[{cells}]}}\n'
+
+
+def _is_stdout(st: os.stat_result) -> bool:
+    """Whether ``st`` is the file that standard output has open.  A write
+    to it goes through descriptor 1 at its offset, after what was printed
+    and before what will be: a descriptor of its own would write from
+    offset 0, where the summary line would then overwrite the text."""
+    try:
+        return os.path.samestat(st, os.fstat(1))
+    except OSError:  # standard output is closed
+        return False
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _replace(path: str | Path, text: str) -> None:
@@ -107,14 +147,23 @@ def _replace(path: str | Path, text: str) -> None:
     Nothing is synced to disk, so a power loss or a kernel crash can still
     lose the new text.  A symbolic link, or a target that is not a regular
     file (``/dev/stdout``), is written in place: replacing it would replace
-    the link or the device."""
+    the link or the device.  In place, the file that standard output has
+    open is written at standard output's offset (see ``_is_stdout``)."""
     path = Path(path)
     try:
         mode = os.lstat(path).st_mode
     except OSError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        path.write_text(text, encoding="utf-8")
+        try:
+            to_stdout = _is_stdout(os.stat(path))
+        except OSError:  # a dangling link: ``write_text`` reports it
+            to_stdout = False
+        if to_stdout:
+            sys.stdout.flush()
+            _write_all(1, text.encode("utf-8"))
+        else:
+            path.write_text(text, encoding="utf-8")
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -131,7 +180,7 @@ def write_json(path: str | Path, payload: Any) -> None:
     """Write ``payload`` to ``path`` as canonical UTF-8 JSON, replacing the
     file whole: a write that fails leaves the previous file and no
     temporary one (see ``_replace``).  Every file the package writes goes
-    this way except the matrix files of ``save_matrix``."""
+    through ``_replace`` except the matrix files of ``save_matrix``."""
     _replace(path, dump_canonical(payload))
 
 
@@ -340,10 +389,6 @@ def save_rewrite_corpus(path: str | Path, examples: Iterable[Interaction]) -> No
     _replace(path, "".join(lines))
 
 
-def _cells_payload(matrix: RewriteEditMatrix | SchemaLinkMatrix) -> list[dict[str, Any]]:
-    return [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()]
-
-
 def _parse_cells(
     payload: Mapping[str, Any], path: str | Path, relations: type[Enum]
 ) -> dict[tuple[int, int], Any]:
@@ -379,22 +424,27 @@ def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
     makes ``close`` start writing the new data back to disk, which cost
     several times the CPU of the rest of the write.  A write stopped at any
     point, by an exception or a kill, leaves one byte and then a prefix of
-    the text, which never loads as any other matrix.
+    the text, which never loads as any other matrix.  The file that
+    standard output has open (``--out /dev/stdout``) is neither cut nor
+    written from offset 0, but written at standard output's offset (see
+    ``_is_stdout``).
     """
-    payload = {
+    data = _matrix_text({
         "qurg_fmt": FORMAT_VERSION,
         "context_tokens": list(matrix.context_tokens),
         "question_tokens": list(matrix.question_tokens),
-        "cells": _cells_payload(matrix),
-    }
-    data = memoryview(dump_canonical(payload).encode("utf-8"))
+    }, matrix).encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        st = os.fstat(fd)
+        if _is_stdout(st):
+            sys.stdout.flush()
+            _write_all(1, data)
+            return
         # A device such as /dev/null cannot be cut.
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        if stat.S_ISREG(st.st_mode):
             os.ftruncate(fd, 1)
-        while data:
-            data = data[os.write(fd, data):]
+        _write_all(fd, data)
     finally:
         os.close(fd)
 
@@ -424,17 +474,13 @@ def _schema_payload(schema: Schema) -> dict[str, Any]:
 
 def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
     """Write a linking matrix with its schema and relation vocabulary."""
-    write_json(
-        path,
-        {
-            "qurg_fmt": FORMAT_VERSION,
-            "question_tokens": list(matrix.question_tokens),
-            "context_tokens": list(matrix.context_tokens),
-            **_schema_payload(matrix.schema),
-            "relations": list(LINK_RELATION_NAMES),
-            "cells": _cells_payload(matrix),
-        },
-    )
+    _replace(path, _matrix_text({
+        "qurg_fmt": FORMAT_VERSION,
+        "question_tokens": list(matrix.question_tokens),
+        "context_tokens": list(matrix.context_tokens),
+        **_schema_payload(matrix.schema),
+        "relations": list(LINK_RELATION_NAMES),
+    }, matrix))
 
 
 def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:

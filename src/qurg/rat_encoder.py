@@ -73,6 +73,7 @@ __all__ = [
     "init_params",
     "parameter_bytes",
     "attention_bytes",
+    "trace_bytes",
     "check_fits",
     "embed_inputs",
     "vanilla_layer_forward",
@@ -115,7 +116,7 @@ _PRECISIONS = {"double": np.float64, "single": np.float32}
 MAX_LAYERS = 1024
 
 # Most bytes ``check_fits`` lets the parameters take, and, apart, the
-# largest attention buffers of one layer.
+# largest attention buffers of one layer and the kept traces.
 MAX_ENCODER_BYTES = 2**30
 
 
@@ -687,15 +688,38 @@ def attention_bytes(config: EncoderConfig, n: int) -> int:
     return (config.heads + 2) * config.head_width * n * n * np.dtype(config.np_dtype).itemsize
 
 
-def check_fits(config: EncoderConfig, n: int) -> None:
+def trace_bytes(config: EncoderConfig, n_link: int, n_rw: int) -> int:
+    """The bytes of the traces that ``keep_traces`` keeps: per layer, the
+    ``(heads, n, n)`` scores and weights and the per-position arrays of an
+    :class:`AttentionTrace`, for the link stream over ``n_link`` positions
+    and the rewrite stream over ``n_rw``."""
+    hidden = 0 if config.single_fc_ff else config.ff_width
+
+    def layer(n: int) -> int:
+        # scores and weights; q, k, v, z, y, y_mid, ff_out and the two
+        # normalized rows, each d_x wide; the two norms' inverse deviations.
+        return 2 * config.heads * n * n + (9 * config.d_x + 2 + hidden) * n
+
+    values = config.layers_link * layer(n_link) + config.layers_rw * layer(n_rw)
+    return values * np.dtype(config.np_dtype).itemsize
+
+
+def check_fits(config: EncoderConfig, n: int, *, traced_rw: int | None = None) -> None:
     """Refuse, before anything is allocated, a config whose parameters or
     whose attention buffers over ``n`` positions would take more than
     ``MAX_ENCODER_BYTES``: a process that asks for more than the machine
-    holds may be killed with no error at all."""
-    for what, size in (
+    holds may be killed with no error at all.  When traces are kept,
+    ``traced_rw`` is the rewrite stream's positions, and the traces of
+    both streams (:func:`trace_bytes`, the link stream over ``n``) must
+    fit the bound too."""
+    sizes = [
         ("its parameters", parameter_bytes(config)),
         (f"one layer's attention over {n:,} positions", attention_bytes(config, n)),
-    ):
+    ]
+    if traced_rw is not None:
+        sizes.append((f"the traces over {n:,} and {traced_rw:,} positions",
+                      trace_bytes(config, n, traced_rw)))
+    for what, size in sizes:
         if size > MAX_ENCODER_BYTES:
             raise ValueError(
                 f"encoder config needs {size:,} bytes for {what}, "

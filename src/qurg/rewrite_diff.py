@@ -120,23 +120,47 @@ class MatchPolicy:
         return self.fold((token,))[0]
 
     def fold(self, tokens: Iterable[str]) -> tuple[frozenset[str], ...]:
-        """Each token's forms, computed once for a whole sequence; folded
-        tokens ``x`` and ``y`` match when ``not x.isdisjoint(y)``."""
+        """Each token's forms as a frozenset, for a whole sequence; folded
+        tokens ``x`` and ``y`` match when ``not x.isdisjoint(y)``.  The
+        matchers themselves read the same forms as plain tuples
+        (``_form_tuples``) or as a form index (``_form_index``), which cost
+        less to build than a frozenset per token."""
+        return tuple(map(frozenset, self._form_tuples(tokens)))
+
+    def _form_tuples(self, tokens: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+        """Each token's forms as a tuple with no form twice."""
         folded = map(str.lower, tokens) if self.lowercase else tokens
         if not self.plural_stem:
-            return tuple(frozenset((t,)) for t in folded)
-        out = []
-        for t in folded:
-            if not t.endswith("s") or len(t) < 2:
-                out.append(frozenset((t,)))
-            elif t.endswith("ies") and len(t) > 3:
-                out.append(frozenset((t, t[:-1], t[:-3] + "y")))
+            return tuple((t,) for t in folded)
+        return tuple(_stem_forms(t) if t[-1:] == "s" else (t,) for t in folded)
+
+    def _form_index(self, tokens: Iterable[str]) -> dict[str, int]:
+        """``_form_masks(self.fold(tokens))``, built in the pass that folds
+        the tokens."""
+        masks: dict[str, int] = {}
+        get, bit = masks.get, 1
+        stem = self.plural_stem
+        for t in map(str.lower, tokens) if self.lowercase else tokens:
+            if stem and t[-1:] == "s":
+                for form in _stem_forms(t):
+                    masks[form] = get(form, 0) | bit
             else:
-                out.append(frozenset((t, t[:-1])))
-        return tuple(out)
+                masks[t] = get(t, 0) | bit
+            bit <<= 1
+        return masks
 
     def matches(self, a: str, b: str) -> bool:
         return not self.forms(a).isdisjoint(self.forms(b))
+
+
+def _stem_forms(t: str) -> tuple[str, ...]:
+    """The forms of a folded token ``t`` that ends in "s": itself, without
+    the "s", and for "-ies" also "-y"; a lone "s" is only itself."""
+    if len(t) < 2:
+        return (t,)
+    if len(t) > 3 and t.endswith("ies"):
+        return (t, t[:-1], t[:-3] + "y")
+    return (t, t[:-1])
 
 
 DEFAULT_POLICY = MatchPolicy()
@@ -362,7 +386,8 @@ def _form_masks(folded: Iterable[Iterable[str]]) -> dict[str, int]:
     positions whose token carries it.  A token matches the positions in the
     OR of its forms' masks (:func:`_match_mask`), which is exact under the
     non-transitive rule, because two tokens match when their form sets
-    intersect."""
+    intersect.  ``MatchPolicy._form_index`` builds the same index from the
+    tokens themselves."""
     masks: dict[str, int] = {}
     bit = 1
     for forms in folded:
@@ -406,8 +431,8 @@ def lcs(
     """
     m = len(b)
     # Bit p of a mask or a row stands for b[m - 1 - p].
-    index = _form_masks(reversed(policy.fold(b)))
-    eq = [_match_mask(forms, index) for forms in policy.fold(a)]
+    index = policy._form_index(reversed(b))
+    eq = [_match_mask(forms, index) for forms in policy._form_tuples(a)]
     rows = _lcs_rows(eq, m)
 
     def dp(i: int, j: int) -> int:  # the LCS length of a[i:] and b[j:]
@@ -470,7 +495,7 @@ def tag_edits(
 
 def _find_context_occurrence(
     context: dict[str, int],
-    span: Sequence[frozenset[str]],
+    span: Sequence[Iterable[str]],
     occurrence: str,
 ) -> tuple[int, int] | None:
     """The last or first range of the context, given by its form index,
@@ -506,14 +531,13 @@ def extract_edit_ops(
     if occurrence not in ("last", "first"):
         raise ValueError(f"occurrence must be 'last' or 'first', got {occurrence!r}")
     pairs = lcs(question, rewrite, policy)
-    context_index = _form_masks(policy.fold(context))
+    context_index = policy._form_index(context)
+    rewrite_forms = policy._form_tuples(rewrite)
     ops: list[EditOp] = []
     for (qs, qe), (rs, re) in _gaps(pairs, len(question), len(rewrite)):
         if rs == re:
             continue
-        ctx_range = _find_context_occurrence(
-            context_index, policy.fold(rewrite[rs:re]), occurrence
-        )
+        ctx_range = _find_context_occurrence(context_index, rewrite_forms[rs:re], occurrence)
         if ctx_range is not None:
             ops.append(EditOp(ctx_range, (qs, qe)))
     return ops
@@ -547,33 +571,29 @@ def _edit_cells(
     if ops and n_q == 0:
         raise ValueError("an empty question cannot host edit operations")
     cells: dict[tuple[int, int], RewriteRelation] = {}
-
-    def put(i: int, j: int, rel: RewriteRelation) -> None:
-        # Cells are written in mirrored pairs, so one side tells both.
-        existing = cells.get((i, j))
-        if existing is not None and existing is not rel:
-            if _SUB in (existing, rel):
-                raise EditConflictError(
-                    f"cell ({i},{j}) assigned both {existing.value} and {rel.value}"
-                )
-            # An insert before the last question token meets an append.
-            rel = _INS_APP
-        cells[(i, j)] = rel
-        cells[(j, i)] = rel.mirror
-
     for op in ops:
         (cs, ce), (qs, qe) = op.context_range, op.question_range
         if not (0 <= cs < ce <= n_ctx and 0 <= qs <= qe <= n_q):
             raise ValueError(f"edit op {op.context_range}, {op.question_range} out of bounds")
         if qs < qe:
-            columns, rel = range(qs, qe), _SUB
+            columns, rel = range(n_ctx + qs, n_ctx + qe), _SUB
         elif qs < n_q:
-            columns, rel = (qs,), _INS
+            columns, rel = (n_ctx + qs,), _INS
         else:
-            columns, rel = (n_q - 1,), _APP
-        for ci in range(cs, ce):
-            for qi in columns:
-                put(ci, n_ctx + qi, rel)
+            columns, rel = (n_ctx + n_q - 1,), _APP
+        mirror = rel.mirror
+        # Cells are written in mirrored pairs, so one side tells both.
+        for i in range(cs, ce):
+            for j in columns:
+                existing = cells.get((i, j))
+                if existing is None or existing is rel:
+                    cells[(i, j)], cells[(j, i)] = rel, mirror
+                elif existing is _SUB or rel is _SUB:
+                    raise EditConflictError(
+                        f"cell ({i},{j}) assigned both {existing.value} and {rel.value}"
+                    )
+                else:  # an insert before the last question token meets an append
+                    cells[(i, j)], cells[(j, i)] = _INS_APP, _INS_APP.mirror
     return cells
 
 

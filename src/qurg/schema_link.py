@@ -239,7 +239,7 @@ def _index_by_form(words: Iterable[tuple[int, frozenset[str]]]) -> dict[str, lis
     return index
 
 
-def _candidates(index: dict[str, list[int]], forms: frozenset[str]) -> Sequence[int]:
+def _candidates(index: dict[str, list[int]], forms: Iterable[str]) -> Sequence[int]:
     """Elements indexed under any of ``forms``, in element order."""
     found: Sequence[int] = ()
     for form in forms:
@@ -323,12 +323,12 @@ def _link_plan(schema: Schema, policy: MatchPolicy) -> tuple[_FamilyPlan, _Famil
 
 
 def _exact_match_pass(
-    segments: Sequence[tuple[int, Sequence[frozenset[str]]]],
+    segments: Sequence[tuple[int, Sequence[tuple[str, ...]]]],
     family: _FamilyPlan,
 ) -> list[tuple[int, int]]:
-    """Greedy longest-first exact matching of folded utterance n-grams to
-    folded element names; returns one (token position, element) pair per
-    token an n-gram covers.
+    """Greedy longest-first exact matching of utterance n-grams, as form
+    tuples, to folded element names; returns one (token position, element)
+    pair per token an n-gram covers.
 
     Longer n-grams win over shorter ones; within one length, earlier start
     positions and earlier elements in schema order win.  A token consumed by
@@ -348,7 +348,7 @@ def _exact_match_pass(
                 span = tokens[start : start + width]
                 for elem in candidates:
                     name = names[elem]
-                    if all(not span[k].isdisjoint(name[k]) for k in range(1, width)):
+                    if all(not name[k].isdisjoint(span[k]) for k in range(1, width)):
                         hits.extend((base + start + k, elem) for k in range(width))
                         consumed.update(range(start, start + width))
                         break
@@ -374,7 +374,9 @@ def build_schema_link_matrix(
     question = token_seq(question)
     context = token_seq(context)
     cells: dict[tuple[int, int], LinkRelation] = {}
-    segments = [(0, policy.fold(question)), (len(question), policy.fold(context))]
+    segments = [
+        (0, policy._form_tuples(question)), (len(question), policy._form_tuples(context))
+    ]
     tables = len(question) + len(context)
     # The schema's plan under ``policy`` is built on first use and kept on
     # the schema, which is immutable.

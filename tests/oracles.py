@@ -2,16 +2,18 @@
 
 Everything here is deliberately written in plain Python (lists, dicts,
 math.fsum) with no reuse of the package's code paths, so agreement between
-the two is meaningful.  The exceptions are the last four sections: the
+the two is meaningful.  The exceptions are the last five sections: the
 table-filling matchers that the bitmask form index replaced, the token
 check that the one-call check replaced, the op-replay restore that the
-direct cell reading replaced, and the per-head numpy layer that the
-head-batched encoder layer replaced, all kept unchanged as exact
-regression references.
+direct cell reading replaced, the per-head numpy layer that the
+head-batched encoder layer replaced, and the matrix file text that the
+savers built from one dict per cell before they formatted cells
+directly, all kept unchanged as exact regression references.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import defaultdict
 from itertools import combinations
@@ -27,6 +29,7 @@ from qurg.rat_encoder import (
     _check_relations,
 )
 from qurg.rewrite_diff import EditOp, MatchPolicy, OpKind, RewriteEditMatrix, RewriteRelation
+from qurg.schema_link import LinkRelation
 
 Eq = Callable[[str, str], bool]
 
@@ -681,3 +684,36 @@ def per_head_layer_backward(
 
     grads["x"] = d_x
     return grads
+
+
+# ---------------------------------------------------------------------------
+# The matrix file text as ``save_matrix`` and ``save_link_matrix`` built it:
+# one dict per cell, the whole payload through ``json.dumps``.
+
+
+def reference_matrix_text(matrix) -> str:
+    cells = [{"i": i, "j": j, "rel": rel.value} for i, j, rel in matrix.sorted_cells()]
+    if isinstance(matrix, RewriteEditMatrix):
+        payload = {
+            "qurg_fmt": 1,
+            "context_tokens": list(matrix.context_tokens),
+            "question_tokens": list(matrix.question_tokens),
+            "cells": cells,
+        }
+    else:
+        schema = matrix.schema
+        payload = {
+            "qurg_fmt": 1,
+            "question_tokens": list(matrix.question_tokens),
+            "context_tokens": list(matrix.context_tokens),
+            "tables": [list(name) for name in schema.tables],
+            "columns": [
+                {"name": list(col.name), "table": col.table, "type": col.type}
+                for col in schema.columns
+            ],
+            "primary_keys": sorted(schema.primary_keys),
+            "foreign_keys": [list(fk) for fk in sorted(schema.foreign_keys)],
+            "relations": [rel.value for rel in LinkRelation],
+            "cells": cells,
+        }
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"

@@ -215,6 +215,44 @@ class TestRestore:
         assert "error" in capsys.readouterr().err
 
 
+class TestOutToRedirectedStandardOutput:
+    """``--out /dev/stdout`` with standard output redirected to a regular
+    file: the file holds the JSON text, then the summary line."""
+
+    @staticmethod
+    def _run_redirected(tmp_path: Path, argv: list[str]) -> bytes:
+        import subprocess
+        import sys
+
+        target = tmp_path / "stdout.txt"
+        with target.open("wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qurg.cli", *argv, "--out", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE,
+            )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return target.read_bytes()
+
+    def test_build_matrix(self, tmp_path):
+        out = tmp_path / "flights.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(out)]) == 0
+        text = self._run_redirected(tmp_path, FLIGHTS_ARGS)
+        assert text == out.read_bytes() + b"wrote matrix with 6 cells -> /dev/stdout\n"
+        json_part = tmp_path / "json_part.json"
+        json_part.write_bytes(text.split(b"\n")[0])
+        assert load_matrix(json_part) == load_matrix(out)
+
+    def test_restore(self, tmp_path, capsys):
+        matrix_path = tmp_path / "flights.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(matrix_path)]) == 0
+        capsys.readouterr()
+        text = self._run_redirected(tmp_path, ["restore", "--matrix", str(matrix_path)])
+        json_part, summary, end = text.decode("utf-8").split("\n")
+        restored = "which cities has the most arriving flights ?"
+        assert json.loads(json_part) == {"qurg_fmt": 1, "tokens": restored.split()}
+        assert (summary, end) == (restored, "")
+
+
 class TestRoundtrip:
     def test_splice_corpus_scores_one(self, tmp_path):
         rng = random.Random(77)
@@ -1115,6 +1153,44 @@ class TestEncode:
         assert captured.err == (
             "error: encoder config needs 1,105,920,000 bytes for one layer's attention "
             "over 2,400 positions, more than the bound of 1,073,741,824\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+    def test_kept_traces_refused_before_allocating(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch
+    ):
+        # At the default config one layer's attention over 2,000 positions
+        # fits the bound, but the traces of every layer of both streams do
+        # not.  Should the check pass, the test fails before any parameter
+        # or layer is allocated.
+        from qurg import rat_encoder
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the encoder ran")
+
+        monkeypatch.setattr(rat_encoder, "init_params", unreachable)
+        question = [f"w{k}" for k in range(2000 - 7)]
+        interactions = tmp_path / "long.json"
+        interactions.write_text(json.dumps(
+            {"qurg_fmt": 1, "interactions": [{"id": "long", "utterances": [" ".join(question)]}]}
+        ))
+        matrix_path = tmp_path / "long.matrix.json"
+        matrix_path.write_text(json.dumps(
+            {"qurg_fmt": 1, "context_tokens": [], "question_tokens": question, "cells": []}
+        ))
+        out = tmp_path / "states.json"
+        assert run([
+            "encode",
+            "--interactions", str(interactions),
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--matrix", str(matrix_path),
+            "--out", str(out),
+            "--traces",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: encoder config needs 3,105,117,504 bytes for the traces over 2,000 and "
+            "1,993 positions, more than the bound of 1,073,741,824\n"
         )
         assert captured.out == "" and not out.exists()
 

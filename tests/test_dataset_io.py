@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -674,6 +676,93 @@ class TestLinkMatrixSerialization:
         save_link_matrix(first, matrix)
         save_link_matrix(second, load_link_matrix(first))
         assert first.read_bytes() == second.read_bytes()
+
+
+# Tokens whose text JSON escapes (quotes, backslashes, control characters)
+# or keeps as it is (other non-ASCII), and one long token.  U+2028 and
+# U+2029 are whitespace to ``str.split``, so no token holds them.
+AWKWARD_TOKENS = (
+    'say"hi"', "back\\slash", "nul\x00bell\x07esc\x1bdel\x7f", "zero\u200bwidth",
+    "bom\ufeff", "Stra\u00dfe", "\u57ce\u5e02", "x" * 1000,
+)
+# Tables and columns whose structure cells hold every structural relation,
+# and a question that matches a name of each family exactly and partially.
+EVERY_LINK_SCHEMA = Schema(
+    (("city",), ("flight", "route")),
+    (Column(("name",), 0), Column(("city", "id"), 0, "number"),
+     Column(("route", "id"), 1, "number"), Column(("origin", "city", "id"), 1, "number")),
+    frozenset({1, 2}),
+    frozenset({(3, 1)}),
+)
+EVERY_LINK_QUESTION = ("flight", "route", "name", "route", "id", "city")
+
+
+def _every_rewrite_relation_matrix(context: tuple, question: tuple) -> RewriteEditMatrix:
+    """A matrix with one mirrored pair of cells of each rewrite relation,
+    the two ``-Ins-App`` ones included."""
+    c, last = len(context), len(context) + len(question) - 1
+    cells = {}
+    for i, j, rel in [(0, c, RewriteRelation.C_Q_SUB), (1, c + 1, RewriteRelation.C_Q_INS),
+                      (0, last, RewriteRelation.C_Q_APP), (2, last, RewriteRelation.C_Q_INS_APP)]:
+        cells[(i, j)], cells[(j, i)] = rel, rel.mirror
+    return RewriteEditMatrix(context, question, cells)
+
+
+class TestMatrixText:
+    """Both matrix savers format each cell directly; their bytes stay those
+    of the payload with one dict per cell (``oracles.reference_matrix_text``)."""
+
+    REWRITE = _every_rewrite_relation_matrix(AWKWARD_TOKENS, ("which", *AWKWARD_TOKENS[:3]))
+    LINK = build_schema_link_matrix(EVERY_LINK_QUESTION, AWKWARD_TOKENS, EVERY_LINK_SCHEMA)
+
+    def test_every_relation_is_covered(self):
+        assert set(self.REWRITE.cells.values()) == set(RewriteRelation)
+        assert set(self.LINK.cells.values()) == set(LinkRelation)
+
+    def test_rewrite_matrix_bytes(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(path, self.REWRITE)
+        assert path.read_bytes() == oracles.reference_matrix_text(self.REWRITE).encode("utf-8")
+        assert load_matrix(path) == self.REWRITE
+
+    def test_link_matrix_bytes(self, tmp_path):
+        path = tmp_path / "link.json"
+        save_link_matrix(path, self.LINK)
+        assert path.read_bytes() == oracles.reference_matrix_text(self.LINK).encode("utf-8")
+        assert load_link_matrix(path) == self.LINK
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+                    .filter(lambda tok: tok.split() == [tok]), min_size=3, max_size=6))
+    def test_any_tokens(self, tokens):
+        saves = [
+            (save_matrix, _every_rewrite_relation_matrix(tuple(tokens), tuple(tokens))),
+            (save_link_matrix,
+             build_schema_link_matrix(EVERY_LINK_QUESTION, tokens, EVERY_LINK_SCHEMA)),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            for save, matrix in saves:
+                save(path, matrix)
+                assert path.read_bytes() == oracles.reference_matrix_text(matrix).encode("utf-8")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029"])
+    def test_line_separators_are_no_token(self, separator):
+        with pytest.raises(ValueError, match="whitespace"):
+            RewriteEditMatrix((f"a{separator}b",), ("q",), {})
+
+    @pytest.mark.parametrize("case", ["rewrite", "link"])
+    def test_lone_surrogate_leaves_previous_file(self, tmp_path, case):
+        save, good = (save_matrix, self.REWRITE) if case == "rewrite" else (
+            save_link_matrix, self.LINK)
+        bad = dataclasses.replace(good, question_tokens=(*good.question_tokens[:-1], "\ud800"))
+        path = tmp_path / "saved.json"
+        save(path, good)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            save(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["saved.json"]
 
 
 class TestLoaderTotality:

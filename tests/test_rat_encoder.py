@@ -42,6 +42,7 @@ from qurg.rat_encoder import (
     rat_layer_forward,
     rewrite_relation_ids,
     save_params,
+    trace_bytes,
     two_stream_encode,
     vanilla_layer_forward,
 )
@@ -347,9 +348,10 @@ class TestInitParams:
 
 
 class TestSizeBound:
-    """``check_fits`` refuses a config whose parameters, or whose attention
-    buffers of one layer, pass ``MAX_ENCODER_BYTES``.  The refusals are
-    arithmetic only: no test here allocates what it refuses."""
+    """``check_fits`` refuses a config whose parameters, whose attention
+    buffers of one layer, or whose kept traces pass ``MAX_ENCODER_BYTES``.
+    The refusals are arithmetic only: no test here allocates what it
+    refuses."""
 
     SMALL = [
         TINY,
@@ -380,6 +382,34 @@ class TestSizeBound:
         )
         assert valued.shape == (layer.heads, layer.head_width, n, n)
         assert attention_bytes(config, n) == rel_key.nbytes + rel_value.nbytes + valued.nbytes
+
+    @pytest.mark.parametrize("config", SMALL, ids=repr)
+    def test_trace_estimate_is_what_an_encode_keeps(self, config):
+        inter, schema, matrix = tiny_encode_case(602)
+        states, link_matrix = encode_interaction(
+            inter, schema, matrix, init_params(config), keep_traces=True
+        )
+        kept = sum(
+            getattr(trace, f.name).nbytes
+            for trace in states.link_traces + states.rw_traces
+            for f in dataclasses.fields(trace) if getattr(trace, f.name) is not None
+        )
+        assert trace_bytes(config, link_matrix.size, matrix.size) == kept
+
+    def test_traces_refused(self):
+        # At the default config one layer's attention over 2,000 positions
+        # takes 768,000,000 bytes, under the bound; the 8 link layers' scores
+        # and weights over them take 2,048,000,000.
+        config = EncoderConfig()
+        check_fits(config, 2000)
+        with pytest.raises(ValueError, match="for the traces over 2,000 and 10 positions, "):
+            check_fits(config, 2000, traced_rw=10)
+        # The 4 rewrite layers alone: 1,037,440,000 bytes over 2,000
+        # positions fit, 2,324,160,000 over 3,000 do not.
+        assert trace_bytes(config, 0, 2000) == 1_037_440_000
+        check_fits(config, 10, traced_rw=2000)
+        with pytest.raises(ValueError, match="for the traces over 10 and 3,000 positions, "):
+            check_fits(config, 10, traced_rw=3000)
 
     def test_attention_bound_is_inclusive(self):
         # (4 heads + 2 gathers) x width 4 x 8 bytes per cell: 2,364 positions

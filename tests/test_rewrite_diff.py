@@ -224,6 +224,64 @@ class TestFormIndex:
         assert policy.fold(iter(tokens)) == policy.fold(tokens)
 
 
+# The collision words and the folding edge cases: the empty token, a lone
+# "s", a bare "ies", letters whose lower case is longer ("\u0130") or
+# depends on position ("\u03a3").
+form_words = collision_words | st.sampled_from(
+    ["", "s", "ies", "IES", "\u0130", "\u0130S", "\u03a3\u03a3"]
+)
+
+
+class TestFormRepresentation:
+    """The matchers read each sequence's forms as tuples or as a form index,
+    which must agree with ``fold``; they never build its frozensets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(form_words, max_size=24), policies)
+    def test_form_index_is_the_folded_masks(self, tokens, policy):
+        assert policy._form_index(tokens) == _form_masks(policy.fold(tokens))
+        assert policy._form_index(iter(tokens)) == policy._form_index(tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(form_words, max_size=24), policies)
+    def test_form_tuples_are_the_folded_sets(self, tokens, policy):
+        tuples = policy._form_tuples(tokens)
+        assert tuple(map(frozenset, tuples)) == policy.fold(tokens)
+        assert all(len(set(forms)) == len(forms) for forms in tuples)
+
+    @staticmethod
+    def _count_fold(monkeypatch) -> list:
+        calls, fold = [], MatchPolicy.fold
+
+        def counting(self, tokens):
+            calls.append(tokens)
+            return fold(self, tokens)
+
+        monkeypatch.setattr(MatchPolicy, "fold", counting)
+        return calls
+
+    def test_build_from_interaction_never_folds(self, monkeypatch):
+        calls = self._count_fold(monkeypatch)
+        rng = random.Random(24)
+        for policy in generators.POLICIES:
+            for _ in range(20):
+                inter, rewrite = generators.random_triple(rng)
+                build_from_interaction(inter, rewrite, policy)
+        assert calls == []
+
+    def test_schema_linking_on_a_reused_schema_never_folds(self, monkeypatch, toy_schema):
+        from qurg.schema_link import build_schema_link_matrix
+
+        calls = self._count_fold(monkeypatch)
+        for policy in generators.POLICIES:
+            build_schema_link_matrix((), (), toy_schema, policy)
+        assert calls  # each policy's plan folds the schema's names once
+        calls.clear()
+        for policy in generators.POLICIES:
+            build_schema_link_matrix(FLIGHTS_QUESTION, FLIGHTS_CONTEXT, toy_schema, policy)
+        assert calls == []
+
+
 class TestTagEdits:
     def test_paper_example(self):
         del_spans, add_spans = tag_edits(FLIGHTS_QUESTION, FLIGHTS_REWRITE)
