@@ -10,7 +10,8 @@ literal if it holds a character that does not print, such as a newline) and
 makes the exit code 1, without stopping the others.  Every file a command
 writes goes to a temporary file that then replaces the target, so a run
 that fails or is interrupted never leaves a half-written one, except the
-matrix files, which are written in place.  The summary files of the corpus
+matrix files, symbolic links' targets and devices, which are written in
+place, the text encoded first.  The summary files of the corpus
 commands (``index.json``, the ``roundtrip`` report) are written last, and a
 corpus run removes an old ``index.json`` first, so one that exists was
 written by the run that wrote its matrices, and that run finished.  Nothing

@@ -139,35 +139,49 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
+def _write_in_place(path: str | Path, data: bytes) -> None:
+    """Write ``data`` over the file at ``path``, created if need be.  A
+    regular file is cut to one byte (zero if ``data`` is empty) and written
+    from offset 0: on ext4 a cut to zero frees the file's block and makes
+    ``close`` start writing the data back to disk, at several times the CPU
+    of the rest of the write.  A device such as ``/dev/null`` is not cut;
+    the file that standard output has open is written at its offset (see
+    ``_is_stdout``)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        st = os.fstat(fd)
+        if _is_stdout(st):
+            sys.stdout.flush()
+            _write_all(1, data)
+            return
+        if stat.S_ISREG(st.st_mode):
+            os.ftruncate(fd, min(len(data), 1))
+        _write_all(fd, data)
+    finally:
+        os.close(fd)
+
+
 def _replace(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it that
-    then replaces it, keeping the old file's permission bits.  A write that
-    fails inside the process (an exception, a full disk, an interrupt)
-    keeps whatever was there before and removes the temporary file.
-    Nothing is synced to disk, so a power loss or a kernel crash can still
-    lose the new text.  A symbolic link, or a target that is not a regular
-    file (``/dev/stdout``), is written in place: replacing it would replace
-    the link or the device.  In place, the file that standard output has
-    open is written at standard output's offset (see ``_is_stdout``)."""
+    then replaces it, keeping the old file's permission bits.  The text is
+    encoded first, and a write that fails inside the process (an exception,
+    a full disk, an interrupt) keeps whatever was there before and removes
+    the temporary file.  Nothing is synced to disk, so a power loss or a
+    kernel crash can still lose the new text.  A symbolic link, or a target
+    that is not a regular file (``/dev/stdout``), is written in place
+    (``_write_in_place``): replacing it would replace the link or device."""
+    data = text.encode("utf-8")
     path = Path(path)
     try:
         mode = os.lstat(path).st_mode
     except OSError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        try:
-            to_stdout = _is_stdout(os.stat(path))
-        except OSError:  # a dangling link: ``write_text`` reports it
-            to_stdout = False
-        if to_stdout:
-            sys.stdout.flush()
-            _write_all(1, text.encode("utf-8"))
-        else:
-            path.write_text(text, encoding="utf-8")
+        _write_in_place(path, data)
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
@@ -179,8 +193,10 @@ def _replace(path: str | Path, text: str) -> None:
 def write_json(path: str | Path, payload: Any) -> None:
     """Write ``payload`` to ``path`` as canonical UTF-8 JSON, replacing the
     file whole: a write that fails leaves the previous file and no
-    temporary one (see ``_replace``).  Every file the package writes goes
-    through ``_replace`` except the matrix files of ``save_matrix``."""
+    temporary one (see ``_replace``).  A symbolic link's target is written
+    in place, like a matrix file: encoded first, then cut to one byte.
+    Every file the package writes goes through ``_replace`` except the
+    matrix files of ``save_matrix``."""
     _replace(path, dump_canonical(payload))
 
 
@@ -415,38 +431,18 @@ def _parse_cells(
 def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
     """Write a rewrite edit matrix; cells sorted by (i, j) for determinism.
 
-    The one file written in place rather than replaced: ``build-matrix
-    --corpus`` writes one per example, and ``index.json``, written last and
-    replaced, names only the matrices a finished run wrote.  The text is
-    encoded before the file is opened, so a matrix that cannot be encoded
-    leaves the old file as it was.  An existing regular file is cut to one
-    byte, not to zero: on ext4 a cut to zero frees the file's block and
-    makes ``close`` start writing the new data back to disk, which cost
-    several times the CPU of the rest of the write.  A write stopped at any
-    point, by an exception or a kill, leaves one byte and then a prefix of
-    the text, which never loads as any other matrix.  The file that
-    standard output has open (``--out /dev/stdout``) is neither cut nor
-    written from offset 0, but written at standard output's offset (see
-    ``_is_stdout``).
+    The one file written in place (``_write_in_place``) rather than
+    replaced: ``build-matrix --corpus`` writes one per example, and
+    ``index.json``, written last and replaced, names only the matrices a
+    finished run wrote.  The text is encoded before the file is opened; a
+    write stopped later leaves one byte and then a prefix of the text,
+    which never loads as any other matrix.
     """
-    data = _matrix_text({
+    _write_in_place(path, _matrix_text({
         "qurg_fmt": FORMAT_VERSION,
         "context_tokens": list(matrix.context_tokens),
         "question_tokens": list(matrix.question_tokens),
-    }, matrix).encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        st = os.fstat(fd)
-        if _is_stdout(st):
-            sys.stdout.flush()
-            _write_all(1, data)
-            return
-        # A device such as /dev/null cannot be cut.
-        if stat.S_ISREG(st.st_mode):
-            os.ftruncate(fd, 1)
-        _write_all(fd, data)
-    finally:
-        os.close(fd)
+    }, matrix).encode("utf-8"))
 
 
 def load_matrix(path: str | Path) -> RewriteEditMatrix:

@@ -74,6 +74,7 @@ __all__ = [
     "parameter_bytes",
     "attention_bytes",
     "trace_bytes",
+    "dump_bytes",
     "check_fits",
     "embed_inputs",
     "vanilla_layer_forward",
@@ -118,6 +119,14 @@ MAX_LAYERS = 1024
 # Most bytes ``check_fits`` lets the parameters take, and, apart, the
 # largest attention buffers of one layer and the kept traces.
 MAX_ENCODER_BYTES = 2**30
+
+# Most bytes that ``encode --traces --out`` spends on one value it dumps,
+# while the value's JSON text is built and written (CPython 3.11): its float
+# and list slot (32 B), the encoder's string for it (49 B and up to 24
+# characters) and the list slots of that string and its separator (16 B),
+# and its share of the joined text (25 B), 146 B in all; the lists holding
+# each row add 72 B a row, at most 32 B a value in rows of three or more.
+DUMP_BYTES_PER_VALUE = 192
 
 
 @dataclass(frozen=True)
@@ -704,21 +713,29 @@ def trace_bytes(config: EncoderConfig, n_link: int, n_rw: int) -> int:
     return values * np.dtype(config.np_dtype).itemsize
 
 
+def dump_bytes(config: EncoderConfig, n_link: int, n_rw: int) -> int:
+    """The bytes that ``encode --traces --out`` spends building and writing
+    its dump: ``DUMP_BYTES_PER_VALUE`` for each value of the final states
+    over ``n_link`` positions and of each layer's scores and weights."""
+    scores = config.layers_link * n_link * n_link + config.layers_rw * n_rw * n_rw
+    return (n_link * config.d_x + 2 * config.heads * scores) * DUMP_BYTES_PER_VALUE
+
+
 def check_fits(config: EncoderConfig, n: int, *, traced_rw: int | None = None) -> None:
     """Refuse, before anything is allocated, a config whose parameters or
     whose attention buffers over ``n`` positions would take more than
     ``MAX_ENCODER_BYTES``: a process that asks for more than the machine
     holds may be killed with no error at all.  When traces are kept,
     ``traced_rw`` is the rewrite stream's positions, and the traces of
-    both streams (:func:`trace_bytes`, the link stream over ``n``) must
-    fit the bound too."""
+    both streams (:func:`trace_bytes`, the link stream over ``n``) and
+    their dump (:func:`dump_bytes`) must fit the bound together."""
     sizes = [
         ("its parameters", parameter_bytes(config)),
         (f"one layer's attention over {n:,} positions", attention_bytes(config, n)),
     ]
     if traced_rw is not None:
-        sizes.append((f"the traces over {n:,} and {traced_rw:,} positions",
-                      trace_bytes(config, n, traced_rw)))
+        sizes.append((f"the traces over {n:,} and {traced_rw:,} positions and their dump",
+                      trace_bytes(config, n, traced_rw) + dump_bytes(config, n, traced_rw)))
     for what, size in sizes:
         if size > MAX_ENCODER_BYTES:
             raise ValueError(

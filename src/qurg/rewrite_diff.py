@@ -108,35 +108,33 @@ class MatchPolicy:
     ``lowercase`` folds case before comparing.  ``plural_stem`` additionally
     treats singular/plural surface forms as equal (trailing "s" and the
     "-ies"/"-y" alternation), so e.g. "city" matches "cities".  Tokens match
-    when their form sets intersect, which is not transitive: "cities"
-    matches "citie" and "city", which do not match each other.
+    when they share a form, which is not transitive: "cities" matches
+    "citie" and "city", which do not match each other.
     """
 
     lowercase: bool = True
     plural_stem: bool = True
 
-    def forms(self, token: str) -> frozenset[str]:
-        # "cities" -> {"cities", "citie", "city"}, "flights" -> {"flights", "flight"}
+    def forms(self, token: str) -> tuple[str, ...]:
+        # "cities" -> ("cities", "citie", "city"), "flights" -> ("flights", "flight")
         return self.fold((token,))[0]
 
-    def fold(self, tokens: Iterable[str]) -> tuple[frozenset[str], ...]:
-        """Each token's forms as a frozenset, for a whole sequence; folded
-        tokens ``x`` and ``y`` match when ``not x.isdisjoint(y)``.  The
-        matchers themselves read the same forms as plain tuples
-        (``_form_tuples``) or as a form index (``_form_index``), which cost
-        less to build than a frozenset per token."""
-        return tuple(map(frozenset, self._form_tuples(tokens)))
-
-    def _form_tuples(self, tokens: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-        """Each token's forms as a tuple with no form twice."""
+    def fold(self, tokens: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+        """Each token's forms as a tuple with no form twice, for a whole
+        sequence; two tokens match when they share a form.  The matchers
+        read a sequence's forms this way or as a form index
+        (``_form_index``)."""
         folded = map(str.lower, tokens) if self.lowercase else tokens
         if not self.plural_stem:
             return tuple((t,) for t in folded)
         return tuple(_stem_forms(t) if t[-1:] == "s" else (t,) for t in folded)
 
     def _form_index(self, tokens: Iterable[str]) -> dict[str, int]:
-        """``_form_masks(self.fold(tokens))``, built in the pass that folds
-        the tokens."""
+        """The form index of a sequence: each form's bitmask of the
+        positions whose token carries it, built in the pass that folds the
+        tokens.  A token matches the positions in the OR of its forms' masks
+        (:func:`_match_mask`), which is exact under the non-transitive rule,
+        because two tokens match when they share a form."""
         masks: dict[str, int] = {}
         get, bit = masks.get, 1
         stem = self.plural_stem
@@ -150,7 +148,7 @@ class MatchPolicy:
         return masks
 
     def matches(self, a: str, b: str) -> bool:
-        return not self.forms(a).isdisjoint(self.forms(b))
+        return not set(self.forms(a)).isdisjoint(self.forms(b))
 
 
 def _stem_forms(t: str) -> tuple[str, ...]:
@@ -381,22 +379,6 @@ class RewriteEditMatrix(RelationMatrix):
         return self.context_size + self.question_size
 
 
-def _form_masks(folded: Iterable[Iterable[str]]) -> dict[str, int]:
-    """The form index of a folded sequence: each form's bitmask of the
-    positions whose token carries it.  A token matches the positions in the
-    OR of its forms' masks (:func:`_match_mask`), which is exact under the
-    non-transitive rule, because two tokens match when their form sets
-    intersect.  ``MatchPolicy._form_index`` builds the same index from the
-    tokens themselves."""
-    masks: dict[str, int] = {}
-    bit = 1
-    for forms in folded:
-        for form in forms:
-            masks[form] = masks.get(form, 0) | bit
-        bit <<= 1
-    return masks
-
-
 def _match_mask(forms: Iterable[str], masks: dict[str, int]) -> int:
     mask = 0
     for form in forms:
@@ -432,7 +414,7 @@ def lcs(
     m = len(b)
     # Bit p of a mask or a row stands for b[m - 1 - p].
     index = policy._form_index(reversed(b))
-    eq = [_match_mask(forms, index) for forms in policy._form_tuples(a)]
+    eq = [_match_mask(forms, index) for forms in policy.fold(a)]
     rows = _lcs_rows(eq, m)
 
     def dp(i: int, j: int) -> int:  # the LCS length of a[i:] and b[j:]
@@ -532,7 +514,7 @@ def extract_edit_ops(
         raise ValueError(f"occurrence must be 'last' or 'first', got {occurrence!r}")
     pairs = lcs(question, rewrite, policy)
     context_index = policy._form_index(context)
-    rewrite_forms = policy._form_tuples(rewrite)
+    rewrite_forms = policy.fold(rewrite)
     ops: list[EditOp] = []
     for (qs, qe), (rs, re) in _gaps(pairs, len(question), len(rewrite)):
         if rs == re:

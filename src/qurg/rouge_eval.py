@@ -12,11 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .rewrite_diff import _form_masks, _lcs_rows
+from .rewrite_diff import MatchPolicy, _lcs_rows
 
 __all__ = ["RougeScore", "CorpusRougeReport", "rouge_n", "rouge_l", "corpus_rouge"]
 
 NORMALIZATION = "lowercase, no stemming"
+
+# Tokens are lowercased before scoring, so R-L matches them exactly: each
+# token is its only form.
+_EXACT = MatchPolicy(lowercase=False, plural_stem=False)
 
 
 _Scores = tuple[float, float, float]  # precision, recall, F1
@@ -77,8 +81,7 @@ def _rouge_n_scores(cand: list[str], ref: list[str], n: int) -> _Scores:
 
 
 def _rouge_l_scores(cand: list[str], ref: list[str]) -> _Scores:
-    # Exact token equality on the normalized forms: each token is its only form.
-    index = _form_masks((tok,) for tok in reversed(ref))
+    index = _EXACT._form_index(reversed(ref))
     dropped = _lcs_rows([index.get(tok, 0) for tok in cand], len(ref))[0].bit_count()
     return _scores(len(ref) - dropped, len(cand), len(ref))
 

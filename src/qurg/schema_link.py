@@ -269,7 +269,9 @@ def _family_plan(
     partial: LinkRelation,
     policy: MatchPolicy,
 ) -> _FamilyPlan:
-    folded = tuple(policy.fold(name) for name in names)
+    # Each name word's forms become a set once, for the ``isdisjoint`` tests
+    # of ``_exact_match_pass``.
+    folded = tuple(tuple(map(frozenset, policy.fold(name))) for name in names)
     widths = sorted({len(name) for name in folded}, reverse=True)
     by_first = tuple(
         (width, _index_by_form(
@@ -374,9 +376,7 @@ def build_schema_link_matrix(
     question = token_seq(question)
     context = token_seq(context)
     cells: dict[tuple[int, int], LinkRelation] = {}
-    segments = [
-        (0, policy._form_tuples(question)), (len(question), policy._form_tuples(context))
-    ]
+    segments = [(0, policy.fold(question)), (len(question), policy.fold(context))]
     tables = len(question) + len(context)
     # The schema's plan under ``policy`` is built on first use and kept on
     # the schema, which is immutable.

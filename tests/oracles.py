@@ -2,13 +2,15 @@
 
 Everything here is deliberately written in plain Python (lists, dicts,
 math.fsum) with no reuse of the package's code paths, so agreement between
-the two is meaningful.  The exceptions are the last five sections: the
+the two is meaningful.  The exceptions are the last six sections: the
 table-filling matchers that the bitmask form index replaced, the token
 check that the one-call check replaced, the op-replay restore that the
 direct cell reading replaced, the per-head numpy layer that the
-head-batched encoder layer replaced, and the matrix file text that the
+head-batched encoder layer replaced, the matrix file text that the
 savers built from one dict per cell before they formatted cells
-directly, all kept unchanged as exact regression references.
+directly, and the form index built from folded forms that
+``MatchPolicy._form_index`` replaced, all kept unchanged as exact
+regression references.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 from collections import defaultdict
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -717,3 +719,24 @@ def reference_matrix_text(matrix) -> str:
             "cells": cells,
         }
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The form index as ``rewrite_diff._form_masks`` built it from a folded
+# sequence, for ROUGE-L and the tests, beside ``MatchPolicy._form_index``.
+
+
+def reference_form_masks(folded: Iterable[Iterable[str]]) -> dict[str, int]:
+    """The form index of a folded sequence: each form's bitmask of the
+    positions whose token carries it.  A token matches the positions in the
+    OR of its forms' masks (:func:`_match_mask`), which is exact under the
+    non-transitive rule, because two tokens match when their form sets
+    intersect.  ``MatchPolicy._form_index`` builds the same index from the
+    tokens themselves."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for forms in folded:
+        for form in forms:
+            masks[form] = masks.get(form, 0) | bit
+        bit <<= 1
+    return masks

@@ -1160,8 +1160,8 @@ class TestEncode:
         self, tmp_path, fixtures_dir, capsys, monkeypatch
     ):
         # At the default config one layer's attention over 2,000 positions
-        # fits the bound, but the traces of every layer of both streams do
-        # not.  Should the check pass, the test fails before any parameter
+        # fits the bound, but the traces of every layer of both streams and
+        # their dump do not.  Should the check pass, the test fails before any parameter
         # or layer is allocated.
         from qurg import rat_encoder
 
@@ -1189,8 +1189,8 @@ class TestEncode:
         ]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: encoder config needs 3,105,117,504 bytes for the traces over 2,000 and "
-            "1,993 positions, more than the bound of 1,073,741,824\n"
+            "error: encoder config needs 76,667,530,560 bytes for the traces over 2,000 and "
+            "1,993 positions and their dump, more than the bound of 1,073,741,824\n"
         )
         assert captured.out == "" and not out.exists()
 

@@ -965,6 +965,28 @@ class TestFailedSaveKeepsPreviousFile:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["saved.json"]
 
+    @pytest.mark.parametrize("case", sorted(FAILING_SAVES))
+    def test_failed_save_through_a_link_keeps_its_target(self, tmp_path, flights_interaction,
+                                                         case):
+        save, good, bad, error = FAILING_SAVES[case]
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        link.symlink_to(target)
+        save(link, good(flights_interaction))
+        before = target.read_bytes()
+        with pytest.raises(error):
+            save(link, bad(flights_interaction))
+        assert target.read_bytes() == before
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_empty_save_through_a_link_empties_its_target(self, tmp_path, flights_interaction):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        save_rewrite_corpus(target, [flights_interaction])
+        link.symlink_to(target)
+        save_rewrite_corpus(link, [])
+        assert target.read_bytes() == b""
+        assert load_rewrite_corpus(link) == []
+
     @pytest.mark.parametrize("save", [save_interactions, save_rewrite_corpus])
     def test_lossy_save_names_the_interaction(self, tmp_path, save):
         inter = Interaction((("how", "many?"),), ("city?",), ("city?",), "x")
@@ -1002,11 +1024,11 @@ def _file_writers(module: Path) -> set[str]:
     return writers
 
 
-def test_only_the_replace_writer_and_save_matrix_write_files():
+def test_only_the_replacing_and_the_in_place_writer_write_files():
     package = Path(dataset_io.__file__).parent
     writers = {(path.stem, name) for path in sorted(package.glob("*.py"))
                for name in _file_writers(path)}
-    assert writers == {("dataset_io", "_replace"), ("dataset_io", "save_matrix")}
+    assert writers == {("dataset_io", "_replace"), ("dataset_io", "_write_in_place")}
 
 
 class TestReportSerialization:

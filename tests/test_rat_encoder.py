@@ -7,6 +7,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from qurg.rat_encoder import (
     attention_bytes,
     check_fits,
     context_reversal_permutation,
+    dump_bytes,
     embed_inputs,
     encode_interaction,
     encoder_context_tokens,
@@ -402,14 +404,49 @@ class TestSizeBound:
         # and weights over them take 2,048,000,000.
         config = EncoderConfig()
         check_fits(config, 2000)
-        with pytest.raises(ValueError, match="for the traces over 2,000 and 10 positions, "):
+        with pytest.raises(ValueError, match="over 2,000 and 10 positions and their dump, "):
             check_fits(config, 2000, traced_rw=10)
-        # The 4 rewrite layers alone: 1,037,440,000 bytes over 2,000
-        # positions fit, 2,324,160,000 over 3,000 do not.
+        # The 4 rewrite layers' arrays alone take 1,037,440,000 bytes over
+        # 2,000 positions.  Their dump takes 192 bytes for each of the 32
+        # scores and weights per pair of positions, so beside a link stream
+        # over 10 positions, arrays and dump over 408 rewrite positions fit
+        # (1,069,556,480 bytes in all) and over 409 do not (1,074,792,000).
         assert trace_bytes(config, 0, 2000) == 1_037_440_000
-        check_fits(config, 10, traced_rw=2000)
-        with pytest.raises(ValueError, match="for the traces over 10 and 3,000 positions, "):
-            check_fits(config, 10, traced_rw=3000)
+        assert dump_bytes(config, 0, 1) == 32 * 192
+        check_fits(config, 10, traced_rw=408)
+        with pytest.raises(ValueError, match="over 10 and 409 positions and their dump, "):
+            check_fits(config, 10, traced_rw=409)
+
+    @pytest.mark.parametrize("config", SMALL, ids=repr)
+    def test_dump_estimate_covers_building_and_writing_the_dump(
+        self, config, tmp_path, monkeypatch
+    ):
+        from qurg import cli, dataset_io, rat_encoder
+
+        inter, schema, matrix = tiny_encode_case(602)
+        files = {"--interactions": tmp_path / "i.json", "--schema": tmp_path / "s.json",
+                 "--matrix": tmp_path / "m.json", "--config": tmp_path / "c.json"}
+        dataset_io.save_interactions(files["--interactions"], [inter])
+        dataset_io.save_schema(files["--schema"], schema)
+        dataset_io.save_matrix(files["--matrix"], matrix)
+        dataset_io.write_json(files["--config"], config.to_dict())
+        sizes, encode = [], rat_encoder.encode_interaction
+
+        def encode_then_trace(*args, **kwargs):
+            states, link_matrix = encode(*args, **kwargs)
+            sizes.append(link_matrix.size)
+            tracemalloc.start()  # counts only what the dump allocates
+            return states, link_matrix
+
+        monkeypatch.setattr(rat_encoder, "encode_interaction", encode_then_trace)
+        argv = ["encode", *(str(arg) for item in files.items() for arg in item),
+                "--traces", "--out", str(tmp_path / "out.json")]
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dump_bytes(config, sizes[0], matrix.size) >= peak
 
     def test_attention_bound_is_inclusive(self):
         # (4 heads + 2 gathers) x width 4 x 8 bytes per cell: 2,364 positions

@@ -21,7 +21,6 @@ from qurg.rewrite_diff import (
     RewriteRelation,
     SpanKind,
     _find_context_occurrence,
-    _form_masks,
     build_from_interaction,
     build_rewrite_matrix,
     extract_edit_ops,
@@ -173,6 +172,14 @@ collision_words = st.sampled_from(
 policies = st.sampled_from(generators.POLICIES)
 
 
+# The collision words and the folding edge cases: the empty token, a lone
+# "s", a bare "ies", letters whose lower case is longer ("\u0130") or
+# depends on position ("\u03a3").
+form_words = collision_words | st.sampled_from(
+    ["", "s", "ies", "IES", "\u0130", "\u0130S", "\u03a3\u03a3"]
+)
+
+
 class TestFormIndex:
     """The bitmask matchers against the table-filling ones they replaced."""
 
@@ -195,7 +202,7 @@ class TestFormIndex:
            max_size=4), policies, st.sampled_from(["last", "first"]))
     def test_grounding_matches_scan_oracle(self, context, span, policy, occurrence):
         got = _find_context_occurrence(
-            _form_masks(policy.fold(context)), policy.fold(span), occurrence
+            policy._form_index(context), policy.fold(span), occurrence
         )
         expected = oracles.reference_ground(
             oracles.reference_fold(policy, context), oracles.reference_fold(policy, span),
@@ -203,51 +210,43 @@ class TestFormIndex:
         )
         assert got == expected
 
+    @staticmethod
+    def _assert_folds_as_reference(policy, tokens, folded):
+        assert tuple(map(frozenset, folded)) == oracles.reference_fold(policy, tokens)
+        assert all(len(set(forms)) == len(forms) for forms in folded)
+
     @settings(max_examples=300, deadline=None)
     @given(collision_words | st.text(alphabet="sSiIeEyY\u0130\u03a3", min_size=1, max_size=6)
            | st.text(min_size=1, max_size=6), policies)
     def test_forms_match_set_building_oracle(self, token, policy):
-        assert policy.forms(token) == oracles.reference_forms(policy, token)
+        self._assert_folds_as_reference(policy, [token], [policy.forms(token)])
 
     @pytest.mark.parametrize("policy", generators.POLICIES, ids=repr)
     def test_fold_edge_tokens(self, policy):
         # "\u0130" lowercases to two characters; "" must fold, not raise.
         tokens = ["", "s", "ies", "IES", "\u0130", "\u0130S", "Cities"]
         assert policy.fold(tokens) == tuple(map(policy.forms, tokens))
-        assert policy.fold(tokens) == oracles.reference_fold(policy, tokens)
+        self._assert_folds_as_reference(policy, tokens, policy.fold(tokens))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(collision_words | st.text(max_size=5), max_size=8), policies)
+    @given(st.lists(form_words | st.text(max_size=5), max_size=24), policies)
     def test_fold_is_each_tokens_forms(self, tokens, policy):
         assert policy.fold(tokens) == tuple(map(policy.forms, tokens))
-        assert policy.fold(tokens) == oracles.reference_fold(policy, tokens)
+        self._assert_folds_as_reference(policy, tokens, policy.fold(tokens))
         assert policy.fold(iter(tokens)) == policy.fold(tokens)
 
 
-# The collision words and the folding edge cases: the empty token, a lone
-# "s", a bare "ies", letters whose lower case is longer ("\u0130") or
-# depends on position ("\u03a3").
-form_words = collision_words | st.sampled_from(
-    ["", "s", "ies", "IES", "\u0130", "\u0130S", "\u03a3\u03a3"]
-)
-
-
 class TestFormRepresentation:
-    """The matchers read each sequence's forms as tuples or as a form index,
-    which must agree with ``fold``; they never build its frozensets."""
+    """The matchers read each sequence's forms from ``fold`` or as a form
+    index, which must agree with the folded forms; each sequence is folded
+    once, and a reused schema's names not at all."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(form_words, max_size=24), policies)
     def test_form_index_is_the_folded_masks(self, tokens, policy):
-        assert policy._form_index(tokens) == _form_masks(policy.fold(tokens))
+        expected = oracles.reference_form_masks(oracles.reference_fold(policy, tokens))
+        assert policy._form_index(tokens) == expected
         assert policy._form_index(iter(tokens)) == policy._form_index(tokens)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(form_words, max_size=24), policies)
-    def test_form_tuples_are_the_folded_sets(self, tokens, policy):
-        tuples = policy._form_tuples(tokens)
-        assert tuple(map(frozenset, tuples)) == policy.fold(tokens)
-        assert all(len(set(forms)) == len(forms) for forms in tuples)
 
     @staticmethod
     def _count_fold(monkeypatch) -> list:
@@ -260,26 +259,30 @@ class TestFormRepresentation:
         monkeypatch.setattr(MatchPolicy, "fold", counting)
         return calls
 
-    def test_build_from_interaction_never_folds(self, monkeypatch):
+    def test_build_from_interaction_folds_question_and_rewrite(self, monkeypatch):
         calls = self._count_fold(monkeypatch)
         rng = random.Random(24)
         for policy in generators.POLICIES:
             for _ in range(20):
                 inter, rewrite = generators.random_triple(rng)
+                calls.clear()
                 build_from_interaction(inter, rewrite, policy)
-        assert calls == []
+                assert calls == [inter.question, rewrite]
 
-    def test_schema_linking_on_a_reused_schema_never_folds(self, monkeypatch, toy_schema):
+    def test_schema_linking_on_a_reused_schema_folds_no_name(self, monkeypatch, toy_schema):
         from qurg.schema_link import build_schema_link_matrix
 
         calls = self._count_fold(monkeypatch)
+        names = [*toy_schema.tables, *(col.name for col in toy_schema.columns)]
         for policy in generators.POLICIES:
+            calls.clear()
             build_schema_link_matrix((), (), toy_schema, policy)
-        assert calls  # each policy's plan folds the schema's names once
-        calls.clear()
+            # The first call under each policy folds each name once for its plan.
+            assert calls == [(), (), *names]
         for policy in generators.POLICIES:
+            calls.clear()
             build_schema_link_matrix(FLIGHTS_QUESTION, FLIGHTS_CONTEXT, toy_schema, policy)
-        assert calls == []
+            assert calls == [FLIGHTS_QUESTION, FLIGHTS_CONTEXT]
 
 
 class TestTagEdits:
