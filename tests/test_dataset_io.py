@@ -143,6 +143,21 @@ class TestTokensValidatedOnce:
         names = [*toy_schema.tables, *(col.name for col in toy_schema.columns)]
         assert calls == [*names, FLIGHTS_CONTEXT, FLIGHTS_QUESTION]
 
+    def test_encoder_links_the_interaction_without_validating_again(self, monkeypatch):
+        from qurg import rat_encoder
+
+        interaction = load_interactions(FIXTURES / "interactions_flights.json")[0]
+        schema = load_schema(FIXTURES / "schema_flights.json")
+        matrix = build_from_interaction(interaction)
+        params = rat_encoder.init_params(
+            rat_encoder.EncoderConfig(d_x=8, heads=2, layers_link=1, layers_rw=1, d_ff=12)
+        )
+        calls = self._count_token_seq(monkeypatch)
+        _, link = rat_encoder.encode_interaction(interaction, schema, matrix, params)
+        assert calls == []
+        context = rat_encoder.encoder_context_tokens(interaction)
+        assert link == build_schema_link_matrix(interaction.question, context, schema)
+
     def test_hand_offs_reject_what_they_rejected(self):
         with pytest.raises(ValueError, match="^interaction question must be non-empty$"):
             Interaction((), ())

@@ -459,3 +459,60 @@ class TestReusedSchema:
         assert replaced._structure != schema._structure
         assert len(built) == 2 and built[1] is replaced
         assert replaced._structure == structure_cells(replaced)
+
+    def test_shifted_structure_built_once_per_position(self, monkeypatch):
+        built = []
+
+        def counted(schema):
+            built.append(schema)
+            return structure_cells(schema)
+
+        structure_cells = schema_link._structure_cells
+        monkeypatch.setattr(schema_link, "_structure_cells", counted)
+        schema = self._schema(random.Random(5))
+        turns = [(("city", "names"), ("the", "flights")), (("city",), ()),
+                 (("all", "cities"), ("names", "of"))]
+        kept = {}
+        for policy in generators.POLICIES:
+            for question, context in turns:
+                matrix = build_schema_link_matrix(question, context, schema, policy)
+                SchemaLinkMatrix(question, context, schema, dict(matrix.cells))
+                t = matrix.table_offset
+                shifted = schema._shifted_structure[t]
+                assert shifted is kept.setdefault(t, shifted) and shifted is not matrix.cells
+        assert set(schema._shifted_structure) == {1, 4}
+        # The constructor's check builds a position the builder never saw.
+        cells = {(i + 3, j + 3): rel for (i, j), rel in schema._structure}
+        SchemaLinkMatrix(("x",) * 3, (), schema, cells)
+        assert set(schema._shifted_structure) == {1, 3, 4}
+        assert all(schema._shifted_structure[t] is kept[t] for t in (1, 4))
+        assert len(built) == 1 and built[0] is schema
+        replaced = dataclasses.replace(schema, primary_keys=frozenset())
+        assert replaced._shifted_structure == {}
+        build_schema_link_matrix(("city",), (), replaced)
+        assert set(replaced._shifted_structure) == {1} and len(built) == 2
+
+    def test_reused_schema_across_lengths(self):
+        """Lengths that grow, shrink and repeat, some with no context and
+        some with no match: each matrix lists the cells a fresh schema
+        lists, in the same order, and emptying a returned matrix leaves the
+        schema's kept cells whole."""
+        rng = random.Random(31)
+        schema = self._schema(random.Random(5))
+        filler = ["the", "all"]
+        lengths = [(3, 4), (6, 9), (2, 0), (6, 9), (1, 3), (9, 12), (2, 0), (3, 4), (5, 0)]
+        for turn, (n_question, n_context) in enumerate(lengths * 2):
+            policy = generators.POLICIES[turn % len(generators.POLICIES)]
+            words = filler if turn % 3 == 2 else generators.VARIANT_VOCAB + filler
+            question = tuple(rng.choice(words) for _ in range(n_question))
+            context = tuple(rng.choice(words) for _ in range(n_context))
+            reused = build_schema_link_matrix(question, context, schema, policy)
+            fresh = build_schema_link_matrix(
+                question, context, self._schema(random.Random(5)), policy
+            )
+            assert list(reused.cells.items()) == list(fresh.cells.items())
+            got = {key: rel.value for key, rel in reused.cells.items()}
+            assert got == oracles.reference_schema_link(question, context, schema, policy)
+            reused.cells.clear()
+            again = build_schema_link_matrix(question, context, schema, policy)
+            assert list(again.cells.items()) == list(fresh.cells.items())
