@@ -53,9 +53,10 @@ from .rewrite_diff import (
     TokenSeq,
 )
 from .schema_link import LinkRelation, Schema, SchemaLinkMatrix
-# An interaction's tokens are validated when it is made, so the encoder
-# links them without a second check.  The call keeps the public name, which
-# the benchmark's tracer wraps in this module (perfbench/tracing.py).
+# Not the public builder: this binding skips the token check, which an
+# ``Interaction``'s tokens passed when it was made, so only
+# ``encode_interaction`` may call it.  It keeps the public name because the
+# benchmark's tracer wraps that name in this module (perfbench/tracing.py).
 from .schema_link import _link_tokens as build_schema_link_matrix
 
 __all__ = [

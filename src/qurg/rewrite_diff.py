@@ -89,7 +89,7 @@ def _prevalidated(cls: type[_T], **fields: object) -> _T:
     schema linking, receive validated tokens and write each cell in its
     block with its mirror.  The check would cost them 9-18 against
     0.6-1.1 microseconds per short spliced example, and 1.4-3.0 ms per turn
-    of the wide benchmark schema, which links in 0.2-0.35 ms (shared 2-vCPU
+    of the wide benchmark schema, which links in 0.3-0.55 ms (shared 2-vCPU
     Xeon, Python 3.11; the ranges are the host's drift)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)

@@ -9,15 +9,10 @@ empty: in this architecture utterance-to-utterance relations travel in the
 rewrite matrix instead.  Name matching is a lookup in indexes keyed on
 every word form of every name, with the same tie rule as a scan of all
 names: longest n-gram first, then earliest start, then earliest element.
-The folded names and their indexes depend on the schema and the match
-policy, so each schema builds them once per policy.  The structure cells
-depend on the schema and on the first table's position, so each schema
-builds them once, and once more shifted to each position it is linked
-at: one dict of ``len(schema._structure)`` cells per distinct utterance
-length, about 75-100 KB on the wide benchmark schema.  All are built on
-first use and kept for every later call, so a caller that links many
-turns against one ``Schema`` object does only the work that depends on
-each utterance; a one-shot call gains nothing.
+The structure cells depend only on the schema, so each schema builds them
+once.  The folded names and their indexes depend on the schema and the
+match policy, so each schema builds them once per policy.  Both are built
+on first use and kept for every later call.
 """
 
 from __future__ import annotations
@@ -120,22 +115,15 @@ class Schema:
 
     @cached_property
     def _structure(self) -> tuple[tuple[tuple[int, int], LinkRelation], ...]:
-        """The schema-to-schema cells with the first table at position 0,
-        built on first use by ``_structure_at``.  Not a field: ``==``,
-        ``hash`` and ``repr`` ignore it, and ``dataclasses.replace`` starts
-        anew."""
+        """The schema-to-schema cells, built on first use for the builder and
+        the ``SchemaLinkMatrix`` check alike.  Not a field: ``==``, ``hash``
+        and ``repr`` ignore it, and ``dataclasses.replace`` starts anew."""
         return _structure_cells(self)
 
     @cached_property
     def _link_plans(self) -> dict[MatchPolicy, tuple[_FamilyPlan, _FamilyPlan]]:
         """The link plan per match policy, each built on first use by
         ``build_schema_link_matrix``; not a field, like ``_structure``."""
-        return {}
-
-    @cached_property
-    def _shifted_structure(self) -> dict[int, dict[tuple[int, int], LinkRelation]]:
-        """The structure cells per first-table position, each built on first
-        use by ``_structure_at``; not a field, like ``_structure``."""
         return {}
 
 
@@ -187,7 +175,7 @@ class SchemaLinkMatrix(RelationMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
         t = self.table_offset
-        expected = _structure_at(self.schema, t)
+        expected = {(i + t, j + t): rel for (i, j), rel in self.schema._structure}
         found = {key: rel for key, rel in self.cells.items() if min(key) >= t}
         if found != expected:
             cell = min(key for key in expected.keys() | found.keys()
@@ -320,18 +308,6 @@ def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelatio
     return tuple(cells.items())
 
 
-def _structure_at(schema: Schema, t: int) -> dict[tuple[int, int], LinkRelation]:
-    """The schema's structure cells with the first table at position ``t``,
-    built once per schema and position.  Callers only read the dict: the
-    schema keeps it for every later matrix with the same utterance length."""
-    shifted = schema._shifted_structure.get(t)
-    if shifted is None:
-        shifted = schema._shifted_structure[t] = {
-            (i + t, j + t): rel for (i, j), rel in schema._structure
-        }
-    return shifted
-
-
 def _link_plan(schema: Schema, policy: MatchPolicy) -> tuple[_FamilyPlan, _FamilyPlan]:
     """The schema's tables and columns folded and indexed under ``policy``."""
     return (
@@ -423,7 +399,8 @@ def _link_tokens(
                         cells[(offset + elem, base + k)] = partial_rev
     # Utterance cells and schema-to-schema cells never share a key, so the
     # structure cells, shifted to the first table's position, come last.
-    cells.update(_structure_at(schema, tables))
+    for (i, j), rel in schema._structure:
+        cells[(i + tables, j + tables)] = rel
     # Every cell above lies in its relation's block and has its mirror.
     return _prevalidated(SchemaLinkMatrix, question_tokens=question, context_tokens=context,
                          schema=schema, cells=cells)

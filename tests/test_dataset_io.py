@@ -158,6 +158,27 @@ class TestTokensValidatedOnce:
         context = rat_encoder.encoder_context_tokens(interaction)
         assert link == build_schema_link_matrix(interaction.question, context, schema)
 
+    def test_encoder_binding_is_used_only_by_encode_interaction(self):
+        """``rat_encoder.build_schema_link_matrix`` is the linking work
+        without the token check, so only ``encode_interaction``, which
+        hands it an ``Interaction``'s tokens, may call it; the public name
+        everywhere else still validates."""
+        import qurg
+        from qurg import rat_encoder, schema_link
+
+        assert rat_encoder.build_schema_link_matrix is schema_link._link_tokens
+        assert "build_schema_link_matrix" not in rat_encoder.__all__
+        assert qurg.build_schema_link_matrix is schema_link.build_schema_link_matrix
+        tree = ast.parse(Path(rat_encoder.__file__).read_text(encoding="utf-8"))
+        users = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Name) and inner.id == "build_schema_link_matrix"
+        }
+        assert users == {"encode_interaction"}
+
     def test_hand_offs_reject_what_they_rejected(self):
         with pytest.raises(ValueError, match="^interaction question must be non-empty$"):
             Interaction((), ())

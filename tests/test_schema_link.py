@@ -460,37 +460,22 @@ class TestReusedSchema:
         assert len(built) == 2 and built[1] is replaced
         assert replaced._structure == structure_cells(replaced)
 
-    def test_shifted_structure_built_once_per_position(self, monkeypatch):
-        built = []
-
-        def counted(schema):
-            built.append(schema)
-            return structure_cells(schema)
-
-        structure_cells = schema_link._structure_cells
-        monkeypatch.setattr(schema_link, "_structure_cells", counted)
+    def test_reused_schema_keeps_nothing_per_utterance(self):
+        """Linking many distinct utterance lengths, and checking the
+        matrices, leaves the schema holding its structure cells and one
+        plan per policy, and nothing more."""
         schema = self._schema(random.Random(5))
-        turns = [(("city", "names"), ("the", "flights")), (("city",), ()),
-                 (("all", "cities"), ("names", "of"))]
-        kept = {}
-        for policy in generators.POLICIES:
-            for question, context in turns:
-                matrix = build_schema_link_matrix(question, context, schema, policy)
-                SchemaLinkMatrix(question, context, schema, dict(matrix.cells))
-                t = matrix.table_offset
-                shifted = schema._shifted_structure[t]
-                assert shifted is kept.setdefault(t, shifted) and shifted is not matrix.cells
-        assert set(schema._shifted_structure) == {1, 4}
-        # The constructor's check builds a position the builder never saw.
-        cells = {(i + 3, j + 3): rel for (i, j), rel in schema._structure}
-        SchemaLinkMatrix(("x",) * 3, (), schema, cells)
-        assert set(schema._shifted_structure) == {1, 3, 4}
-        assert all(schema._shifted_structure[t] is kept[t] for t in (1, 4))
-        assert len(built) == 1 and built[0] is schema
-        replaced = dataclasses.replace(schema, primary_keys=frozenset())
-        assert replaced._shifted_structure == {}
-        build_schema_link_matrix(("city",), (), replaced)
-        assert set(replaced._shifted_structure) == {1} and len(built) == 2
+        build_schema_link_matrix(("city",), (), schema)
+        structure = schema._structure
+        fields = {f.name for f in dataclasses.fields(schema)}
+        for n in range(60):
+            question, context = ("city",) * (n % 7 + 1), ("names",) * n
+            policy = generators.POLICIES[n % len(generators.POLICIES)]
+            matrix = build_schema_link_matrix(question, context, schema, policy)
+            SchemaLinkMatrix(question, context, schema, dict(matrix.cells))
+        assert set(vars(schema)) - fields == {"_structure", "_link_plans"}
+        assert schema._structure is structure
+        assert set(schema._link_plans) == set(generators.POLICIES)
 
     def test_reused_schema_across_lengths(self):
         """Lengths that grow, shrink and repeat, some with no context and
