@@ -9,9 +9,10 @@ reported as ``error: example <id>: ...`` on stderr (the id as a Python
 literal if it holds a character that does not print, such as a newline) and
 makes the exit code 1, without stopping the others.  Every file a command
 writes goes to a temporary file that then replaces the target, so a run
-that fails or is interrupted never leaves a half-written one, except the
-matrix files, symbolic links' targets and devices, which are written in
-place, the text encoded first.  The summary files of the corpus
+that fails or is interrupted never leaves a half-written one; a symbolic
+link's target is replaced and the link kept.  The matrix files are written
+in place, the text encoded first, and so are devices and the file that
+standard output has open.  The summary files of the corpus
 commands (``index.json``, the ``roundtrip`` report) are written last, and a
 corpus run removes an old ``index.json`` first, so one that exists was
 written by the run that wrote its matrices, and that run finished.  Nothing
@@ -292,14 +293,12 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
             "context": states.n_context,
             "schema": states.n_schema,
         },
-        "h_final": states.h_final.tolist(),
+        "h_final": states.h_final,
     }
     if args.traces:
         for key, traces in (("link_traces", states.link_traces), ("rw_traces", states.rw_traces)):
-            payload[key] = [
-                {"scores": t.scores.tolist(), "weights": t.weights.tolist()} for t in traces
-            ]
-    dataset_io.write_json(args.out, payload)
+            payload[key] = [{"scores": t.scores, "weights": t.weights} for t in traces]
+    dataset_io._replace(args.out, rat_encoder._json_chunks(payload))
     return CommandResult(
         0,
         f"encoded {states.n_question}+{states.n_context}+{states.n_schema} "

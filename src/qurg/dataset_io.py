@@ -139,52 +139,55 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _write_in_place(path: str | Path, data: bytes) -> None:
-    """Write ``data`` over the file at ``path``, created if need be.  A
-    regular file is cut to one byte (zero if ``data`` is empty) and written
-    from offset 0: on ext4 a cut to zero frees the file's block and makes
-    ``close`` start writing the data back to disk, at several times the CPU
-    of the rest of the write.  A device such as ``/dev/null`` is not cut;
-    the file that standard output has open is written at its offset (see
-    ``_is_stdout``)."""
+def _write_in_place(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks over the file at ``path``, created if need be.
+    A regular file (only ``save_matrix``'s, never empty) is cut to one byte
+    and written from offset 0: on ext4 a cut to zero frees the file's block
+    and makes ``close`` start writing the data back to disk, at several
+    times the CPU of the rest of the write.  A device such as ``/dev/null``
+    is not cut; the file that standard output has open is written at its
+    offset (see ``_is_stdout``)."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         st = os.fstat(fd)
-        if _is_stdout(st):
+        out = 1 if _is_stdout(st) else fd
+        if out == 1:
             sys.stdout.flush()
-            _write_all(1, data)
-            return
-        if stat.S_ISREG(st.st_mode):
-            os.ftruncate(fd, min(len(data), 1))
-        _write_all(fd, data)
+        elif stat.S_ISREG(st.st_mode):
+            os.ftruncate(fd, 1)
+        for chunk in chunks:
+            _write_all(out, chunk)
     finally:
         os.close(fd)
 
 
-def _replace(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it that
-    then replaces it, keeping the old file's permission bits.  The text is
-    encoded first, and a write that fails inside the process (an exception,
-    a full disk, an interrupt) keeps whatever was there before and removes
-    the temporary file.  Nothing is synced to disk, so a power loss or a
-    kernel crash can still lose the new text.  A symbolic link, or a target
-    that is not a regular file (``/dev/stdout``), is written in place
-    (``_write_in_place``): replacing it would replace the link or device."""
-    data = text.encode("utf-8")
-    path = Path(path)
+def _replace(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``path`` through a temporary file beside it
+    that then replaces it, keeping the old file's permission bits.  Each
+    chunk is encoded as it is written, and a write that fails at any point
+    inside the process (an exception, a full disk, an interrupt) keeps
+    whatever was there before and removes the temporary file.  Nothing is
+    synced to disk, so a power loss or a kernel crash can still lose the
+    new text.  A symbolic link's target is replaced and the link kept.  A
+    target that is not a regular file (``/dev/null``), or that standard
+    output has open, is written in place, chunk by chunk."""
     try:
-        mode = os.lstat(path).st_mode
-    except OSError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        _write_in_place(path, data)
+        # Followed: /dev/stdout can resolve to a regular file, which must
+        # still be written at standard output's offset, not replaced.
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and (_is_stdout(st) or not stat.S_ISREG(st.st_mode)):
+        _write_in_place(path, (chunk.encode("utf-8") for chunk in chunks))
         return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".qurg.{os.getpid()}.tmp")  # fits where the target's name does
     try:
-        tmp.write_bytes(data)
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
-        os.replace(tmp, path)
+        with open(tmp, "w", encoding="utf-8", newline="") as out:
+            out.writelines(chunks)
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -192,12 +195,11 @@ def _replace(path: str | Path, text: str) -> None:
 
 def write_json(path: str | Path, payload: Any) -> None:
     """Write ``payload`` to ``path`` as canonical UTF-8 JSON, replacing the
-    file whole: a write that fails leaves the previous file and no
-    temporary one (see ``_replace``).  A symbolic link's target is written
-    in place, like a matrix file: encoded first, then cut to one byte.
-    Every file the package writes goes through ``_replace`` except the
-    matrix files of ``save_matrix``."""
-    _replace(path, dump_canonical(payload))
+    file whole, or a symbolic link's target: a write that fails leaves the
+    previous file and no temporary one (see ``_replace``).  Every file the
+    package writes goes through ``_replace`` except the matrix files of
+    ``save_matrix``."""
+    _replace(path, (dump_canonical(payload),))
 
 
 def _parse_json(text: str, path: str | Path) -> Any:
@@ -389,8 +391,8 @@ def load_rewrite_corpus(path: str | Path) -> list[Interaction]:
 
 def save_rewrite_corpus(path: str | Path, examples: Iterable[Interaction]) -> None:
     """Write interactions as a rewrite corpus; each must carry a gold rewrite.
-    The whole text is built first, so an example without one, or one that
-    would load back as other tokens, leaves the previous file as it was."""
+    The lines are built first, so an example without one, or one that would
+    load back as other tokens, leaves the previous file as it was."""
     lines = []
     for ex in examples:
         if ex.gold_rewrite is None:
@@ -402,7 +404,7 @@ def save_rewrite_corpus(path: str | Path, examples: Iterable[Interaction]) -> No
             "rewrite": _joined(ex.gold_rewrite, ex.interaction_id),
             "id": ex.interaction_id,
         }))
-    _replace(path, "".join(lines))
+    _replace(path, lines)
 
 
 def _parse_cells(
@@ -438,11 +440,11 @@ def save_matrix(path: str | Path, matrix: RewriteEditMatrix) -> None:
     write stopped later leaves one byte and then a prefix of the text,
     which never loads as any other matrix.
     """
-    _write_in_place(path, _matrix_text({
+    _write_in_place(path, (_matrix_text({
         "qurg_fmt": FORMAT_VERSION,
         "context_tokens": list(matrix.context_tokens),
         "question_tokens": list(matrix.question_tokens),
-    }, matrix).encode("utf-8"))
+    }, matrix).encode("utf-8"),))
 
 
 def load_matrix(path: str | Path) -> RewriteEditMatrix:
@@ -470,13 +472,13 @@ def _schema_payload(schema: Schema) -> dict[str, Any]:
 
 def save_link_matrix(path: str | Path, matrix: SchemaLinkMatrix) -> None:
     """Write a linking matrix with its schema and relation vocabulary."""
-    _replace(path, _matrix_text({
+    _replace(path, (_matrix_text({
         "qurg_fmt": FORMAT_VERSION,
         "question_tokens": list(matrix.question_tokens),
         "context_tokens": list(matrix.context_tokens),
         **_schema_payload(matrix.schema),
         "relations": list(LINK_RELATION_NAMES),
-    }, matrix))
+    }, matrix),))
 
 
 def load_link_matrix(path: str | Path) -> SchemaLinkMatrix:

@@ -40,8 +40,8 @@ from typing import Callable, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from .dataset_io import (
-    FORMAT_VERSION, DatasetError, _check_version, _constructed, _expect, _field, read_json,
-    write_json,
+    _CANONICAL, FORMAT_VERSION, DatasetError, _check_version, _constructed, _expect, _field,
+    _replace, read_json,
 )
 from .rewrite_diff import (
     DEFAULT_POLICY,
@@ -74,7 +74,6 @@ __all__ = [
     "parameter_bytes",
     "attention_bytes",
     "trace_bytes",
-    "dump_bytes",
     "check_fits",
     "embed_inputs",
     "vanilla_layer_forward",
@@ -119,14 +118,6 @@ MAX_LAYERS = 1024
 # Most bytes ``check_fits`` lets the parameters take, and, apart, the
 # largest attention buffers of one layer and the kept traces.
 MAX_ENCODER_BYTES = 2**30
-
-# Most bytes that ``encode --traces --out`` spends on one value it dumps,
-# while the value's JSON text is built and written (CPython 3.11): its float
-# and list slot (32 B), the encoder's string for it (49 B and up to 24
-# characters) and the list slots of that string and its separator (16 B),
-# and its share of the joined text (25 B), 146 B in all; the lists holding
-# each row add 72 B a row, at most 32 B a value in rows of three or more.
-DUMP_BYTES_PER_VALUE = 192
 
 
 @dataclass(frozen=True)
@@ -713,29 +704,21 @@ def trace_bytes(config: EncoderConfig, n_link: int, n_rw: int) -> int:
     return values * np.dtype(config.np_dtype).itemsize
 
 
-def dump_bytes(config: EncoderConfig, n_link: int, n_rw: int) -> int:
-    """The bytes that ``encode --traces --out`` spends building and writing
-    its dump: ``DUMP_BYTES_PER_VALUE`` for each value of the final states
-    over ``n_link`` positions and of each layer's scores and weights."""
-    scores = config.layers_link * n_link * n_link + config.layers_rw * n_rw * n_rw
-    return (n_link * config.d_x + 2 * config.heads * scores) * DUMP_BYTES_PER_VALUE
-
-
 def check_fits(config: EncoderConfig, n: int, *, traced_rw: int | None = None) -> None:
     """Refuse, before anything is allocated, a config whose parameters or
     whose attention buffers over ``n`` positions would take more than
     ``MAX_ENCODER_BYTES``: a process that asks for more than the machine
     holds may be killed with no error at all.  When traces are kept,
     ``traced_rw`` is the rewrite stream's positions, and the traces of
-    both streams (:func:`trace_bytes`, the link stream over ``n``) and
-    their dump (:func:`dump_bytes`) must fit the bound together."""
+    both streams (:func:`trace_bytes`, the link stream over ``n``) must fit
+    the bound together."""
     sizes = [
         ("its parameters", parameter_bytes(config)),
         (f"one layer's attention over {n:,} positions", attention_bytes(config, n)),
     ]
     if traced_rw is not None:
-        sizes.append((f"the traces over {n:,} and {traced_rw:,} positions and their dump",
-                      trace_bytes(config, n, traced_rw) + dump_bytes(config, n, traced_rw)))
+        sizes.append((f"the traces over {n:,} and {traced_rw:,} positions",
+                      trace_bytes(config, n, traced_rw)))
     for what, size in sizes:
         if size > MAX_ENCODER_BYTES:
             raise ValueError(
@@ -989,12 +972,6 @@ def gradient_check(
     return worst
 
 
-def _layer_payload(layer: RatLayerParams) -> dict:
-    payload: dict = {name: arr.tolist() for name, arr in layer.named_arrays()}
-    payload["single_fc"] = layer.single_fc
-    return payload
-
-
 def _layer_from_payload(
     payload: dict, config: EncoderConfig, relation_count: int, where: str
 ) -> RatLayerParams:
@@ -1042,18 +1019,40 @@ def _parameter_array(
 _PARAMS_KIND = "qurg-encoder-params"
 
 
+def _json_chunks(value: object, end: str = "\n") -> Iterator[str]:
+    """``dataset_io.dump_canonical(value)`` in chunks, with ``end`` for its
+    final newline, where ``value``'s leaves may be numpy arrays: each
+    innermost row of an array is one chunk, so a dump written through
+    ``dataset_io._replace`` holds no more than one row as Python numbers
+    and text at a time."""
+    if isinstance(value, dict):
+        yield "{"
+        for k, (key, item) in enumerate(value.items()):
+            yield f"{',' if k else ''}{_CANONICAL.encode(key)}:"
+            yield from _json_chunks(item, "")
+        yield "}" + end
+    elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
+        yield "["
+        for k, item in enumerate(value):
+            yield "," if k else ""
+            yield from _json_chunks(item, "")
+        yield "]" + end
+    else:
+        yield _CANONICAL.encode(value.tolist() if isinstance(value, np.ndarray) else value) + end
+
+
 def save_params(path, params: EncoderParams) -> None:
     """Serialize a parameter set (versioned JSON, exact float round-trip)."""
-    write_json(
-        path,
-        {
-            "qurg_fmt": FORMAT_VERSION,
-            "kind": _PARAMS_KIND,
-            "config": params.config.to_dict(),
-            "link_layers": [_layer_payload(layer) for layer in params.link_layers],
-            "rw_layers": [_layer_payload(layer) for layer in params.rw_layers],
-        },
-    )
+    payload: dict = {
+        "qurg_fmt": FORMAT_VERSION,
+        "kind": _PARAMS_KIND,
+        "config": params.config.to_dict(),
+    }
+    for key, layers in (("link_layers", params.link_layers), ("rw_layers", params.rw_layers)):
+        payload[key] = [
+            {**dict(layer.named_arrays()), "single_fc": layer.single_fc} for layer in layers
+        ]
+    _replace(path, _json_chunks(payload))
 
 
 def load_params(path) -> EncoderParams:

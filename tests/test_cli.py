@@ -254,6 +254,24 @@ class TestOutToRedirectedStandardOutput:
         assert json.loads(json_part) == {"qurg_fmt": 1, "tokens": restored.split()}
         assert (summary, end) == (restored, "")
 
+    def test_encode_with_traces_and_parameters(self, tmp_path, capsys):
+        # The dump is written in chunks; /dev/stdout resolves to the
+        # redirected file, which must still be written at its offset.
+        matrix_path, out = tmp_path / "flights.matrix.json", tmp_path / "states.json"
+        assert run(FLIGHTS_ARGS + ["--out", str(matrix_path)]) == 0
+        capsys.readouterr()
+        argv = ["encode", "--interactions", str(FIXTURES / "interactions_flights.json"),
+                "--schema", str(FIXTURES / "schema_flights.json"), "--matrix", str(matrix_path),
+                "--traces", "--save-params"]
+        assert run(argv + [str(tmp_path / "p1.json"), "--out", str(out)]) == 0
+        summary = capsys.readouterr().out.replace(str(out), "/dev/stdout").encode()
+        text = self._run_redirected(tmp_path, argv + [str(tmp_path / "p2.json")])
+        assert text == out.read_bytes() + summary
+        assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "flights.matrix.json", "p1.json", "p2.json", "states.json", "stdout.txt",
+        ]
+
 
 class TestRoundtrip:
     def test_splice_corpus_scores_one(self, tmp_path):
@@ -1165,9 +1183,9 @@ class TestEncode:
         self, tmp_path, fixtures_dir, capsys, monkeypatch
     ):
         # At the default config one layer's attention over 2,000 positions
-        # fits the bound, but the traces of every layer of both streams and
-        # their dump do not.  Should the check pass, the test fails before any parameter
-        # or layer is allocated.
+        # fits the bound, but the traces of every layer of both streams do
+        # not.  Should the check pass, the test fails before any parameter or
+        # layer is allocated.
         from qurg import rat_encoder
 
         def unreachable(*args, **kwargs):
@@ -1194,8 +1212,8 @@ class TestEncode:
         ]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: encoder config needs 76,667,530,560 bytes for the traces over 2,000 and "
-            "1,993 positions and their dump, more than the bound of 1,073,741,824\n"
+            "error: encoder config needs 3,105,117,504 bytes for the traces over 2,000 and "
+            "1,993 positions, more than the bound of 1,073,741,824\n"
         )
         assert captured.out == "" and not out.exists()
 

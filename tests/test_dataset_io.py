@@ -1030,6 +1030,49 @@ class TestFailedSaveKeepsPreviousFile:
             save(tmp_path / "saved.json", [inter])
 
 
+class TestChunkedReplace:
+    """``_replace`` writes a text given in chunks through a temporary file
+    beside the target, or beside a symbolic link's target."""
+
+    def test_longest_name_the_file_system_takes(self, tmp_path):
+        path = tmp_path / ("a" * 250 + ".json")
+        assert len(path.name.encode()) == 255
+        write_json(path, {"a": 1})
+        write_json(path, {"a": 2})
+        assert read_json(path) == {"a": 2}
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["file", "link"])
+    def test_source_failing_after_its_first_chunk_keeps_the_old_bytes(
+        self, tmp_path, through_link
+    ):
+        # The link and its target are in different directories, so the
+        # temporary file must be beside the target to be seen there.
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "target.json"
+        target.write_text('{"old":1}\n')
+        path = target
+        if through_link:
+            path = tmp_path / "link.json"
+            path.symlink_to(target)
+        seen = []
+
+        def chunks():
+            yield "[" + "1," * 50_000  # more than the file's buffer holds
+            seen.append(sorted(p.name for p in target.parent.iterdir()))
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            dataset_io._replace(path, chunks())
+        assert len(seen[0]) == 2 and seen[0][1] == "target.json"
+        assert target.read_text() == '{"old":1}\n'
+        assert [p.name for p in target.parent.iterdir()] == ["target.json"]
+        assert path.is_symlink() == through_link
+        dataset_io._replace(path, ["[", "1", "]\n"])
+        assert read_json(target) == [1] and path.is_symlink() == through_link
+        assert [p.name for p in target.parent.iterdir()] == ["target.json"]
+
+
 def _file_writers(module: Path) -> set[str]:
     """The functions of ``module`` that open a file for writing: ``open``
     (built-in, ``os`` or a path's) with a mode other than reading, or a

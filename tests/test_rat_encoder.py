@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import generators
 import json_strategies
 import oracles
-from qurg.dataset_io import DatasetError, FormatVersionError
+from qurg.dataset_io import DatasetError, FormatVersionError, dump_canonical
 from qurg.rewrite_diff import Interaction, RewriteEditMatrix, build_from_interaction
 from qurg.schema_link import Column, Schema, build_schema_link_matrix
 from qurg.rat_encoder import (
@@ -30,7 +30,6 @@ from qurg.rat_encoder import (
     attention_bytes,
     check_fits,
     context_reversal_permutation,
-    dump_bytes,
     embed_inputs,
     encode_interaction,
     encoder_context_tokens,
@@ -48,7 +47,7 @@ from qurg.rat_encoder import (
     two_stream_encode,
     vanilla_layer_forward,
 )
-from qurg.rat_encoder import _relation_tables, _sum_terms, _weighted_cells
+from qurg.rat_encoder import _json_chunks, _relation_tables, _sum_terms, _weighted_cells
 
 TINY = EncoderConfig(d_x=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
 
@@ -348,6 +347,19 @@ class TestInitParams:
         save_params(second, load_params(first))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_chunks_are_the_canonical_text_of_the_listed_arrays(self):
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(shape) for shape in [(), (3,), (0, 2), (2, 0), (2, 3, 4)]]
+        arrays += [rng.standard_normal((2, 3)).astype(np.float32),
+                   np.array([[np.nan, np.inf], [-0.0, 1e-300]])]
+        payload = {"ké": [{"a": arr, "b": [arr, None, True, "ü"]} for arr in arrays], "e": {}}
+        assert "".join(_json_chunks(payload)) == dump_canonical(
+            {"ké": [{"a": arr.tolist(), "b": [arr.tolist(), None, True, "ü"]} for arr in arrays],
+             "e": {}}
+        )
+        # One chunk per innermost row, never the whole array.
+        assert max(map(len, _json_chunks(arrays[4]))) < len(dump_canonical(arrays[4][0].tolist()))
+
 
 class TestSizeBound:
     """``check_fits`` refuses a config whose parameters, whose attention
@@ -404,23 +416,23 @@ class TestSizeBound:
         # and weights over them take 2,048,000,000.
         config = EncoderConfig()
         check_fits(config, 2000)
-        with pytest.raises(ValueError, match="over 2,000 and 10 positions and their dump, "):
+        with pytest.raises(ValueError, match="over 2,000 and 10 positions, "):
             check_fits(config, 2000, traced_rw=10)
-        # The 4 rewrite layers' arrays alone take 1,037,440,000 bytes over
-        # 2,000 positions.  Their dump takes 192 bytes for each of the 32
-        # scores and weights per pair of positions, so beside a link stream
-        # over 10 positions, arrays and dump over 408 rewrite positions fit
-        # (1,069,556,480 bytes in all) and over 409 do not (1,074,792,000).
+        # Only the arrays count: beside 10 positions of the other stream, a
+        # link stream of 1,435 positions fits (1,073,702,400 bytes) and one
+        # of 1,436 does not; a rewrite stream of 2,034 fits and one of 2,035
+        # does not.
         assert trace_bytes(config, 0, 2000) == 1_037_440_000
-        assert dump_bytes(config, 0, 1) == 32 * 192
-        check_fits(config, 10, traced_rw=408)
-        with pytest.raises(ValueError, match="over 10 and 409 positions and their dump, "):
-            check_fits(config, 10, traced_rw=409)
+        assert trace_bytes(config, 1435, 10) == 1_073_702_400
+        check_fits(config, 1435, traced_rw=10)
+        with pytest.raises(ValueError, match="over 1,436 and 10 positions, "):
+            check_fits(config, 1436, traced_rw=10)
+        check_fits(config, 10, traced_rw=2034)
+        with pytest.raises(ValueError, match="over 10 and 2,035 positions, "):
+            check_fits(config, 10, traced_rw=2035)
 
     @pytest.mark.parametrize("config", SMALL, ids=repr)
-    def test_dump_estimate_covers_building_and_writing_the_dump(
-        self, config, tmp_path, monkeypatch
-    ):
+    def test_streamed_dump_stays_below_the_trace_arrays(self, config, tmp_path, monkeypatch):
         from qurg import cli, dataset_io, rat_encoder
 
         inter, schema, matrix = tiny_encode_case(602)
@@ -430,11 +442,12 @@ class TestSizeBound:
         dataset_io.save_schema(files["--schema"], schema)
         dataset_io.save_matrix(files["--matrix"], matrix)
         dataset_io.write_json(files["--config"], config.to_dict())
-        sizes, encode = [], rat_encoder.encode_interaction
+        kept, encode = [], rat_encoder.encode_interaction
 
         def encode_then_trace(*args, **kwargs):
             states, link_matrix = encode(*args, **kwargs)
-            sizes.append(link_matrix.size)
+            kept.append(sum(array.nbytes for trace in states.link_traces + states.rw_traces
+                            for array in vars(trace).values() if array is not None))
             tracemalloc.start()  # counts only what the dump allocates
             return states, link_matrix
 
@@ -446,7 +459,21 @@ class TestSizeBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dump_bytes(config, sizes[0], matrix.size) >= peak
+        assert peak < kept[0]
+
+    @pytest.mark.parametrize(
+        "config", [EncoderConfig(), EncoderConfig(precision="single", single_fc_ff=True)],
+        ids=repr,
+    )
+    def test_streamed_parameters_stay_below_the_parameter_arrays(self, config, tmp_path):
+        params = init_params(config)
+        tracemalloc.start()
+        try:
+            save_params(tmp_path / "params.json", params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < parameter_bytes(config)
 
     def test_attention_bound_is_inclusive(self):
         # (4 heads + 2 gathers) x width 4 x 8 bytes per cell: 2,364 positions
