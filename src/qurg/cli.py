@@ -280,11 +280,12 @@ def cmd_encode(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Com
         traced_rw=matrix.size if args.traces else None,
     )
     params = rat_encoder.init_params(config)
-    if args.save_params:
-        rat_encoder.save_params(args.save_params, params)
     states, _ = rat_encoder.encode_interaction(
         interaction, schema, matrix, params, _policy_from(args), keep_traces=args.traces
     )
+    # Saved only once the inputs fit together; encoding left the read-only arrays as made.
+    if args.save_params:
+        rat_encoder.save_params(args.save_params, params)
     payload: dict = {
         "qurg_fmt": dataset_io.FORMAT_VERSION,
         "config": config.to_dict(),

@@ -28,6 +28,7 @@ from .rewrite_diff import (
     RewriteEditMatrix,
     RewriteRelation,
     TokenSeq,
+    _Tokens,
 )
 from .rouge_eval import NORMALIZATION, CorpusRougeReport, RougeScore
 from .schema_link import (
@@ -91,7 +92,9 @@ def tokenize(text: str) -> TokenSeq:
             tokens.append(word)
         if word is not body:
             tokens += body[len(word):]
-    return tuple(tokens)
+    # Each token is a non-empty piece of a ``str.split`` chunk, so it holds
+    # no whitespace: the sequence counts as checked (see ``token_seq``).
+    return _Tokens(tokens)
 
 
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
@@ -183,7 +186,11 @@ def _replace(path: str | Path, chunks: Iterable[str]) -> None:
     target = Path(os.path.realpath(path))
     tmp = target.with_name(f".qurg.{os.getpid()}.tmp")  # fits where the target's name does
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as out:
+        out = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # the user named the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with out:
             out.writelines(chunks)
         if st is not None:
             os.chmod(tmp, stat.S_IMODE(st.st_mode))

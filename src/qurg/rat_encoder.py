@@ -51,13 +51,9 @@ from .rewrite_diff import (
     RewriteEditMatrix,
     RewriteRelation,
     TokenSeq,
+    _Tokens,
 )
-from .schema_link import LinkRelation, Schema, SchemaLinkMatrix
-# Not the public builder: this binding skips the token check, which an
-# ``Interaction``'s tokens passed when it was made, so only
-# ``encode_interaction`` may call it.  It keeps the public name because the
-# benchmark's tracer wraps that name in this module (perfbench/tracing.py).
-from .schema_link import _link_tokens as build_schema_link_matrix
+from .schema_link import LinkRelation, Schema, SchemaLinkMatrix, build_schema_link_matrix
 
 __all__ = [
     "LAYER_NORM_EPS",
@@ -739,7 +735,7 @@ def encoder_context_tokens(interaction: Interaction) -> TokenSeq:
     """Context tokens in encoder order: most recent turn first, token order
     preserved inside each turn."""
     context = interaction.flat_context()
-    return tuple(context[p] for p in context_reversal_permutation(interaction.turn_lengths()))
+    return _Tokens(context[p] for p in context_reversal_permutation(interaction.turn_lengths()))
 
 
 def context_reversal_permutation(turn_lengths: Sequence[int]) -> tuple[int, ...]:

@@ -58,15 +58,26 @@ class MalformedMatrixError(ValueError):
     """The matrix violates its structural invariants."""
 
 
+class _Tokens(tuple):
+    """A token sequence checked by :func:`token_seq`, or built only from
+    checked tokens, which ``token_seq`` hands back unchanged.  It equals,
+    hashes, prints and encodes as a tuple; a slice or a sum is a tuple."""
+
+    __slots__ = ()
+
+
 def token_seq(tokens: Iterable[str]) -> TokenSeq:
     """Validate and freeze a token sequence.
 
     Tokens must be non-empty strings without internal whitespace.  A bare
-    string is rejected rather than split into one-letter tokens.
+    string is rejected rather than split into one-letter tokens.  A
+    sequence checked before is returned as it is.
     """
+    if type(tokens) is _Tokens:
+        return tokens
     if isinstance(tokens, str):
         raise ValueError(f"expected a sequence of tokens, got the string {tokens!r}")
-    out = tuple(tokens)
+    out = _Tokens(tokens)
     try:
         # One pass in C accepts a valid sequence: joined and split again, it
         # comes back the same only if every token is a non-empty string with
@@ -85,9 +96,10 @@ def token_seq(tokens: Iterable[str]) -> TokenSeq:
 
 def _prevalidated(cls: type[_T], **fields: object) -> _T:
     """An instance of the frozen dataclass ``cls`` holding ``fields``, made
-    without ``__post_init__``.  Its callers, ``build_from_interaction`` and
-    schema linking, receive validated tokens and write each cell in its
-    block with its mirror.  The check would cost them 9-18 against
+    without ``__post_init__``.  Its only callers, the public builders
+    :func:`build_rewrite_matrix` and ``schema_link.build_schema_link_matrix``,
+    check their tokens with :func:`token_seq` and write each cell in its
+    block with its mirror.  The cell check would cost them 9-18 against
     0.6-1.1 microseconds per short spliced example, and 1.4-3.0 ms per turn
     of the wide benchmark schema, which links in 0.3-0.55 ms (shared 2-vCPU
     Xeon, Python 3.11; the ranges are the host's drift)."""
@@ -196,7 +208,7 @@ class Interaction:
 
     def flat_context(self) -> TokenSeq:
         """Context turns concatenated chronologically, no separators."""
-        return tuple(chain.from_iterable(self.context_turns))
+        return _Tokens(chain.from_iterable(self.context_turns))
 
     def turn_lengths(self) -> tuple[int, ...]:
         return tuple(len(turn) for turn in self.context_turns)
@@ -539,16 +551,13 @@ def build_rewrite_matrix(
     ``len(question)`` is an append, written as C-Q-App/Q-C-App in the last
     question column; a context token both inserted before the last
     question token and appended gets C-Q-Ins-App/Q-C-Ins-App there.
+    The context, then the question, is checked with :func:`token_seq`, and
+    each op against their lengths; each cell is written in its block with
+    its mirror, so the matrix skips the constructor's cell check.
     Raises :class:`EditConflictError` when two ops disagree on one cell.
     """
-    return RewriteEditMatrix(context, question, _edit_cells(ops, len(context), len(question)))
-
-
-def _edit_cells(
-    ops: Iterable[EditOp], n_ctx: int, n_q: int
-) -> dict[tuple[int, int], RewriteRelation]:
-    """The cells of :func:`build_rewrite_matrix`, each op checked against
-    the context and question lengths."""
+    context, question = token_seq(context), token_seq(question)
+    n_ctx, n_q = len(context), len(question)
     ops = list(ops)
     if ops and n_q == 0:
         raise ValueError("an empty question cannot host edit operations")
@@ -557,10 +566,11 @@ def _edit_cells(
         (cs, ce), (qs, qe) = op.context_range, op.question_range
         if not (0 <= cs < ce <= n_ctx and 0 <= qs <= qe <= n_q):
             raise ValueError(f"edit op {op.context_range}, {op.question_range} out of bounds")
+        # A range refuses a bound that is not an integer (TypeError).
         if qs < qe:
             columns, rel = range(n_ctx + qs, n_ctx + qe), _SUB
         elif qs < n_q:
-            columns, rel = (n_ctx + qs,), _INS
+            columns, rel = range(n_ctx + qs, n_ctx + qs + 1), _INS
         else:
             columns, rel = (n_ctx + n_q - 1,), _APP
         mirror = rel.mirror
@@ -576,7 +586,8 @@ def _edit_cells(
                     )
                 else:  # an insert before the last question token meets an append
                     cells[(i, j)], cells[(j, i)] = _INS_APP, _INS_APP.mirror
-    return cells
+    return _prevalidated(RewriteEditMatrix, context_tokens=context, question_tokens=question,
+                         cells=cells)
 
 
 def build_from_interaction(
@@ -596,11 +607,4 @@ def build_from_interaction(
             raise ValueError("interaction has no gold rewrite and none was given")
     context, question = interaction.flat_context(), interaction.question
     ops = extract_edit_ops(question, context, rewrite, policy, occurrence)
-    # The interaction's tokens are validated, and ``_edit_cells`` writes each
-    # cell in bounds, in its block and with its mirror.
-    return _prevalidated(
-        RewriteEditMatrix,
-        context_tokens=context,
-        question_tokens=question,
-        cells=_edit_cells(ops, len(context), len(question)),
-    )
+    return build_rewrite_matrix(ops, context, question)

@@ -363,14 +363,23 @@ def _exact_match_pass(
     return hits
 
 
-def _link_tokens(
-    question: TokenSeq,
-    context: TokenSeq,
+def build_schema_link_matrix(
+    question: Sequence[str],
+    context: Sequence[str],
     schema: Schema,
     policy: MatchPolicy = DEFAULT_POLICY,
 ) -> SchemaLinkMatrix:
-    """:func:`build_schema_link_matrix` on tokens that ``token_seq`` has
-    validated already, such as an ``Interaction``'s."""
+    """Link utterance tokens to schema elements and add structure relations.
+
+    Exact matches are contiguous token n-grams equal to a full element name
+    under ``policy`` (longest n-gram wins, ties broken toward earlier schema
+    elements); partial matches are single tokens equal to one word of a
+    multi-word element name, unless an exact match already covers that
+    (token, element) pair.  N-grams never span the question/context boundary.
+    Tables and columns are matched independently of each other.  Every
+    cell (i, j) has its mirror cell (j, i) carrying the relation's ``mirror``.
+    """
+    question, context = token_seq(question), token_seq(context)
     cells: dict[tuple[int, int], LinkRelation] = {}
     segments = [(0, policy.fold(question)), (len(question), policy.fold(context))]
     tables = len(question) + len(context)
@@ -404,25 +413,6 @@ def _link_tokens(
     # Every cell above lies in its relation's block and has its mirror.
     return _prevalidated(SchemaLinkMatrix, question_tokens=question, context_tokens=context,
                          schema=schema, cells=cells)
-
-
-def build_schema_link_matrix(
-    question: Sequence[str],
-    context: Sequence[str],
-    schema: Schema,
-    policy: MatchPolicy = DEFAULT_POLICY,
-) -> SchemaLinkMatrix:
-    """Link utterance tokens to schema elements and add structure relations.
-
-    Exact matches are contiguous token n-grams equal to a full element name
-    under ``policy`` (longest n-gram wins, ties broken toward earlier schema
-    elements); partial matches are single tokens equal to one word of a
-    multi-word element name, unless an exact match already covers that
-    (token, element) pair.  N-grams never span the question/context boundary.
-    Tables and columns are matched independently of each other.  Every
-    cell (i, j) has its mirror cell (j, i) carrying the relation's ``mirror``.
-    """
-    return _link_tokens(token_seq(question), token_seq(context), schema, policy)
 
 
 def link_stats(matrix: RelationMatrix) -> dict[str, int]:

@@ -1036,6 +1036,28 @@ class TestEncode:
         ])
         assert code == 1
 
+    def test_mismatched_matrix_writes_nothing(self, tmp_path, fixtures_dir, capsys):
+        matrix_path = tmp_path / "other.matrix.json"
+        assert run([
+            "build-matrix", "show me flights", "--rewrite", "show me flights",
+            "--out", str(matrix_path),
+        ]) == 0
+        capsys.readouterr()
+        out, params_path = tmp_path / "dump.json", tmp_path / "params.json"
+        code = run([
+            "encode",
+            "--interactions", str(fixtures_dir / "interactions_flights.json"),
+            "--schema", str(fixtures_dir / "schema_flights.json"),
+            "--matrix", str(matrix_path),
+            "--out", str(out),
+            "--save-params", str(params_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: rewrite matrix question does not match the interaction\n"
+        )
+        assert not out.exists() and not params_path.exists()
+
     def test_traces_and_params_dump(self, tmp_path, fixtures_dir):
         matrix_path, config_path = self._setup(tmp_path, fixtures_dir)
         out = tmp_path / "dump.json"
@@ -1305,6 +1327,22 @@ class TestExitCodes:
 
     def test_missing_file_is_operation_error(self, tmp_path, capsys):
         assert run(["restore", "--matrix", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats", "--corpus", str(FIXTURES / "corpus_small.jsonl"), "--out"],
+         ["roundtrip", "--corpus", str(FIXTURES / "corpus_small.jsonl"), "--report"],
+         [*FLIGHTS_ARGS, "--out"]],
+        ids=["stats", "roundtrip", "build-matrix"],
+    )
+    def test_missing_directory_names_the_target(self, tmp_path, capsys, monkeypatch, argv):
+        # Not the temporary file beside the target, which the user never named.
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "nodir/x.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -51,6 +51,7 @@ from qurg.rewrite_diff import (
     MalformedMatrixError,
     RewriteEditMatrix,
     RewriteRelation,
+    _Tokens,
     build_from_interaction,
     build_rewrite_matrix,
 )
@@ -86,12 +87,18 @@ class TestTokenize:
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=".,?! \t\nab'", max_size=30) | st.text(max_size=20))
     def test_matches_character_loop(self, text):
-        assert tokenize(text) == oracles.reference_tokenize(text)
+        tokens = tokenize(text)
+        assert tokens == oracles.reference_tokenize(text)
+        # Its result counts as checked, so a plain copy must pass the check.
+        assert type(tokens) is _Tokens
+        assert oracles.reference_token_seq(tuple(tokens)) == tokens
 
 
 class TestTokensValidatedOnce:
-    """Each token sequence is validated where it enters, by a loader or a
-    public constructor; the objects built from it do not check it again."""
+    """Each token sequence is validated where it enters, by ``tokenize``, a
+    loader or a public constructor.  A checked sequence keeps its type, so
+    the objects and builders it reaches later pass it through ``token_seq``
+    without work; only the checks that do work are counted."""
 
     @staticmethod
     def _count_token_seq(monkeypatch) -> list:
@@ -100,7 +107,8 @@ class TestTokensValidatedOnce:
         calls, token_seq = [], rewrite_diff.token_seq
 
         def counting(tokens):
-            calls.append(tokens)
+            if type(tokens) is not _Tokens:
+                calls.append(tokens)
             return token_seq(tokens)
 
         for module in (rewrite_diff, schema_link):
@@ -112,8 +120,7 @@ class TestTokensValidatedOnce:
 
         calls = self._count_token_seq(monkeypatch)
         examples = load_rewrite_corpus(FIXTURES / "corpus_small.jsonl")
-        assert len(calls) == sum(len(ex.context_turns) + 2 for ex in examples)
-        calls.clear()
+        assert examples and calls == []  # ``tokenize`` made every sequence
         for ex in examples:
             matrix = build_from_interaction(ex)
             rewrite_restore.restore(ex.question, ex.flat_context(), matrix)
@@ -157,27 +164,6 @@ class TestTokensValidatedOnce:
         assert calls == []
         context = rat_encoder.encoder_context_tokens(interaction)
         assert link == build_schema_link_matrix(interaction.question, context, schema)
-
-    def test_encoder_binding_is_used_only_by_encode_interaction(self):
-        """``rat_encoder.build_schema_link_matrix`` is the linking work
-        without the token check, so only ``encode_interaction``, which
-        hands it an ``Interaction``'s tokens, may call it; the public name
-        everywhere else still validates."""
-        import qurg
-        from qurg import rat_encoder, schema_link
-
-        assert rat_encoder.build_schema_link_matrix is schema_link._link_tokens
-        assert "build_schema_link_matrix" not in rat_encoder.__all__
-        assert qurg.build_schema_link_matrix is schema_link.build_schema_link_matrix
-        tree = ast.parse(Path(rat_encoder.__file__).read_text(encoding="utf-8"))
-        users = {
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for inner in ast.walk(node)
-            if isinstance(inner, ast.Name) and inner.id == "build_schema_link_matrix"
-        }
-        assert users == {"encode_interaction"}
 
     def test_hand_offs_reject_what_they_rejected(self):
         with pytest.raises(ValueError, match="^interaction question must be non-empty$"):

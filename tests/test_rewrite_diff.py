@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import json
+import pickle
 import random
 import re
 
@@ -18,9 +21,11 @@ from qurg.rewrite_diff import (
     Interaction,
     MatchPolicy,
     OpKind,
+    RewriteEditMatrix,
     RewriteRelation,
     SpanKind,
     _find_context_occurrence,
+    _Tokens,
     build_from_interaction,
     build_rewrite_matrix,
     extract_edit_ops,
@@ -88,7 +93,7 @@ class TestTokenSeq:
     @pytest.mark.parametrize(
         "tokens",
         ["name", "", ["a", 5], [None], ("a", b"b"), ["a", ""], [""], ["a", "b c"], ["a\tb"],
-         ["a", "\x1c"], ["x\u3000"], [" a"], ["a "], ["a", "b", "c d", ""]],
+         ["a", "\x1c"], ["x\u3000"], [" a"], ["a "], ["a", "b", "c d", ""], ("a b",)],
         ids=repr,
     )
     def test_errors_name_the_first_bad_token_as_before(self, tokens):
@@ -107,7 +112,26 @@ class TestTokenSeq:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 token_seq(tokens)
         else:
-            assert token_seq(tokens) == expected
+            checked = token_seq(tokens)
+            assert checked == expected
+            assert token_seq(checked) is checked
+
+    def test_checked_sequence_is_a_tuple_to_its_readers(self):
+        checked = token_seq(["which", "one", "?"])
+        plain = ("which", "one", "?")
+        assert type(checked) is _Tokens
+        assert checked == plain and hash(checked) == hash(plain)
+        assert repr(checked) == repr(plain)
+        assert json.dumps({"t": checked}) == '{"t": ["which", "one", "?"]}'
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(checked, protocol))
+            assert type(again) is _Tokens and again == plain
+        for again in (copy.copy(checked), copy.deepcopy(checked)):
+            assert type(again) is _Tokens and again == plain
+        # A slice or a sum is a plain tuple, so it is checked when it is used.
+        assert type(checked[1:]) is tuple and type(checked + checked) is tuple
+        with pytest.raises(ValueError, match="^token contains whitespace: 'one two'$"):
+            token_seq((*checked[:1], "one two"))
 
 
 class TestLcs:
@@ -427,6 +451,20 @@ class TestBuildRewriteMatrix:
         with pytest.raises(ValueError, match="out of bounds"):
             build_rewrite_matrix(ops, ("c",), ("q",))
 
+    def test_token_is_checked_before_the_ops(self):
+        ops = [EditOp((0, 9), (0, 0))]
+        with pytest.raises(ValueError, match="^token contains whitespace: 'q r'$"):
+            build_rewrite_matrix(ops, ("c",), ("q r",))
+
+    @pytest.mark.parametrize(
+        "context_range, question_range",
+        [((0, 1), (0.0, 0.0)), ((0, 1), (0, 0.5)), ((0.0, 1), (0, 0))],
+        ids=["insert", "substitute", "context"],
+    )
+    def test_bound_that_is_not_an_integer_rejected(self, context_range, question_range):
+        with pytest.raises(TypeError):
+            build_rewrite_matrix([EditOp(context_range, question_range)], ("c",), ("q", "r"))
+
     def test_ops_on_an_empty_question_rejected(self):
         with pytest.raises(ValueError, match="^an empty question cannot host edit operations$"):
             build_rewrite_matrix([EditOp((0, 1), (0, 0))], ("c",), ())
@@ -516,6 +554,8 @@ def assert_matrix_invariants(matrix) -> None:
         if rel in last_column:
             assert max(i, j) == matrix.size - 1, "append outside the last column"
         assert matrix.cells.get((j, i)) is mirror[rel], "mirror cell missing"
+    # The builders skip the constructor's cell check, which must accept them.
+    assert RewriteEditMatrix(matrix.context_tokens, matrix.question_tokens, matrix.cells) == matrix
 
 
 class TestInvariants:

@@ -60,3 +60,50 @@ def test_traced_functions_keep_counted_parameters():
     # The layer span name reads ``layer`` as the third positional argument.
     layer_forward = importlib.import_module("qurg.rat_encoder").rat_layer_forward
     assert list(inspect.signature(layer_forward).parameters).index("layer") == 2
+
+
+def _traced_op(run):
+    """Run ``run()`` as one op under an installed tracer; return the tracer,
+    ``run``'s result and the op's counts."""
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        result = run()
+        _, counts = tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    return tracer, result, counts
+
+
+def test_roundtrip_command_goes_through_the_rewrite_builder(tmp_path):
+    from conftest import FIXTURES
+    from qurg import cli, dataset_io, rewrite_diff
+
+    corpus = FIXTURES / "corpus_small.jsonl"
+    examples = dataset_io.load_rewrite_corpus(corpus)
+    cells = sum(len(rewrite_diff.build_from_interaction(ex).cells) for ex in examples)
+    argv = ["roundtrip", "--corpus", str(corpus), "--report", str(tmp_path / "report.json")]
+    tracer, code, counts = _traced_op(lambda: cli.main(argv))
+    assert code == 0
+    assert cells > 0 and counts["rewrite_diff.cells"] == cells
+    assert tracer.calls["rewrite_diff.build_rewrite_matrix"] == len(examples)
+
+
+def test_encoder_links_through_the_traced_builder():
+    from conftest import FIXTURES
+    from qurg import dataset_io, rat_encoder, rewrite_diff
+
+    interaction = dataset_io.load_interactions(FIXTURES / "interactions_flights.json")[0]
+    schema = dataset_io.load_schema(FIXTURES / "schema_flights.json")
+    matrix = rewrite_diff.build_from_interaction(interaction)
+    params = rat_encoder.init_params(
+        rat_encoder.EncoderConfig(d_x=8, heads=2, layers_link=1, layers_rw=1, d_ff=12)
+    )
+    tracer, (_, link), counts = _traced_op(
+        lambda: rat_encoder.encode_interaction(interaction, schema, matrix, params)
+    )
+    names = [span[1] for span in tracer.spans]
+    assert names.count("schema_link.build_schema_link_matrix") == 1
+    assert counts["schema_link.cells"] == len(link.cells) > 0
