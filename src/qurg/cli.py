@@ -322,20 +322,15 @@ def cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Comm
                 round(sum(turn_counts) / len(turn_counts), 3) if turn_counts else 0.0
             ),
         }
-    if args.matrix:
-        matrix = dataset_io.load_matrix(args.matrix)
-        payload["matrix"] = {
-            "size": matrix.size,
-            "cells": len(matrix.cells),
-            "relations": link_stats(matrix),
-        }
-    if args.link_matrix:
-        link_matrix = dataset_io.load_link_matrix(args.link_matrix)
-        payload["link_matrix"] = {
-            "size": link_matrix.size,
-            "cells": len(link_matrix.cells),
-            "relations": link_stats(link_matrix),
-        }
+    for key, path, load in (("matrix", args.matrix, dataset_io.load_matrix),
+                            ("link_matrix", args.link_matrix, dataset_io.load_link_matrix)):
+        if path:
+            matrix = load(path)
+            payload[key] = {
+                "size": matrix.size,
+                "cells": len(matrix.cells),
+                "relations": link_stats(matrix),
+            }
     if args.out:
         dataset_io.write_json(args.out, payload)
     return CommandResult(0, dataset_io.dump_canonical(payload).rstrip("\n"))

@@ -474,8 +474,10 @@ def tag_edits(
     """Tag question/rewrite tokens outside the LCS alignment as DEL/ADD spans.
 
     Consecutive same-tag tokens are merged into a single span.  Returns
-    ``(del_spans, add_spans)``.
+    ``(del_spans, add_spans)``.  Both sequences are checked with
+    :func:`token_seq`, the question first.
     """
+    question, rewrite = token_seq(question), token_seq(rewrite)
     del_spans: list[EditSpan] = []
     add_spans: list[EditSpan] = []
     pairs = lcs(question, rewrite, policy)
@@ -521,9 +523,12 @@ def extract_edit_ops(
     after the last pair), an Insert.  ADD spans with no context
     occurrence are dropped.  ``occurrence`` selects the "last" (most recent
     turn) or "first" context occurrence when the span appears more than once.
+    The question, context and rewrite are then checked with
+    :func:`token_seq`, in that order.
     """
     if occurrence not in ("last", "first"):
         raise ValueError(f"occurrence must be 'last' or 'first', got {occurrence!r}")
+    question, context, rewrite = token_seq(question), token_seq(context), token_seq(rewrite)
     pairs = lcs(question, rewrite, policy)
     context_index = policy._form_index(context)
     rewrite_forms = policy.fold(rewrite)

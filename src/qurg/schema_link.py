@@ -6,13 +6,15 @@ cells carry name-match relations (exact n-gram or single-word partial);
 schema-to-schema cells carry structural relations (ownership, shared
 table, foreign keys, primary keys).  Utterance-internal cells are always
 empty: in this architecture utterance-to-utterance relations travel in the
-rewrite matrix instead.  Name matching is a lookup in indexes keyed on
-every word form of every name, with the same tie rule as a scan of all
-names: longest n-gram first, then earliest start, then earliest element.
-The structure cells depend only on the schema, so each schema builds them
-once.  The folded names and their indexes depend on the schema and the
-match policy, so each schema builds them once per policy.  Both are built
-on first use and kept for every later call.
+rewrite matrix instead.  Name matching reads one index per element
+family, keyed on every form of every word of every name, in one pass over
+the utterance that looks each token's forms up once; exact matches keep
+the tie rule of a scan of all names: longest n-gram first, then earliest
+start, then earliest element.  The structure cells depend only on the
+schema, so each schema builds them once.  The folded names and their
+indexes depend on the schema and the match policy, so each schema builds
+them once per policy.  Both are built on first use and kept for every
+later call.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class Schema:
         return _structure_cells(self)
 
     @cached_property
-    def _link_plans(self) -> dict[MatchPolicy, tuple[_FamilyPlan, _FamilyPlan]]:
+    def _link_plans(self) -> dict[MatchPolicy, tuple[_FamilyPlan, ...]]:
         """The link plan per match policy, each built on first use by
         ``build_schema_link_matrix``; not a field, like ``_structure``."""
         return {}
@@ -228,55 +230,19 @@ class SchemaLinkMatrix(RelationMatrix):
         return self.column_offset + column_index
 
 
-def _index_by_form(words: Iterable[tuple[int, frozenset[str]]]) -> dict[str, list[int]]:
-    """Map each form of each ``(element, word)`` pair to its elements, in
-    listing order.  Every form is a key of its own: matching is not
-    transitive, so one canonical form per word would miss matches."""
-    index: dict[str, list[int]] = {}
-    for elem, forms in words:
-        for form in forms:
-            index.setdefault(form, []).append(elem)
-    return index
-
-
-def _candidates(index: dict[str, list[int]], forms: Iterable[str]) -> Sequence[int]:
-    """Elements indexed under any of ``forms``, in element order."""
-    found: Sequence[int] = ()
-    for form in forms:
-        hit = index.get(form)
-        if hit is not None:
-            found = sorted({*found, *hit}) if found else hit
-    return found
-
-
 class _FamilyPlan(NamedTuple):
     """One element family (tables or columns) folded and indexed under one
     policy.  ``base`` is the family's first position counted from the
     first table."""
 
     names: tuple[tuple[frozenset[str], ...], ...]
-    by_first: dict[str, list[int]]  # the first word of every name
-    by_word: dict[str, list[int]]  # every word of every multi-word name
+    # Each form of each word of each name -> its (element, word position)
+    # pairs, in listing order.  Every form is a key of its own: matching is
+    # not transitive, so one canonical form per word would miss matches.
+    by_word: dict[str, list[tuple[int, int]]]
     base: int
     exact: LinkRelation
     partial: LinkRelation
-
-
-def _family_plan(
-    names: Sequence[TokenSeq],
-    base: int,
-    exact: LinkRelation,
-    partial: LinkRelation,
-    policy: MatchPolicy,
-) -> _FamilyPlan:
-    # Each name word's forms become a set once, for the ``isdisjoint`` tests
-    # of ``_exact_match_pass``.
-    folded = tuple(tuple(map(frozenset, policy.fold(name))) for name in names)
-    by_first = _index_by_form((elem, name[0]) for elem, name in enumerate(folded))
-    by_word = _index_by_form(
-        (elem, word) for elem, name in enumerate(folded) if len(name) > 1 for word in name
-    )
-    return _FamilyPlan(folded, by_first, by_word, base, exact, partial)
 
 
 def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelation], ...]:
@@ -308,47 +274,63 @@ def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelatio
     return tuple(cells.items())
 
 
-def _link_plan(schema: Schema, policy: MatchPolicy) -> tuple[_FamilyPlan, _FamilyPlan]:
+def _link_plan(schema: Schema, policy: MatchPolicy) -> tuple[_FamilyPlan, ...]:
     """The schema's tables and columns folded and indexed under ``policy``."""
-    return (
-        _family_plan(schema.tables, 0,
-                     LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE, policy),
-        _family_plan([col.name for col in schema.columns], len(schema.tables),
-                     LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN, policy),
-    )
+    plans = []
+    for names, base, exact, partial in (
+        (schema.tables, 0, LinkRelation.EXACT_TABLE, LinkRelation.PARTIAL_TABLE),
+        ([col.name for col in schema.columns], len(schema.tables),
+         LinkRelation.EXACT_COLUMN, LinkRelation.PARTIAL_COLUMN),
+    ):
+        # Each name word's forms become a set once, for the ``isdisjoint``
+        # tests of ``_match_pass``.
+        folded = tuple(tuple(map(frozenset, policy.fold(name))) for name in names)
+        by_word: dict[str, list[tuple[int, int]]] = {}
+        for elem, name in enumerate(folded):
+            for k, word in enumerate(name):
+                for form in word:
+                    by_word.setdefault(form, []).append((elem, k))
+        plans.append(_FamilyPlan(folded, by_word, base, exact, partial))
+    return tuple(plans)
 
 
-def _exact_match_pass(
+def _match_pass(
     segments: Sequence[tuple[int, Sequence[tuple[str, ...]]]],
     family: _FamilyPlan,
-) -> list[tuple[int, int]]:
-    """Greedy longest-first exact matching of utterance n-grams, as form
-    tuples, to folded element names; returns one (token position, element)
-    pair per token an n-gram covers.
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """One pass over the utterance, as form tuples, that looks each token's
+    forms up once in the family's word index; returns the exact pairs and
+    the partial candidates, as (token position, element) pairs.
 
+    Exact matching is greedy and longest-first: an n-gram matches when it
+    equals a full folded name, and it yields one pair per token it covers.
     Longer n-grams win over shorter ones; within one length, earlier start
     positions and earlier elements in schema order win.  A token consumed by
     an exact match does not participate in further exact matches of the same
-    element family.  Names are indexed by first-word form, so each token is
-    looked up once and tested only against the names whose first word it
-    matches; the n-grams that match a full name are then accepted in
-    tie-rule order.
+    element family.  A hit on a name's first word starts an n-gram that is
+    tested against the name's later words; the n-grams that match a full
+    name are then accepted in tie-rule order.  Every hit on any word of a
+    multi-word name is a partial candidate; a pair reached through several
+    forms, or through a repeated word, is listed once per hit.
     """
     names = family.names
-    by_first = family.by_first
-    hits: list[tuple[int, int]] = []
+    by_word = family.by_word
+    matched: list[tuple[int, int]] = []
+    candidates: list[tuple[int, int]] = []
     for base, tokens in segments:
         n = len(tokens)
         best: dict[tuple[int, int], int] = {}  # (-width, start) -> lowest matching element
         for start, forms in enumerate(tokens):
             for form in forms:
-                for elem in by_first.get(form, ()):
+                for elem, k in by_word.get(form, ()):
                     name = names[elem]
                     width = len(name)
-                    if start + width > n:
+                    if width > 1:
+                        candidates.append((base + start, elem))
+                    if k or start + width > n:
                         continue
-                    for k in range(1, width):
-                        if name[k].isdisjoint(tokens[start + k]):
+                    for j in range(1, width):
+                        if name[j].isdisjoint(tokens[start + j]):
                             break
                     else:
                         key = (-width, start)
@@ -359,8 +341,8 @@ def _exact_match_pass(
             span = range(start, start - neg_width)
             if consumed.isdisjoint(span):
                 consumed.update(span)
-                hits.extend((base + k, elem) for k in span)
-    return hits
+                matched.extend((base + pos, elem) for pos in span)
+    return matched, candidates
 
 
 def build_schema_link_matrix(
@@ -395,17 +377,16 @@ def build_schema_link_matrix(
         offset = tables + family.base
         exact, exact_rev = family.exact, family.exact.mirror
         partial, partial_rev = family.partial, family.partial.mirror
-        covered = set(_exact_match_pass(segments, family))
+        matched, candidates = _match_pass(segments, family)
+        covered = set(matched)
         for pos, elem in covered:
             cells[(pos, offset + elem)] = exact
             cells[(offset + elem, pos)] = exact_rev
         # Partial matches: one token against any word of a multi-word name.
-        for base, tokens in segments:
-            for k, forms in enumerate(tokens):
-                for elem in _candidates(family.by_word, forms):
-                    if (base + k, elem) not in covered:
-                        cells[(base + k, offset + elem)] = partial
-                        cells[(offset + elem, base + k)] = partial_rev
+        for pos, elem in candidates:
+            if (pos, elem) not in covered:
+                cells[(pos, offset + elem)] = partial
+                cells[(offset + elem, pos)] = partial_rev
     # Utterance cells and schema-to-schema cells never share a key, so the
     # structure cells, shifted to the first table's position, come last.
     for (i, j), rel in schema._structure:

@@ -329,6 +329,19 @@ class TestTagEdits:
         assert all(s.kind is SpanKind.DEL and s.side == "question" for s in del_spans)
         assert all(s.kind is SpanKind.ADD and s.side == "rewrite" for s in add_spans)
 
+    @pytest.mark.parametrize(
+        "question, rewrite, message",
+        [
+            ("which cities", ("which",), "got the string 'which cities'"),
+            (("which",), ("which", "big city"), "token contains whitespace: 'big city'"),
+            (("which", ""), ("which", "a b"), "empty or non-string token: ''"),
+        ],
+        ids=["bare-string", "whitespace", "question-first"],
+    )
+    def test_refuses_what_is_not_a_token_sequence(self, question, rewrite, message):
+        with pytest.raises(ValueError, match=message):
+            tag_edits(question, rewrite)
+
 
 class TestExtractEditOps:
     def test_paper_example(self):
@@ -372,6 +385,24 @@ class TestExtractEditOps:
     def test_bad_occurrence_rejected(self):
         with pytest.raises(ValueError):
             extract_edit_ops(("a",), ("b",), ("c",), occurrence="middle")
+
+    @pytest.mark.parametrize(
+        "question, context, rewrite, message",
+        [
+            ("which cities", ("cities",), ("which",), "got the string 'which cities'"),
+            (("a", "b"), ("c",), "a c", "got the string 'a c'"),
+            (("which",), ("big city",), ("which",), "token contains whitespace: 'big city'"),
+            (("a", 1), ("",), ("a",), "empty or non-string token: 1"),
+            (("a",), ("",), ("a", "b c"), "empty or non-string token: ''"),
+        ],
+        ids=["question", "rewrite", "context", "question-first", "context-before-rewrite"],
+    )
+    def test_refuses_what_is_not_a_token_sequence(self, question, context, rewrite, message):
+        with pytest.raises(ValueError, match=message):
+            extract_edit_ops(question, context, rewrite)
+        # The occurrence is checked before the tokens.
+        with pytest.raises(ValueError, match="occurrence must be"):
+            extract_edit_ops(question, context, rewrite, occurrence="middle")
 
 
 class TestEditModel:
@@ -522,6 +553,18 @@ class TestBuildFromInteraction:
         inter = Interaction((), ("q",))
         with pytest.raises(ValueError):
             build_from_interaction(inter)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        ["which cities", ("which", "big city"), ("which", "", "cities")],
+        ids=["bare-string", "whitespace", "empty-token"],
+    )
+    def test_rewrite_is_refused_as_a_gold_rewrite_is(self, flights_interaction, rewrite):
+        with pytest.raises(ValueError) as given:
+            build_from_interaction(flights_interaction, rewrite)
+        with pytest.raises(ValueError) as gold:
+            Interaction(flights_interaction.context_turns, flights_interaction.question, rewrite)
+        assert str(given.value) == str(gold.value)
 
 
 def assert_matrix_invariants(matrix) -> None:

@@ -460,6 +460,50 @@ class TestReusedSchema:
         assert len(built) == 2 and built[1] is replaced
         assert replaced._structure == structure_cells(replaced)
 
+    def test_each_token_form_is_looked_up_once_per_family(self):
+        """Each family's plan holds one index, and linking a turn reads it
+        once per form of each folded question and context token, also for
+        a repeated name word and for a token that reaches one name through
+        several forms ("cities" reaches "city" and "citie")."""
+
+        class CountedDict(dict):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.lookups = 0
+
+            def get(self, *args):
+                self.lookups += 1
+                return super().get(*args)
+
+            def __getitem__(self, key):
+                self.lookups += 1
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                self.lookups += 1
+                return super().__contains__(key)
+
+        schema = Schema(
+            (("city", "city"), ("citie",), ("bus", "name")),
+            (Column(("cities", "id"), 0), Column(("name",), 1), Column(("city", "name", "city"), 2)),
+        )
+        question, context = ("Cities", "city", "name", "buses"), ("the", "city", "city", "ids")
+        for policy in generators.POLICIES:
+            build_schema_link_matrix(("city",), (), schema, policy)
+            plans = schema._link_plans[policy]
+            assert [sum(isinstance(value, dict) for value in plan) for plan in plans] == [1, 1]
+            plans = schema._link_plans[policy] = tuple(
+                plan._replace(**{key: CountedDict(value) for key, value in plan._asdict().items()
+                                 if isinstance(value, dict)})
+                for plan in plans
+            )
+            matrix = build_schema_link_matrix(question, context, schema, policy)
+            forms = sum(len(token) for token in policy.fold(question + context))
+            lookups = [sum(v.lookups for v in plan if isinstance(v, CountedDict)) for plan in plans]
+            assert lookups == [forms, forms]
+            got = {key: rel.value for key, rel in matrix.cells.items()}
+            assert got == oracles.reference_schema_link(question, context, schema, policy)
+
     def test_reused_schema_keeps_nothing_per_utterance(self):
         """Linking many distinct utterance lengths, and checking the
         matrices, leaves the schema holding its structure cells and one
