@@ -1015,23 +1015,39 @@ def _parameter_array(
 _PARAMS_KIND = "qurg-encoder-params"
 
 
+# The most array values that one chunk of ``_json_chunks`` holds: a few
+# rows of a small trace per encoder call, while the dump's Python peak on
+# the smallest traced encodes stays where one row per chunk left it.
+_CHUNK_VALUES = 64
+
+
 def _json_chunks(value: object, end: str = "\n") -> Iterator[str]:
     """``dataset_io.dump_canonical(value)`` in chunks, with ``end`` for its
-    final newline, where ``value``'s leaves may be numpy arrays: each
-    innermost row of an array is one chunk, so a dump written through
-    ``dataset_io._replace`` holds no more than one row as Python numbers
-    and text at a time."""
+    final newline, where ``value``'s leaves may be numpy arrays.  Each chunk
+    of an array is a run of its items, encoded at once, that holds at most
+    ``_CHUNK_VALUES`` values; an item that holds more is split in turn.  So
+    a dump written through ``dataset_io._replace`` holds no more than
+    ``_CHUNK_VALUES`` values as Python numbers and text at a time."""
     if isinstance(value, dict):
         yield "{"
         for k, (key, item) in enumerate(value.items()):
             yield f"{',' if k else ''}{_CANONICAL.encode(key)}:"
             yield from _json_chunks(item, "")
         yield "}" + end
-    elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
+    elif isinstance(value, list) or (
+        isinstance(value, np.ndarray) and value.ndim > 1
+        and value.size > _CHUNK_VALUES * len(value)
+    ):
         yield "["
         for k, item in enumerate(value):
             yield "," if k else ""
             yield from _json_chunks(item, "")
+        yield "]" + end
+    elif isinstance(value, np.ndarray) and value.size > _CHUNK_VALUES:
+        step = _CHUNK_VALUES * len(value) // value.size
+        for k in range(0, len(value), step):
+            # The run's text without its brackets, after the one before.
+            yield ("," if k else "[") + _CANONICAL.encode(value[k:k + step].tolist())[1:-1]
         yield "]" + end
     else:
         yield _CANONICAL.encode(value.tolist() if isinstance(value, np.ndarray) else value) + end

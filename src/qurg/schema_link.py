@@ -11,19 +11,22 @@ family, keyed on every form of every word of every name, in one pass over
 the utterance that looks each token's forms up once; exact matches keep
 the tie rule of a scan of all names: longest n-gram first, then earliest
 start, then earliest element.  The structure cells depend only on the
-schema, so each schema builds them once.  The folded names and their
-indexes depend on the schema and the match policy, so each schema builds
-them once per policy.  Both are built on first use and kept for every
-later call.
+schema, so each schema builds them once, with the first table at position
+0, and every matrix on it reads that one dict, moved to its own first
+table's position, instead of a copy.  The folded names and their indexes
+depend on the schema and the match policy, so each schema builds them
+once per policy.  Both are built on first use and kept for every later
+call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .rewrite_diff import (
     DEFAULT_POLICY, MalformedMatrixError, MatchPolicy, Relation, RelationMatrix, TokenSeq,
@@ -116,10 +119,12 @@ class Schema:
         object.__setattr__(self, "foreign_keys", frozenset(foreign_keys))
 
     @cached_property
-    def _structure(self) -> tuple[tuple[tuple[int, int], LinkRelation], ...]:
-        """The schema-to-schema cells, built on first use for the builder and
-        the ``SchemaLinkMatrix`` check alike.  Not a field: ``==``, ``hash``
-        and ``repr`` ignore it, and ``dataclasses.replace`` starts anew."""
+    def _structure(self) -> dict[tuple[int, int], LinkRelation]:
+        """The schema-to-schema cells with the first table at position 0,
+        built on first use.  Every ``SchemaLinkMatrix`` on this schema holds
+        this one dict, built or loaded, and never changes it.  Not a field:
+        ``==``, ``hash`` and ``repr`` ignore it, and ``dataclasses.replace``
+        starts anew."""
         return _structure_cells(self)
 
     @cached_property
@@ -155,6 +160,89 @@ class LinkRelation(Relation):
 
 
 LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
+# The relations of the cells in a question or context row or column.
+_MATCHES = frozenset(rel for rel in LinkRelation if "utterance" in (rel.rows, rel.cols))
+
+
+class _LinkCells(Mapping):
+    """The cells of one linking matrix: ``utterance``, the cells in a
+    question or context row or column, in the order they were written, then
+    the schema's structure cells, the dict ``Schema._structure`` that every
+    matrix on the schema shares, moved by ``offset``, the first table's
+    position, as they are read.  It reads, compares, prints, pickles and
+    copies as the dict of all its cells in that order.  It is read-only,
+    but for ``clear``, which empties this view, as it emptied the matrix's
+    own dict before, and leaves the schema's dict whole."""
+
+    __slots__ = ("_utterance", "_structure", "_offset")
+
+    def __init__(self, utterance: dict[tuple[int, int], LinkRelation],
+                 structure: dict[tuple[int, int], LinkRelation], offset: int) -> None:
+        self._utterance, self._structure, self._offset = utterance, structure, offset
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        rel = self._utterance.get(key)
+        if rel is None:
+            try:
+                i, j = key
+                rel = self._structure.get((i - self._offset, j - self._offset))
+            except (TypeError, ValueError):  # not a pair of numbers
+                pass
+        return default if rel is None else rel
+
+    def __getitem__(self, key: Any) -> LinkRelation:
+        rel = self.get(key)
+        if rel is None:
+            raise KeyError(key)
+        return rel
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        yield from self._utterance
+        t = self._offset
+        for i, j in self._structure:
+            yield i + t, j + t
+
+    def __len__(self) -> int:
+        return len(self._utterance) + len(self._structure)
+
+    def items(self) -> _LinkItems:
+        return _LinkItems(self)
+
+    def values(self) -> _LinkValues:
+        return _LinkValues(self)
+
+    def clear(self) -> None:
+        self._utterance, self._structure = {}, {}
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self) -> tuple:
+        return _LinkCells, (self._utterance, self._structure, self._offset)
+
+
+class _LinkItems(ItemsView):
+    """A linking matrix's cells as (key, relation) pairs, read from the two
+    dicts without a lookup per key."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], LinkRelation]]:
+        cells = self._mapping
+        yield from cells._utterance.items()
+        t = cells._offset
+        for (i, j), rel in cells._structure.items():
+            yield (i + t, j + t), rel
+
+
+class _LinkValues(ValuesView):
+    """A linking matrix's relations, read as ``_LinkItems`` reads cells."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[LinkRelation]:
+        yield from self._mapping._utterance.values()
+        yield from self._mapping._structure.values()
 
 
 @dataclass(frozen=True)
@@ -164,32 +252,58 @@ class SchemaLinkMatrix(RelationMatrix):
     Besides the checks of :class:`RelationMatrix`, the constructor requires
     the cells among tables and columns to be exactly the structure cells
     that the schema gives (ownership, primary and foreign keys, shared
-    tables), as :func:`build_schema_link_matrix` writes them.
+    tables), as :func:`build_schema_link_matrix` writes them.  It takes the
+    cells as any mapping and keeps them as a read-only ``_LinkCells``: the
+    utterance cells in their given order, then the schema's own structure
+    dict, so no matrix holds a copy of the structure cells.
     """
 
     question_tokens: TokenSeq
     context_tokens: TokenSeq
     schema: Schema
-    cells: dict[tuple[int, int], LinkRelation] = field(default_factory=dict)
+    cells: Mapping[tuple[int, int], LinkRelation] = field(default_factory=dict)
 
     _relations = LinkRelation
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        t = self.table_offset
-        expected = {(i + t, j + t): rel for (i, j), rel in self.schema._structure}
-        found = {key: rel for key, rel in self.cells.items() if min(key) >= t}
-        if found != expected:
-            cell = min(key for key in expected.keys() | found.keys()
-                       if found.get(key) is not expected.get(key))
+    def _check_cells(self, items: Iterable[tuple[tuple[int, int], LinkRelation]]) -> None:
+        """Check ``items``, which are all the cells, then keep them as a
+        ``_LinkCells``.  A cell that is one of the schema's structure cells,
+        moved to the first table and held under plain integers, passes every
+        per-cell check once all of them are present.  So then only the other
+        cells are checked, and the first error and its message are still
+        those of a check of every cell in order."""
+        t, cells, structure = self.table_offset, self.cells, self.schema._structure
+        rest: dict[tuple[int, int], LinkRelation] = {}
+        for key, rel in items:
+            try:
+                i, j = key
+                own = structure.get((i - t, j - t)) is rel and type(i) is int and type(j) is int
+            except (TypeError, ValueError):  # not a pair of numbers
+                own = False
+            if not own:
+                rest[key] = rel
+        proved = len(cells) - len(rest) == len(structure)
+        if proved:
+            super()._check_cells(rest.items())
+        # Past those checks, a cell of the rest that holds no match relation
+        # lies among tables and columns, where the schema gives it no cell.
+        if not (proved and _MATCHES.issuperset(rest.values())):
+            super()._check_cells(cells.items())
+            expected = {(i + t, j + t): rel for (i, j), rel in structure.items()}
+            found = {key: rel for key, rel in cells.items() if min(key) >= t}
+            if found != expected:
+                cell = min(key for key in expected.keys() | found.keys()
+                           if found.get(key) is not expected.get(key))
 
-            def named(rel: LinkRelation | None) -> str:
-                return "no relation" if rel is None else rel.value
+                def named(rel: LinkRelation | None) -> str:
+                    return "no relation" if rel is None else rel.value
 
-            raise MalformedMatrixError(
-                f"cell ({cell[0]},{cell[1]}) carries {named(found.get(cell))} where "
-                f"the schema gives {named(expected.get(cell))}"
-            )
+                raise MalformedMatrixError(
+                    f"cell ({cell[0]},{cell[1]}) carries {named(found.get(cell))} where "
+                    f"the schema gives {named(expected.get(cell))}"
+                )
+            rest = {key: rel for key, rel in cells.items() if min(key) < t}
+        object.__setattr__(self, "cells", _LinkCells(rest, structure, t))
 
     def _regions(self) -> dict[str, range]:
         t, c = self.table_offset, self.column_offset
@@ -245,7 +359,7 @@ class _FamilyPlan(NamedTuple):
     partial: LinkRelation
 
 
-def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelation], ...]:
+def _structure_cells(schema: Schema) -> dict[tuple[int, int], LinkRelation]:
     """The schema-to-schema cells, with the first table at position 0, in
     the order the matrix receives them.  Foreign keys take precedence over
     the shared-table relation, primary-key ownership over plain ownership:
@@ -271,7 +385,7 @@ def _structure_cells(schema: Schema) -> tuple[tuple[tuple[int, int], LinkRelatio
     for a, b in same_table:
         if (columns + a, columns + b) not in cells:
             put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
-    return tuple(cells.items())
+    return cells
 
 
 def _link_plan(schema: Schema, policy: MatchPolicy) -> tuple[_FamilyPlan, ...]:
@@ -387,13 +501,10 @@ def build_schema_link_matrix(
             if (pos, elem) not in covered:
                 cells[(pos, offset + elem)] = partial
                 cells[(offset + elem, pos)] = partial_rev
-    # Utterance cells and schema-to-schema cells never share a key, so the
-    # structure cells, shifted to the first table's position, come last.
-    for (i, j), rel in schema._structure:
-        cells[(i + tables, j + tables)] = rel
-    # Every cell above lies in its relation's block and has its mirror.
+    # Every cell above lies in its relation's block and has its mirror, and
+    # so do the schema's structure cells, which follow them unshifted.
     return _prevalidated(SchemaLinkMatrix, question_tokens=question, context_tokens=context,
-                         schema=schema, cells=cells)
+                         schema=schema, cells=_LinkCells(cells, schema._structure, tables))
 
 
 def link_stats(matrix: RelationMatrix) -> dict[str, int]:

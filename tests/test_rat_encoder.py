@@ -47,7 +47,9 @@ from qurg.rat_encoder import (
     two_stream_encode,
     vanilla_layer_forward,
 )
-from qurg.rat_encoder import _json_chunks, _relation_tables, _sum_terms, _weighted_cells
+from qurg.rat_encoder import (
+    _CHUNK_VALUES, _json_chunks, _relation_tables, _sum_terms, _weighted_cells,
+)
 
 TINY = EncoderConfig(d_x=8, heads=2, layers_link=1, layers_rw=1, d_ff=12, seed=5)
 
@@ -357,8 +359,15 @@ class TestInitParams:
             {"ké": [{"a": arr.tolist(), "b": [arr.tolist(), None, True, "ü"]} for arr in arrays],
              "e": {}}
         )
-        # One chunk per innermost row, never the whole array.
-        assert max(map(len, _json_chunks(arrays[4]))) < len(dump_canonical(arrays[4][0].tolist()))
+        # Runs of whole rows, or parts of a long row, of at most 64 values
+        # each, never the whole array.
+        assert _CHUNK_VALUES == 64
+        for shape, most in [((3, 40, 5), 60), ((2, 150), 64), ((5, 2, 7, 9), 63)]:
+            array = rng.standard_normal(shape)
+            chunks = list(_json_chunks(array))
+            assert "".join(chunks) == dump_canonical(array.tolist())
+            values = [len(re.findall(r"[^\[\],\s]+", chunk)) for chunk in chunks]
+            assert (max(values), sum(values)) == (most, array.size)
 
 
 class TestSizeBound:

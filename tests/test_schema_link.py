@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -8,8 +10,9 @@ import pytest
 import generators
 import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
-from qurg import schema_link
-from qurg.rewrite_diff import MalformedMatrixError, MatchPolicy, RewriteRelation
+from qurg import rewrite_diff, schema_link
+from qurg.dataset_io import load_link_matrix, save_link_matrix
+from qurg.rewrite_diff import MalformedMatrixError, MatchPolicy, RelationMatrix, RewriteRelation
 from qurg.schema_link import (
     Column,
     LinkRelation,
@@ -545,3 +548,171 @@ class TestReusedSchema:
             reused.cells.clear()
             again = build_schema_link_matrix(question, context, schema, policy)
             assert list(again.cells.items()) == list(fresh.cells.items())
+
+
+def _wide_turn(seed: int):
+    return TestReferenceOracle()._wide_case(random.Random(seed))
+
+
+def _check_every_cell(question, context, schema, cells) -> None:
+    """The constructor's checks run on every cell in order, then the
+    structure cells compared with the schema's as a whole: the checks that
+    the one on the cells outside the schema's structure must agree with."""
+    shell = object.__new__(SchemaLinkMatrix)
+    shell.__dict__.update(question_tokens=question, context_tokens=context, schema=schema,
+                          cells=cells)
+    RelationMatrix._check_cells(shell, cells.items())
+    t = len(question) + len(context)
+    expected = {(i + t, j + t): rel for (i, j), rel in schema_link._structure_cells(schema).items()}
+    found = {key: rel for key, rel in cells.items() if min(key) >= t}
+    if found != expected:
+        cell = min(key for key in expected.keys() | found.keys()
+                   if found.get(key) is not expected.get(key))
+        names = [("no relation" if rel is None else rel.value)
+                 for rel in (found.get(cell), expected.get(cell))]
+        raise MalformedMatrixError(
+            f"cell ({cell[0]},{cell[1]}) carries {names[0]} where the schema gives {names[1]}"
+        )
+
+
+class TestLinkCells:
+    """A matrix's cells read as the dict of its utterance cells followed by
+    its schema's structure cells, moved to the first table, which the
+    builder wrote before the matrix kept the schema's cells unshifted."""
+
+    @pytest.fixture(params=["built", "loaded"])
+    def case(self, request, tmp_path):
+        question, context, schema = _wide_turn(71)
+        matrix = build_schema_link_matrix(question, context, schema)
+        if request.param == "loaded":
+            save_link_matrix(tmp_path / "link.json", matrix)
+            matrix = load_link_matrix(tmp_path / "link.json")
+        t = matrix.table_offset
+        # The dict the view replaces: the built utterance cells, or the
+        # file's, in their order, then the shifted structure cells.
+        utterance = [(key, rel) for key, rel in matrix.cells.items() if min(key) < t]
+        structure = [((i + t, j + t), rel)
+                     for (i, j), rel in schema_link._structure_cells(matrix.schema).items()]
+        if request.param == "loaded":
+            assert [key for key, _ in utterance] == sorted(key for key, _ in utterance)
+        return matrix, dict(utterance + structure)
+
+    def test_reads_as_the_dict(self, case):
+        matrix, old = case
+        cells = matrix.cells
+        assert cells == old and old == cells and not cells != old
+        assert cells != {**old, (0, 0): LinkRelation.EXACT_TABLE} != cells
+        assert len(cells) == len(old) == len(list(cells))
+        assert list(cells) == list(old) == list(cells.keys())
+        assert list(cells.items()) == list(old.items())
+        assert list(cells.values()) == list(old.values())
+        assert len(cells.items()) == len(cells.values()) == len(old)
+        assert all(key in cells and cells[key] is rel and cells.get(key) is rel
+                   for key, rel in old.items())
+        assert next(iter(old.items())) in cells.items()
+        t, n = matrix.table_offset, matrix.size
+        structure_key = next(key for key in old if min(key) >= t)
+        others = [(-1, -1), (t - 1, -1), (-t, -t), (n, n), (n + 3, t), (t, n), (n - 1, n + 9),
+                  (float(structure_key[0]), float(structure_key[1])), (t + 0.5, t),
+                  ("a", "b"), "ab", (1,), (1, 2, 3), 5, None, ()]
+        for key in others:
+            assert (key in cells) == (key in old)
+            assert cells.get(key) is old.get(key)
+            assert cells.get(key, "absent") is old.get(key, "absent")
+        with pytest.raises(KeyError):
+            cells[(n, n)]
+        with pytest.raises(TypeError):
+            cells.get(([0], 1))
+
+    def test_prints_pickles_and_copies_as_the_dict(self, case):
+        matrix, old = case
+        assert repr(matrix.cells) == repr(old) == str(matrix.cells)
+        for again in (pickle.loads(pickle.dumps(matrix)), copy.deepcopy(matrix),
+                      copy.copy(matrix), dataclasses.replace(matrix, cells=matrix.cells)):
+            assert again == matrix
+            assert list(again.cells.items()) == list(old.items())
+            assert again.cells._structure is again.schema._structure
+        for cells in (copy.copy(matrix.cells), copy.deepcopy(matrix.cells),
+                      pickle.loads(pickle.dumps(matrix.cells))):
+            assert list(cells.items()) == list(old.items())
+
+    def test_read_only(self, case):
+        matrix, old = case
+        key = next(iter(old))
+        with pytest.raises(TypeError):
+            matrix.cells[key] = LinkRelation.EXACT_TABLE
+        with pytest.raises(TypeError):
+            del matrix.cells[key]
+        assert matrix.cells == old
+
+    def test_matrices_on_one_schema_share_its_structure_dict(self, tmp_path):
+        question, context, schema = _wide_turn(72)
+        first = build_schema_link_matrix(question, context, schema)
+        second = build_schema_link_matrix(question[:3], (), schema, MatchPolicy(False, False))
+        save_link_matrix(tmp_path / "link.json", first)
+        loaded = load_link_matrix(tmp_path / "link.json")
+        rebuilt = SchemaLinkMatrix(question, context, schema, dict(first.cells))
+        for matrix in (first, second, rebuilt):
+            assert matrix.cells._structure is schema._structure
+        assert loaded.cells._structure is loaded.schema._structure
+        assert loaded == first == rebuilt
+
+    def test_loading_checks_each_utterance_cell_alone(self, tmp_path, monkeypatch):
+        """A valid wide matrix's structure cells are the schema's, so loading
+        it checks the indices of its utterance cells only."""
+        question, context, schema = _wide_turn(73)
+        matrix = build_schema_link_matrix(question, context, schema)
+        save_link_matrix(tmp_path / "link.json", matrix)
+        calls = []
+        is_index = rewrite_diff._is_index
+
+        def counted(value, size):
+            calls.append(value)
+            return is_index(value, size)
+
+        monkeypatch.setattr(rewrite_diff, "_is_index", counted)
+        assert load_link_matrix(tmp_path / "link.json") == matrix
+        utterance = len(matrix.cells) - len(schema._structure)
+        assert utterance > 0 and len(schema._structure) > 100
+        assert len(calls) == 2 * utterance
+
+    def test_first_error_is_that_of_checking_every_cell(self):
+        """Cells taken out, changed, moved or added anywhere in the order
+        give the error, and the message, of the checks run on every cell."""
+        rng = random.Random(29)
+        relations = list(LinkRelation)
+        refused = 0
+        for case in range(120):
+            question, context, schema = _wide_turn(100 + case % 6)
+            matrix = build_schema_link_matrix(question, context, schema)
+            items = list(matrix.cells.items())
+            rng.shuffle(items)
+            n = matrix.size
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(items))
+                key, rel = items[k]
+                change = rng.randrange(5)
+                if change == 0:
+                    del items[k]
+                elif change == 1:
+                    items[k] = (key, rng.choice(relations))
+                elif change == 2:
+                    items.insert(rng.randrange(len(items)),
+                                 ((rng.randrange(n + 2), rng.randrange(n + 2)),
+                                  rng.choice(relations)))
+                elif change == 3:
+                    items[k] = ((key[0], True) if rng.random() < 0.5 else (key[0] - n, key[1]),
+                                rel)
+                else:
+                    items[k] = ((float(key[0]), key[1]), rel)
+            cells = dict(items)
+            try:
+                _check_every_cell(matrix.question_tokens, matrix.context_tokens, schema, cells)
+            except MalformedMatrixError as exc:
+                refused += 1
+                with pytest.raises(MalformedMatrixError) as caught:
+                    SchemaLinkMatrix(question, context, schema, cells)
+                assert str(caught.value) == str(exc)
+            else:
+                assert SchemaLinkMatrix(question, context, schema, cells).cells == cells
+        assert refused > 90
