@@ -555,9 +555,10 @@ def _wide_turn(seed: int):
 
 
 def _check_every_cell(question, context, schema, cells) -> None:
-    """The constructor's checks run on every cell in order, then the
-    structure cells compared with the schema's as a whole: the checks that
-    the one on the cells outside the schema's structure must agree with."""
+    """The per-cell checks on every cell in order, then the structure cells
+    compared with the schema's as a whole, as the constructor ran them
+    before it passed over the schema's own cells; it must raise the same
+    first error."""
     shell = object.__new__(SchemaLinkMatrix)
     shell.__dict__.update(question_tokens=question, context_tokens=context, schema=schema,
                           cells=cells)
