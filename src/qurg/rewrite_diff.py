@@ -100,10 +100,9 @@ def _prevalidated(cls: type[_T], **fields: object) -> _T:
     :func:`build_rewrite_matrix` and ``schema_link.build_schema_link_matrix``,
     check their tokens with :func:`token_seq` and write each cell in its
     block with its mirror.  The cell check would cost them 9-18 against
-    0.6-1.1 microseconds per short spliced example, and, on the utterance
-    cells alone, 0.6-0.75 ms per turn of the wide benchmark schema, which
-    links in 0.21-0.39 ms (shared 2-vCPU Xeon, Python 3.11; the ranges are
-    the host's drift)."""
+    0.6-1.1 microseconds per short spliced example, and 1.1-1.2 ms per turn
+    of the wide benchmark schema, which links in 0.15-0.2 ms (shared 2-vCPU
+    Xeon, Python 3.11; the ranges are the host's drift)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -337,13 +336,8 @@ class RelationMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "context_tokens", token_seq(self.context_tokens))
         object.__setattr__(self, "question_tokens", token_seq(self.question_tokens))
-        self._check_cells(self.cells.items())
-
-    def _check_cells(self, items: Iterable[tuple[tuple[int, int], Relation]]) -> None:
-        """The per-cell checks on ``items``, in order; each cell's mirror is
-        looked up among all the ``cells``."""
         n, regions, cells = self.size, self._regions(), self.cells
-        for (i, j), rel in items:
+        for (i, j), rel in cells.items():
             if not (_is_index(i, n) and _is_index(j, n)):
                 raise MalformedMatrixError(f"cell ({i},{j}) out of bounds for size {n}")
             if not isinstance(rel, self._relations):

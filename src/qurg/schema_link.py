@@ -12,11 +12,11 @@ the utterance that looks each token's forms up once; exact matches keep
 the tie rule of a scan of all names: longest n-gram first, then earliest
 start, then earliest element.  The structure cells depend only on the
 schema, so each schema builds them once, with the first table at position
-0, and every matrix on it reads that one dict, moved to its own first
-table's position, instead of a copy.  The folded names and their indexes
-depend on the schema and the match policy, so each schema builds them
-once per policy.  Both are built on first use and kept for every later
-call.
+0; every matrix on it holds that one dict, and moves its cells to its own
+first table's position only when all its cells are read.  The folded
+names and their indexes depend on the schema and the match policy, so
+each schema builds them once per policy.  Both are built on first use and
+kept for every later call.
 """
 
 from __future__ import annotations
@@ -160,8 +160,6 @@ class LinkRelation(Relation):
 
 
 LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
-# The relations of the cells in a question or context row or column.
-_MATCHES = frozenset(rel for rel in LinkRelation if "utterance" in (rel.rows, rel.cols))
 
 
 class _LinkCells(Mapping):
@@ -169,16 +167,29 @@ class _LinkCells(Mapping):
     question or context row or column, in the order they were written, then
     the schema's structure cells, the dict ``Schema._structure`` that every
     matrix on the schema shares, moved by ``offset``, the first table's
-    position, as they are read.  It reads, compares, prints, pickles and
-    copies as the dict of all its cells in that order.  It is read-only,
-    but for ``clear``, which empties this view, as it emptied the matrix's
-    own dict before, and leaves the schema's dict whole."""
+    position.  ``get``, ``in`` and ``len`` read the two dicts.  The first
+    read of every cell builds their union, moved, as the builder did before
+    the view, and later reads go through that dict; so a matrix whose cells
+    are never all read copies no structure cell.  It reads, compares,
+    prints, pickles and copies as the dict of all its cells in that order.
+    It is read-only, but for ``clear``, which empties this view, as it
+    emptied the matrix's own dict before, and leaves the schema's dict
+    whole."""
 
-    __slots__ = ("_utterance", "_structure", "_offset")
+    __slots__ = ("_utterance", "_structure", "_offset", "_all")
 
     def __init__(self, utterance: dict[tuple[int, int], LinkRelation],
                  structure: dict[tuple[int, int], LinkRelation], offset: int) -> None:
         self._utterance, self._structure, self._offset = utterance, structure, offset
+        self._all: dict[tuple[int, int], LinkRelation] | None = None
+
+    def _cells(self) -> dict[tuple[int, int], LinkRelation]:
+        if self._all is None:
+            t, cells = self._offset, dict(self._utterance)
+            for (i, j), rel in self._structure.items():
+                cells[(i + t, j + t)] = rel
+            self._all = cells
+        return self._all
 
     def get(self, key: Any, default: Any = None) -> Any:
         rel = self._utterance.get(key)
@@ -197,52 +208,25 @@ class _LinkCells(Mapping):
         return rel
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        yield from self._utterance
-        t = self._offset
-        for i, j in self._structure:
-            yield i + t, j + t
+        return iter(self._cells())
 
     def __len__(self) -> int:
         return len(self._utterance) + len(self._structure)
 
-    def items(self) -> _LinkItems:
-        return _LinkItems(self)
+    def items(self) -> ItemsView[tuple[int, int], LinkRelation]:
+        return self._cells().items()
 
-    def values(self) -> _LinkValues:
-        return _LinkValues(self)
+    def values(self) -> ValuesView[LinkRelation]:
+        return self._cells().values()
 
     def clear(self) -> None:
-        self._utterance, self._structure = {}, {}
+        self._utterance, self._structure, self._all = {}, {}, None
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
+        return repr(self._cells())
 
     def __reduce__(self) -> tuple:
         return _LinkCells, (self._utterance, self._structure, self._offset)
-
-
-class _LinkItems(ItemsView):
-    """A linking matrix's cells as (key, relation) pairs, read from the two
-    dicts without a lookup per key."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], LinkRelation]]:
-        cells = self._mapping
-        yield from cells._utterance.items()
-        t = cells._offset
-        for (i, j), rel in cells._structure.items():
-            yield (i + t, j + t), rel
-
-
-class _LinkValues(ValuesView):
-    """A linking matrix's relations, read as ``_LinkItems`` reads cells."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[LinkRelation]:
-        yield from self._mapping._utterance.values()
-        yield from self._mapping._structure.values()
 
 
 @dataclass(frozen=True)
@@ -255,7 +239,7 @@ class SchemaLinkMatrix(RelationMatrix):
     tables), as :func:`build_schema_link_matrix` writes them.  It takes the
     cells as any mapping and keeps them as a read-only ``_LinkCells``: the
     utterance cells in their given order, then the schema's own structure
-    dict, so no matrix holds a copy of the structure cells.
+    dict, which building or loading a matrix does not copy.
     """
 
     question_tokens: TokenSeq
@@ -265,45 +249,31 @@ class SchemaLinkMatrix(RelationMatrix):
 
     _relations = LinkRelation
 
-    def _check_cells(self, items: Iterable[tuple[tuple[int, int], LinkRelation]]) -> None:
-        """Check ``items``, which are all the cells, then keep them as a
-        ``_LinkCells``.  A cell that is one of the schema's structure cells,
-        moved to the first table and held under plain integers, passes every
-        per-cell check once all of them are present.  So then only the other
-        cells are checked, and the first error and its message are still
-        those of a check of every cell in order."""
-        t, cells, structure = self.table_offset, self.cells, self.schema._structure
-        rest: dict[tuple[int, int], LinkRelation] = {}
-        for key, rel in items:
-            try:
-                i, j = key
-                own = structure.get((i - t, j - t)) is rel and type(i) is int and type(j) is int
-            except (TypeError, ValueError):  # not a pair of numbers
-                own = False
-            if not own:
-                rest[key] = rel
-        proved = len(cells) - len(rest) == len(structure)
-        if proved:
-            super()._check_cells(rest.items())
-        # Past those checks, a cell of the rest that holds no match relation
-        # lies among tables and columns, where the schema gives it no cell.
-        if not (proved and _MATCHES.issuperset(rest.values())):
-            super()._check_cells(cells.items())
-            expected = {(i + t, j + t): rel for (i, j), rel in structure.items()}
-            found = {key: rel for key, rel in cells.items() if min(key) >= t}
-            if found != expected:
-                cell = min(key for key in expected.keys() | found.keys()
-                           if found.get(key) is not expected.get(key))
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        t, structure = self.table_offset, self.schema._structure
+        # The utterance cells, and the cells among tables and columns moved
+        # to the first table, as the schema's structure cells are.
+        utterance: dict[tuple[int, int], LinkRelation] = {}
+        found: dict[tuple[int, int], LinkRelation] = {}
+        for key, rel in self.cells.items():
+            i, j = key
+            if i < t or j < t:
+                utterance[key] = rel
+            else:
+                found[(i - t, j - t)] = rel
+        if found != structure:
+            i, j = min(key for key in structure.keys() | found.keys()
+                       if found.get(key) is not structure.get(key))
 
-                def named(rel: LinkRelation | None) -> str:
-                    return "no relation" if rel is None else rel.value
+            def named(rel: LinkRelation | None) -> str:
+                return "no relation" if rel is None else rel.value
 
-                raise MalformedMatrixError(
-                    f"cell ({cell[0]},{cell[1]}) carries {named(found.get(cell))} where "
-                    f"the schema gives {named(expected.get(cell))}"
-                )
-            rest = {key: rel for key, rel in cells.items() if min(key) < t}
-        object.__setattr__(self, "cells", _LinkCells(rest, structure, t))
+            raise MalformedMatrixError(
+                f"cell ({i + t},{j + t}) carries {named(found.get((i, j)))} where "
+                f"the schema gives {named(structure.get((i, j)))}"
+            )
+        object.__setattr__(self, "cells", _LinkCells(utterance, structure, t))
 
     def _regions(self) -> dict[str, range]:
         t, c = self.table_offset, self.column_offset

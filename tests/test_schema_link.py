@@ -10,7 +10,7 @@ import pytest
 import generators
 import oracles
 from conftest import FLIGHTS_CONTEXT, FLIGHTS_QUESTION
-from qurg import rewrite_diff, schema_link
+from qurg import schema_link
 from qurg.dataset_io import load_link_matrix, save_link_matrix
 from qurg.rewrite_diff import MalformedMatrixError, MatchPolicy, RelationMatrix, RewriteRelation
 from qurg.schema_link import (
@@ -555,14 +555,15 @@ def _wide_turn(seed: int):
 
 
 def _check_every_cell(question, context, schema, cells) -> None:
-    """The per-cell checks on every cell in order, then the structure cells
-    compared with the schema's as a whole, as the constructor ran them
-    before it passed over the schema's own cells; it must raise the same
-    first error."""
+    """The per-cell checks on every cell in order, then the cells among
+    tables and columns compared as a whole with the schema's structure
+    cells moved to the first table, as the constructor ran them before it
+    kept the schema's cells unshifted; it must raise the same first
+    error."""
     shell = object.__new__(SchemaLinkMatrix)
     shell.__dict__.update(question_tokens=question, context_tokens=context, schema=schema,
                           cells=cells)
-    RelationMatrix._check_cells(shell, cells.items())
+    RelationMatrix.__post_init__(shell)
     t = len(question) + len(context)
     expected = {(i + t, j + t): rel for (i, j), rel in schema_link._structure_cells(schema).items()}
     found = {key: rel for key, rel in cells.items() if min(key) >= t}
@@ -650,32 +651,20 @@ class TestLinkCells:
         question, context, schema = _wide_turn(72)
         first = build_schema_link_matrix(question, context, schema)
         second = build_schema_link_matrix(question[:3], (), schema, MatchPolicy(False, False))
+        # Building moves no structure cell; the first read of them all does,
+        # once per matrix.
+        assert first.cells._all is second.cells._all is None
         save_link_matrix(tmp_path / "link.json", first)
         loaded = load_link_matrix(tmp_path / "link.json")
         rebuilt = SchemaLinkMatrix(question, context, schema, dict(first.cells))
+        assert first.cells.items() == rebuilt.cells.items()
+        union = first.cells._all
+        assert union is not None and list(first.cells) == list(union)
+        assert first.cells._all is union
         for matrix in (first, second, rebuilt):
             assert matrix.cells._structure is schema._structure
         assert loaded.cells._structure is loaded.schema._structure
         assert loaded == first == rebuilt
-
-    def test_loading_checks_each_utterance_cell_alone(self, tmp_path, monkeypatch):
-        """A valid wide matrix's structure cells are the schema's, so loading
-        it checks the indices of its utterance cells only."""
-        question, context, schema = _wide_turn(73)
-        matrix = build_schema_link_matrix(question, context, schema)
-        save_link_matrix(tmp_path / "link.json", matrix)
-        calls = []
-        is_index = rewrite_diff._is_index
-
-        def counted(value, size):
-            calls.append(value)
-            return is_index(value, size)
-
-        monkeypatch.setattr(rewrite_diff, "_is_index", counted)
-        assert load_link_matrix(tmp_path / "link.json") == matrix
-        utterance = len(matrix.cells) - len(schema._structure)
-        assert utterance > 0 and len(schema._structure) > 100
-        assert len(calls) == 2 * utterance
 
     def test_first_error_is_that_of_checking_every_cell(self):
         """Cells taken out, changed, moved or added anywhere in the order
