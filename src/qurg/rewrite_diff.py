@@ -100,7 +100,7 @@ def _prevalidated(cls: type[_T], **fields: object) -> _T:
     :func:`build_rewrite_matrix` and ``schema_link.build_schema_link_matrix``,
     check their tokens with :func:`token_seq` and write each cell in its
     block with its mirror.  The cell check would cost them 9-18 against
-    0.6-1.1 microseconds per short spliced example, and 1.1-1.2 ms per turn
+    0.6-1.1 microseconds per short spliced example, and 1.05-1.2 ms per turn
     of the wide benchmark schema, which links in 0.15-0.2 ms (shared 2-vCPU
     Xeon, Python 3.11; the ranges are the host's drift)."""
     obj = object.__new__(cls)

@@ -12,11 +12,11 @@ the utterance that looks each token's forms up once; exact matches keep
 the tie rule of a scan of all names: longest n-gram first, then earliest
 start, then earliest element.  The structure cells depend only on the
 schema, so each schema builds them once, with the first table at position
-0; every matrix on it holds that one dict, and moves its cells to its own
-first table's position only when all its cells are read.  The folded
-names and their indexes depend on the schema and the match policy, so
-each schema builds them once per policy.  Both are built on first use and
-kept for every later call.
+0; every matrix on it holds that one dict, not a copy, and moves its keys
+to its own first table's position as they are read.  The folded names
+and their indexes depend on the schema and the match policy, so each
+schema builds them once per policy.  Both are built on first use and kept
+for every later call.
 """
 
 from __future__ import annotations
@@ -167,29 +167,20 @@ class _LinkCells(Mapping):
     question or context row or column, in the order they were written, then
     the schema's structure cells, the dict ``Schema._structure`` that every
     matrix on the schema shares, moved by ``offset``, the first table's
-    position.  ``get``, ``in`` and ``len`` read the two dicts.  The first
-    read of every cell builds their union, moved, as the builder did before
-    the view, and later reads go through that dict; so a matrix whose cells
-    are never all read copies no structure cell.  It reads, compares,
-    prints, pickles and copies as the dict of all its cells in that order.
-    It is read-only, but for ``clear``, which empties this view, as it
-    emptied the matrix's own dict before, and leaves the schema's dict
-    whole."""
+    position.  ``get``, ``in``, ``len`` and ``values`` read the two dicts as
+    they are.  Each read of every key moves the structure keys as it goes,
+    which costs about what copying them into one dict did, so a caller that
+    reads every key more than once should take ``dict(cells)`` once.  It
+    reads, compares, prints, pickles and copies as the dict of all its
+    cells in that order.  It is read-only, but for ``clear``, which empties
+    this view, as it emptied the matrix's own dict before, and leaves the
+    schema's dict whole."""
 
-    __slots__ = ("_utterance", "_structure", "_offset", "_all")
+    __slots__ = ("_utterance", "_structure", "_offset")
 
     def __init__(self, utterance: dict[tuple[int, int], LinkRelation],
                  structure: dict[tuple[int, int], LinkRelation], offset: int) -> None:
         self._utterance, self._structure, self._offset = utterance, structure, offset
-        self._all: dict[tuple[int, int], LinkRelation] | None = None
-
-    def _cells(self) -> dict[tuple[int, int], LinkRelation]:
-        if self._all is None:
-            t, cells = self._offset, dict(self._utterance)
-            for (i, j), rel in self._structure.items():
-                cells[(i + t, j + t)] = rel
-            self._all = cells
-        return self._all
 
     def get(self, key: Any, default: Any = None) -> Any:
         rel = self._utterance.get(key)
@@ -208,25 +199,52 @@ class _LinkCells(Mapping):
         return rel
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._cells())
+        yield from self._utterance
+        t = self._offset
+        for i, j in self._structure:
+            yield i + t, j + t
 
     def __len__(self) -> int:
         return len(self._utterance) + len(self._structure)
 
-    def items(self) -> ItemsView[tuple[int, int], LinkRelation]:
-        return self._cells().items()
+    def items(self) -> _LinkItems:
+        return _LinkItems(self)
 
-    def values(self) -> ValuesView[LinkRelation]:
-        return self._cells().values()
+    def values(self) -> _LinkValues:
+        return _LinkValues(self)
 
     def clear(self) -> None:
-        self._utterance, self._structure, self._all = {}, {}, None
+        self._utterance, self._structure = {}, {}
 
     def __repr__(self) -> str:
-        return repr(self._cells())
+        return repr(dict(self.items()))
 
     def __reduce__(self) -> tuple:
         return _LinkCells, (self._utterance, self._structure, self._offset)
+
+
+class _LinkItems(ItemsView):
+    """A linking matrix's cells as (key, relation) pairs, read from the two
+    dicts without a lookup per key."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], LinkRelation]]:
+        cells = self._mapping
+        yield from cells._utterance.items()
+        t = cells._offset
+        for (i, j), rel in cells._structure.items():
+            yield (i + t, j + t), rel
+
+
+class _LinkValues(ValuesView):
+    """A linking matrix's relations, read as ``_LinkItems`` reads cells."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[LinkRelation]:
+        yield from self._mapping._utterance.values()
+        yield from self._mapping._structure.values()
 
 
 @dataclass(frozen=True)
