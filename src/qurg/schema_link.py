@@ -22,7 +22,7 @@ for every later call.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -34,6 +34,7 @@ from .rewrite_diff import (
 )
 
 __all__ = [
+    "MAX_STRUCTURE_CELLS",
     "SchemaError",
     "Column",
     "Schema",
@@ -44,6 +45,11 @@ __all__ = [
 ]
 
 COLUMN_TYPES = frozenset({"text", "number", "time", "boolean", "others"})
+
+# Most structure cells a ``Schema`` may give, about 200 MB once built: they
+# grow with the square of one table's column count, and a process that asks
+# for more than the machine holds can be killed with no error line.
+MAX_STRUCTURE_CELLS = 2**20
 
 
 class SchemaError(ValueError):
@@ -117,6 +123,10 @@ class Schema:
                 raise SchemaError(f"dangling foreign key {fk!r:.40}")
         object.__setattr__(self, "primary_keys", frozenset(primary_keys))
         object.__setattr__(self, "foreign_keys", frozenset(foreign_keys))
+        cells = _structure_size(self)
+        if cells > MAX_STRUCTURE_CELLS:
+            raise SchemaError(f"schema needs {cells:,} structure cells, "
+                              f"more than the bound of {MAX_STRUCTURE_CELLS:,}")
 
     @cached_property
     def _structure(self) -> dict[tuple[int, int], LinkRelation]:
@@ -163,18 +173,15 @@ LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
 
 
 class _LinkCells(Mapping):
-    """The cells of one linking matrix: ``utterance``, the cells in a
-    question or context row or column, in the order they were written, then
-    the schema's structure cells, the dict ``Schema._structure`` that every
-    matrix on the schema shares, moved by ``offset``, the first table's
-    position.  ``get``, ``in``, ``len`` and ``values`` read the two dicts as
-    they are.  Each read of every key moves the structure keys as it goes,
-    which costs about what copying them into one dict did, so a caller that
-    reads every key more than once should take ``dict(cells)`` once.  It
-    reads, compares, prints, pickles and copies as the dict of all its
-    cells in that order.  It is read-only, but for ``clear``, which empties
-    this view, as it emptied the matrix's own dict before, and leaves the
-    schema's dict whole."""
+    """The read-only cells of one linking matrix: ``utterance``, the cells in
+    a question or context row or column, in the order they were written,
+    then the schema's structure cells, the dict ``Schema._structure`` that
+    every matrix on the schema shares, moved by ``offset``, the first
+    table's position.  It reads, compares, prints, pickles and copies as the
+    dict of all its cells in that order.  ``items`` reads every cell and
+    ``get`` one, and every other read goes through them; each full read
+    moves every structure key, so a caller that reads every cell more than
+    once should take ``dict(cells)`` once."""
 
     __slots__ = ("_utterance", "_structure", "_offset")
 
@@ -199,10 +206,7 @@ class _LinkCells(Mapping):
         return rel
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        yield from self._utterance
-        t = self._offset
-        for i, j in self._structure:
-            yield i + t, j + t
+        return (key for key, _ in self.items())
 
     def __len__(self) -> int:
         return len(self._utterance) + len(self._structure)
@@ -210,15 +214,11 @@ class _LinkCells(Mapping):
     def items(self) -> _LinkItems:
         return _LinkItems(self)
 
-    def values(self) -> _LinkValues:
-        return _LinkValues(self)
-
-    def clear(self) -> None:
-        self._utterance, self._structure = {}, {}
-
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
+    # Pickle protocols 0 and 1 refuse a class with ``__slots__`` and no
+    # ``__getstate__``.
     def __reduce__(self) -> tuple:
         return _LinkCells, (self._utterance, self._structure, self._offset)
 
@@ -237,16 +237,6 @@ class _LinkItems(ItemsView):
             yield (i + t, j + t), rel
 
 
-class _LinkValues(ValuesView):
-    """A linking matrix's relations, read as ``_LinkItems`` reads cells."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[LinkRelation]:
-        yield from self._mapping._utterance.values()
-        yield from self._mapping._structure.values()
-
-
 @dataclass(frozen=True)
 class SchemaLinkMatrix(RelationMatrix):
     """Sparse relation matrix over ``[question; context; tables; columns]``.
@@ -255,9 +245,8 @@ class SchemaLinkMatrix(RelationMatrix):
     the cells among tables and columns to be exactly the structure cells
     that the schema gives (ownership, primary and foreign keys, shared
     tables), as :func:`build_schema_link_matrix` writes them.  It takes the
-    cells as any mapping and keeps them as a read-only ``_LinkCells``: the
-    utterance cells in their given order, then the schema's own structure
-    dict, which building or loading a matrix does not copy.
+    cells as any mapping and keeps them as a ``_LinkCells`` over the
+    schema's own structure dict.
     """
 
     question_tokens: TokenSeq
@@ -373,6 +362,23 @@ def _structure_cells(schema: Schema) -> dict[tuple[int, int], LinkRelation]:
     for a, b in same_table:
         if (columns + a, columns + b) not in cells:
             put(columns + a, columns + b, LinkRelation.SAME_TABLE_COLUMNS)
+    return cells
+
+
+def _structure_size(schema: Schema) -> int:
+    """``len(_structure_cells(schema))``, counted without building them:
+    two ownership cells per column, both directions of each pair of columns
+    in one table, two more cells for a foreign key across tables and one for
+    a column's key to itself."""
+    columns = schema.columns
+    per_table = Counter(col.table for col in columns)
+    cells = 2 * len(columns) + sum(c * (c - 1) for c in per_table.values())
+    for pair in {frozenset(fk) for fk in schema.foreign_keys}:
+        if len(pair) == 1:
+            cells += 1
+        else:
+            a, b = pair
+            cells += 2 * (columns[a].table != columns[b].table)
     return cells
 
 
@@ -497,5 +503,5 @@ def build_schema_link_matrix(
 
 def link_stats(matrix: RelationMatrix) -> dict[str, int]:
     """Count non-empty cells per relation type, sorted by relation name."""
-    counts: Counter[str] = Counter(rel.value for rel in matrix.cells.values())
-    return dict(sorted(counts.items()))
+    counts = Counter(rel for _, rel in matrix.cells.items())
+    return dict(sorted((rel.value, n) for rel, n in counts.items()))

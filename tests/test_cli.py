@@ -23,6 +23,7 @@ from conftest import (
     malformed_link_matrix_payload,
     malformed_matrix_payload,
 )
+from qurg import schema_link
 from qurg.cli import main
 from qurg.dataset_io import (
     load_link_matrix,
@@ -831,6 +832,35 @@ class TestMalformedInputs:
             "--out", str(tmp_path / "x.json"),
         ], capsys)
         assert line == f"error: {schema}: table 0: empty or non-string token: ''", line
+
+    def test_schema_past_the_structure_bound_names_the_file(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch
+    ):
+        """A schema file whose one table of 1,100 columns gives more
+        structure cells than the bound fails to load, in ``schema-link`` and
+        in ``stats --link-matrix``, before any structure cell is built."""
+
+        def refused(schema):
+            raise AssertionError("structure cells built")
+
+        monkeypatch.setattr(schema_link, "_structure_cells", refused)
+        columns = [{"name": [f"c{idx}"], "table": 0} for idx in range(1100)]
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"qurg_fmt": 1, "tables": [["t"]], "columns": columns}))
+        link = tmp_path / "link.json"
+        link.write_text(json.dumps({"qurg_fmt": 1, "question_tokens": ["q"],
+                                    "context_tokens": [], "tables": [["t"]],
+                                    "columns": columns, "cells": []}))
+        for path, argv in (
+            (schema, ["schema-link", "--interactions",
+                      str(fixtures_dir / "interactions_flights.json"), "--schema", str(schema),
+                      "--out", str(tmp_path / "x.json")]),
+            (link, ["stats", "--link-matrix", str(link)]),
+        ):
+            line = self._assert_clean_failure(argv, capsys)
+            assert line == (f"error: {path}: schema needs 1,211,100 structure cells, "
+                            f"more than the bound of 1,048,576"), line
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("role", ["--schema", "--interactions"])
     @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -203,6 +204,45 @@ class TestStructureRelations:
         with pytest.raises(MalformedMatrixError, match=r"^cell \(1,3\) carries no relation "
                            r"where the schema gives Table-Has-Column$"):
             SchemaLinkMatrix(("q",), (), schema, cells)
+
+
+class TestStructureBound:
+    def test_count_matches_the_built_cells(self):
+        """Random schemas with primary keys and with foreign keys across
+        tables, within one table, in both directions and to the column
+        itself."""
+        rng = random.Random(41)
+        kinds = {"across": 0, "within": 0, "both directions": 0, "self": 0}
+        for _ in range(600):
+            n_tables, n_columns = rng.randint(1, 5), rng.randint(1, 14)
+            columns = tuple(Column((f"c{idx}",), rng.randrange(n_tables))
+                            for idx in range(n_columns))
+            foreign_keys = {(rng.randrange(n_columns), rng.randrange(n_columns))
+                            for _ in range(rng.randint(0, 6))}
+            foreign_keys |= {(b, a) for a, b in foreign_keys if rng.random() < 0.3}
+            schema = Schema(
+                tuple((f"t{idx}",) for idx in range(n_tables)), columns,
+                frozenset(rng.sample(range(n_columns), rng.randint(0, n_columns))),
+                frozenset(foreign_keys),
+            )
+            assert schema_link._structure_size(schema) == len(schema._structure)
+            for a, b in foreign_keys:
+                kinds["self" if a == b else "both directions" if (b, a) in foreign_keys
+                      else "within" if columns[a].table == columns[b].table else "across"] += 1
+        assert min(kinds.values()) > 50, kinds
+
+    def test_schema_past_the_bound_is_refused_before_its_cells_are_built(self, monkeypatch):
+        def refused(schema):
+            raise AssertionError("structure cells built")
+
+        monkeypatch.setattr(schema_link, "_structure_cells", refused)
+        columns = tuple(Column((f"c{idx}",), 0) for idx in range(1100))
+        with pytest.raises(SchemaError, match=r"^schema needs 1,211,100 structure cells, "
+                           r"more than the bound of 1,048,576$"):
+            Schema((("t",),), columns)
+        assert schema_link.MAX_STRUCTURE_CELLS == 2**20 < 1100 * 1101
+        small = Schema((("t",),), columns[:1000])
+        assert schema_link._structure_size(small) == 1000 * 1001 <= 2**20
 
 
 class TestHandEnumeratedCounts:
@@ -527,8 +567,8 @@ class TestReusedSchema:
     def test_reused_schema_across_lengths(self):
         """Lengths that grow, shrink and repeat, some with no context and
         some with no match: each matrix lists the cells a fresh schema
-        lists, in the same order, and emptying a returned matrix leaves the
-        schema's kept cells whole."""
+        lists, in the same order, and a returned matrix's cells cannot be
+        changed, so the schema's kept cells stay whole."""
         rng = random.Random(31)
         schema = self._schema(random.Random(5))
         filler = ["the", "all"]
@@ -545,7 +585,12 @@ class TestReusedSchema:
             assert list(reused.cells.items()) == list(fresh.cells.items())
             got = {key: rel.value for key, rel in reused.cells.items()}
             assert got == oracles.reference_schema_link(question, context, schema, policy)
-            reused.cells.clear()
+            key = next(iter(reused.cells))
+            with pytest.raises(TypeError):
+                reused.cells[key] = LinkRelation.EXACT_TABLE
+            with pytest.raises(TypeError):
+                del reused.cells[key]
+            assert not hasattr(reused.cells, "clear")
             again = build_schema_link_matrix(question, context, schema, policy)
             assert list(again.cells.items()) == list(fresh.cells.items())
 
@@ -612,6 +657,7 @@ class TestLinkCells:
         assert all(key in cells and cells[key] is rel and cells.get(key) is rel
                    for key, rel in old.items())
         assert next(iter(old.items())) in cells.items()
+        assert link_stats(matrix) == dict(sorted(Counter(rel.value for rel in old.values()).items()))
         t, n = matrix.table_offset, matrix.size
         structure_key = next(key for key in old if min(key) >= t)
         others = [(-1, -1), (t - 1, -1), (-t, -t), (n, n), (n + 3, t), (t, n), (n - 1, n + 9),
@@ -629,13 +675,15 @@ class TestLinkCells:
     def test_prints_pickles_and_copies_as_the_dict(self, case):
         matrix, old = case
         assert repr(matrix.cells) == repr(old) == str(matrix.cells)
-        for again in (pickle.loads(pickle.dumps(matrix)), copy.deepcopy(matrix),
-                      copy.copy(matrix), dataclasses.replace(matrix, cells=matrix.cells)):
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        for again in (*(pickle.loads(pickle.dumps(matrix, p)) for p in protocols),
+                      copy.deepcopy(matrix), copy.copy(matrix),
+                      dataclasses.replace(matrix, cells=matrix.cells)):
             assert again == matrix
             assert list(again.cells.items()) == list(old.items())
             assert again.cells._structure is again.schema._structure
         for cells in (copy.copy(matrix.cells), copy.deepcopy(matrix.cells),
-                      pickle.loads(pickle.dumps(matrix.cells))):
+                      *(pickle.loads(pickle.dumps(matrix.cells, p)) for p in protocols)):
             assert list(cells.items()) == list(old.items())
 
     def test_read_only(self, case):
