@@ -99,10 +99,13 @@ def _prevalidated(cls: type[_T], **fields: object) -> _T:
     without ``__post_init__``.  Its only callers, the public builders
     :func:`build_rewrite_matrix` and ``schema_link.build_schema_link_matrix``,
     check their tokens with :func:`token_seq` and write each cell in its
-    block with its mirror.  The cell check would cost them 9-18 against
-    0.6-1.1 microseconds per short spliced example, and 1.05-1.2 ms per turn
-    of the wide benchmark schema, which links in 0.15-0.2 ms (shared 2-vCPU
-    Xeon, Python 3.11; the ranges are the host's drift)."""
+    block with its mirror.  The linking builder passes its utterance cells
+    as ``_utterance``, not ``cells``; the matrix adds the structure cells on
+    the first read of ``cells``.  The cell check would cost the builders
+    9-18 against 0.6-1.1 microseconds per short spliced example, and
+    1.05-1.2 ms per turn of the wide benchmark schema, which links in
+    0.15-0.2 ms (shared 2-vCPU Xeon, Python 3.11; the ranges are the host's
+    drift)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -337,7 +340,11 @@ class RelationMatrix:
         object.__setattr__(self, "context_tokens", token_seq(self.context_tokens))
         object.__setattr__(self, "question_tokens", token_seq(self.question_tokens))
         n, regions, cells = self.size, self._regions(), self.cells
-        for (i, j), rel in cells.items():
+        for key, rel in cells.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):  # not a pair
+                raise MalformedMatrixError(f"cell key {key!r:.40} is not a pair (i, j)") from None
             if not (_is_index(i, n) and _is_index(j, n)):
                 raise MalformedMatrixError(f"cell ({i},{j}) out of bounds for size {n}")
             if not isinstance(rel, self._relations):

@@ -12,17 +12,16 @@ the utterance that looks each token's forms up once; exact matches keep
 the tie rule of a scan of all names: longest n-gram first, then earliest
 start, then earliest element.  The structure cells depend only on the
 schema, so each schema builds them once, with the first table at position
-0; every matrix on it holds that one dict, not a copy, and moves its keys
-to its own first table's position as they are read.  The folded names
-and their indexes depend on the schema and the match policy, so each
-schema builds them once per policy.  Both are built on first use and kept
-for every later call.
+0; a built matrix writes them, moved to its own first table's position,
+into its cells on the first read of ``cells``, not while it is built.  The
+folded names and their indexes depend on the schema and the match policy,
+so each schema builds them once per policy.  Both are built on first use
+and kept for every later call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -131,8 +130,9 @@ class Schema:
     @cached_property
     def _structure(self) -> dict[tuple[int, int], LinkRelation]:
         """The schema-to-schema cells with the first table at position 0,
-        built on first use.  Every ``SchemaLinkMatrix`` on this schema holds
-        this one dict, built or loaded, and never changes it.  Not a field:
+        built on first use.  Every ``SchemaLinkMatrix`` on this schema checks
+        its cells against this dict, and a built one copies it, moved, into
+        its cells on their first read; none changes it.  Not a field:
         ``==``, ``hash`` and ``repr`` ignore it, and ``dataclasses.replace``
         starts anew."""
         return _structure_cells(self)
@@ -172,71 +172,6 @@ class LinkRelation(Relation):
 LINK_RELATION_NAMES = tuple(rel.value for rel in LinkRelation)
 
 
-class _LinkCells(Mapping):
-    """The read-only cells of one linking matrix: ``utterance``, the cells in
-    a question or context row or column, in the order they were written,
-    then the schema's structure cells, the dict ``Schema._structure`` that
-    every matrix on the schema shares, moved by ``offset``, the first
-    table's position.  It reads, compares, prints, pickles and copies as the
-    dict of all its cells in that order.  ``items`` reads every cell and
-    ``get`` one, and every other read goes through them; each full read
-    moves every structure key, so a caller that reads every cell more than
-    once should take ``dict(cells)`` once."""
-
-    __slots__ = ("_utterance", "_structure", "_offset")
-
-    def __init__(self, utterance: dict[tuple[int, int], LinkRelation],
-                 structure: dict[tuple[int, int], LinkRelation], offset: int) -> None:
-        self._utterance, self._structure, self._offset = utterance, structure, offset
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        rel = self._utterance.get(key)
-        if rel is None:
-            try:
-                i, j = key
-                rel = self._structure.get((i - self._offset, j - self._offset))
-            except (TypeError, ValueError):  # not a pair of numbers
-                pass
-        return default if rel is None else rel
-
-    def __getitem__(self, key: Any) -> LinkRelation:
-        rel = self.get(key)
-        if rel is None:
-            raise KeyError(key)
-        return rel
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (key for key, _ in self.items())
-
-    def __len__(self) -> int:
-        return len(self._utterance) + len(self._structure)
-
-    def items(self) -> _LinkItems:
-        return _LinkItems(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-    # Pickle protocols 0 and 1 refuse a class with ``__slots__`` and no
-    # ``__getstate__``.
-    def __reduce__(self) -> tuple:
-        return _LinkCells, (self._utterance, self._structure, self._offset)
-
-
-class _LinkItems(ItemsView):
-    """A linking matrix's cells as (key, relation) pairs, read from the two
-    dicts without a lookup per key."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], LinkRelation]]:
-        cells = self._mapping
-        yield from cells._utterance.items()
-        t = cells._offset
-        for (i, j), rel in cells._structure.items():
-            yield (i + t, j + t), rel
-
-
 @dataclass(frozen=True)
 class SchemaLinkMatrix(RelationMatrix):
     """Sparse relation matrix over ``[question; context; tables; columns]``.
@@ -244,31 +179,25 @@ class SchemaLinkMatrix(RelationMatrix):
     Besides the checks of :class:`RelationMatrix`, the constructor requires
     the cells among tables and columns to be exactly the structure cells
     that the schema gives (ownership, primary and foreign keys, shared
-    tables), as :func:`build_schema_link_matrix` writes them.  It takes the
-    cells as any mapping and keeps them as a ``_LinkCells`` over the
-    schema's own structure dict.
+    tables), as :func:`build_schema_link_matrix` writes them.  It keeps the
+    cells it is given.  A built matrix holds only its utterance cells until
+    ``cells`` is first read, which writes the schema's structure cells,
+    moved to the first table's position, after them in a dict of its own.
     """
 
     question_tokens: TokenSeq
     context_tokens: TokenSeq
     schema: Schema
-    cells: Mapping[tuple[int, int], LinkRelation] = field(default_factory=dict)
+    cells: dict[tuple[int, int], LinkRelation] = field(default_factory=dict)
 
     _relations = LinkRelation
 
     def __post_init__(self) -> None:
         super().__post_init__()
         t, structure = self.table_offset, self.schema._structure
-        # The utterance cells, and the cells among tables and columns moved
-        # to the first table, as the schema's structure cells are.
-        utterance: dict[tuple[int, int], LinkRelation] = {}
-        found: dict[tuple[int, int], LinkRelation] = {}
-        for key, rel in self.cells.items():
-            i, j = key
-            if i < t or j < t:
-                utterance[key] = rel
-            else:
-                found[(i - t, j - t)] = rel
+        # The cells among tables and columns, moved to the first table, as
+        # the schema's structure cells are.
+        found = {(i - t, j - t): rel for (i, j), rel in self.cells.items() if i >= t and j >= t}
         if found != structure:
             i, j = min(key for key in structure.keys() | found.keys()
                        if found.get(key) is not structure.get(key))
@@ -280,7 +209,19 @@ class SchemaLinkMatrix(RelationMatrix):
                 f"cell ({i + t},{j + t}) carries {named(found.get((i, j)))} where "
                 f"the schema gives {named(structure.get((i, j)))}"
             )
-        object.__setattr__(self, "cells", _LinkCells(utterance, structure, t))
+
+    def __getattr__(self, name: str) -> Any:
+        # Only a built matrix lacks ``cells``, until their first read.  The
+        # utterance cells are copied, not written into, so that threads
+        # reading one fresh matrix at once each get a whole dict.
+        if name != "cells":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cells = dict(self._utterance)
+        t = self.table_offset
+        for (i, j), rel in self.schema._structure.items():
+            cells[(i + t, j + t)] = rel
+        self.__dict__["cells"] = cells
+        return cells
 
     def _regions(self) -> dict[str, range]:
         t, c = self.table_offset, self.column_offset
@@ -496,12 +437,13 @@ def build_schema_link_matrix(
                 cells[(pos, offset + elem)] = partial
                 cells[(offset + elem, pos)] = partial_rev
     # Every cell above lies in its relation's block and has its mirror, and
-    # so do the schema's structure cells, which follow them unshifted.
+    # so do the schema's structure cells, which the first read of ``cells``
+    # writes after them.
     return _prevalidated(SchemaLinkMatrix, question_tokens=question, context_tokens=context,
-                         schema=schema, cells=_LinkCells(cells, schema._structure, tables))
+                         schema=schema, _utterance=cells)
 
 
 def link_stats(matrix: RelationMatrix) -> dict[str, int]:
     """Count non-empty cells per relation type, sorted by relation name."""
-    counts = Counter(rel for _, rel in matrix.cells.items())
+    counts = Counter(matrix.cells.values())
     return dict(sorted((rel.value, n) for rel, n in counts.items()))

@@ -19,6 +19,7 @@ from qurg.rewrite_diff import (
     EditOp,
     EditSpan,
     Interaction,
+    MalformedMatrixError,
     MatchPolicy,
     OpKind,
     RewriteEditMatrix,
@@ -33,6 +34,7 @@ from qurg.rewrite_diff import (
     tag_edits,
     token_seq,
 )
+from qurg.schema_link import Column, LinkRelation, Schema, SchemaLinkMatrix
 
 
 def span_tokens(spans: list[EditSpan], seq: tuple[str, ...]) -> list[list[str]]:
@@ -625,6 +627,20 @@ class TestInvariants:
             inter, _ = generators.random_triple(rng)
             matrix = build_from_interaction(inter, inter.question)
             assert matrix.cells == {}
+
+
+@pytest.mark.parametrize("key", [5, (0, 1, 2), (1,), None], ids=repr)
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda key: RewriteEditMatrix(("a",), ("b",), {key: RewriteRelation.C_Q_SUB}),
+                 id="rewrite"),
+    pytest.param(lambda key: SchemaLinkMatrix(
+        ("a",), ("b",), Schema((("t",),), (Column(("c",), 0),)), {key: LinkRelation.EXACT_TABLE}
+    ), id="link"),
+])
+def test_cell_key_that_is_not_a_pair_is_refused(make, key):
+    message = rf"^cell key {re.escape(repr(key))} is not a pair \(i, j\)$"
+    with pytest.raises(MalformedMatrixError, match=message):
+        make(key)
 
 
 class TestInteraction:

@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -567,8 +569,8 @@ class TestReusedSchema:
     def test_reused_schema_across_lengths(self):
         """Lengths that grow, shrink and repeat, some with no context and
         some with no match: each matrix lists the cells a fresh schema
-        lists, in the same order, and a returned matrix's cells cannot be
-        changed, so the schema's kept cells stay whole."""
+        lists, in the same order, and a write into a returned matrix's
+        cells leaves the schema's kept cells whole."""
         rng = random.Random(31)
         schema = self._schema(random.Random(5))
         filler = ["the", "all"]
@@ -585,12 +587,10 @@ class TestReusedSchema:
             assert list(reused.cells.items()) == list(fresh.cells.items())
             got = {key: rel.value for key, rel in reused.cells.items()}
             assert got == oracles.reference_schema_link(question, context, schema, policy)
-            key = next(iter(reused.cells))
-            with pytest.raises(TypeError):
-                reused.cells[key] = LinkRelation.EXACT_TABLE
-            with pytest.raises(TypeError):
-                del reused.cells[key]
-            assert not hasattr(reused.cells, "clear")
+            t = reused.table_offset
+            reused.cells[(t, t)] = LinkRelation.EXACT_TABLE
+            del reused.cells[next(key for key in reused.cells if min(key) >= t)]
+            assert schema._structure == schema_link._structure_cells(schema)
             again = build_schema_link_matrix(question, context, schema, policy)
             assert list(again.cells.items()) == list(fresh.cells.items())
 
@@ -623,30 +623,32 @@ def _check_every_cell(question, context, schema, cells) -> None:
 
 
 class TestLinkCells:
-    """A matrix's cells read as the dict of its utterance cells followed by
-    its schema's structure cells, moved to the first table, which the
-    builder wrote before the matrix kept the schema's cells unshifted."""
+    """A matrix's cells are a dict: a built matrix's utterance cells
+    followed by its schema's structure cells, moved to the first table, as
+    the builder wrote them before the matrix kept the schema's cells
+    unshifted; a loaded matrix's cells in the file's order."""
 
     @pytest.fixture(params=["built", "loaded"])
     def case(self, request, tmp_path):
         question, context, schema = _wide_turn(71)
         matrix = build_schema_link_matrix(question, context, schema)
-        if request.param == "loaded":
-            save_link_matrix(tmp_path / "link.json", matrix)
-            matrix = load_link_matrix(tmp_path / "link.json")
         t = matrix.table_offset
-        # The dict the view replaces: the built utterance cells, or the
-        # file's, in their order, then the shifted structure cells.
+        # The dict the builder wrote: the utterance cells, in their order,
+        # then the shifted structure cells.
         utterance = [(key, rel) for key, rel in matrix.cells.items() if min(key) < t]
         structure = [((i + t, j + t), rel)
                      for (i, j), rel in schema_link._structure_cells(matrix.schema).items()]
+        old = dict(utterance + structure)
         if request.param == "loaded":
-            assert [key for key, _ in utterance] == sorted(key for key, _ in utterance)
-        return matrix, dict(utterance + structure)
+            # A loaded matrix keeps the file's cells, sorted.
+            save_link_matrix(tmp_path / "link.json", matrix)
+            return load_link_matrix(tmp_path / "link.json"), dict(sorted(old.items()))
+        return matrix, old
 
     def test_reads_as_the_dict(self, case):
         matrix, old = case
         cells = matrix.cells
+        assert type(cells) is dict
         assert cells == old and old == cells and not cells != old
         assert cells != {**old, (0, 0): LinkRelation.EXACT_TABLE} != cells
         assert len(cells) == len(old) == len(list(cells))
@@ -681,34 +683,71 @@ class TestLinkCells:
                       dataclasses.replace(matrix, cells=matrix.cells)):
             assert again == matrix
             assert list(again.cells.items()) == list(old.items())
-            assert again.cells._structure is again.schema._structure
         for cells in (copy.copy(matrix.cells), copy.deepcopy(matrix.cells),
                       *(pickle.loads(pickle.dumps(matrix.cells, p)) for p in protocols)):
             assert list(cells.items()) == list(old.items())
 
-    def test_read_only(self, case):
-        matrix, old = case
-        key = next(iter(old))
-        with pytest.raises(TypeError):
-            matrix.cells[key] = LinkRelation.EXACT_TABLE
-        with pytest.raises(TypeError):
-            del matrix.cells[key]
-        assert matrix.cells == old
+    def test_structure_cells_are_read_once_per_matrix(self):
+        """Building calls no ``items()`` of the schema's structure dict; the
+        first read of a matrix's cells calls it once, and a later read not
+        again."""
 
-    def test_matrices_on_one_schema_share_its_structure_dict(self, tmp_path):
+        class CountedItems(dict):
+            calls = 0
+
+            def items(self):
+                CountedItems.calls += 1
+                return super().items()
+
         question, context, schema = _wide_turn(72)
-        first = build_schema_link_matrix(question, context, schema)
-        second = build_schema_link_matrix(question[:3], (), schema, MatchPolicy(False, False))
-        save_link_matrix(tmp_path / "link.json", first)
-        loaded = load_link_matrix(tmp_path / "link.json")
-        rebuilt = SchemaLinkMatrix(question, context, schema, dict(first.cells))
-        for matrix in (first, second, rebuilt, loaded):
-            # A matrix's own dict holds no copy of a structure cell.
-            assert all(min(key) < matrix.table_offset for key in matrix.cells._utterance)
-        for matrix in (first, second, rebuilt):
-            assert matrix.cells._structure is schema._structure
-        assert loaded.cells._structure is loaded.schema._structure
-        assert loaded == first == rebuilt
+        schema.__dict__["_structure"] = CountedItems(schema_link._structure_cells(schema))
+        matrices = [build_schema_link_matrix(question[:k], context, schema, policy)
+                    for k, policy in zip(range(20, 25), generators.POLICIES * 2)]
+        assert CountedItems.calls == 0
+        first = matrices[0].cells
+        assert CountedItems.calls == 1 and type(first) is dict
+        assert matrices[0].cells is first
+        assert CountedItems.calls == 1
+        assert all(min(key) < matrices[1].table_offset for key in vars(matrices[1])["_utterance"])
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda m, p=p: pickle.loads(pickle.dumps(m, p)), id=f"pickle{p}")
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(dataclasses.replace, id="replace"),
+    ])
+    def test_copies_before_the_first_read(self, make):
+        question, context, schema = _wide_turn(73)
+        matrix = build_schema_link_matrix(question, context, schema)
+        again = make(matrix)
+        assert again == matrix
+        assert type(again.cells) is dict
+        assert list(again.cells.items()) == list(matrix.cells.items())
+
+    def test_threads_reading_one_fresh_matrix(self):
+        question, context, schema = _wide_turn(74)
+        expected = sorted(build_schema_link_matrix(question, context, schema).cells.items())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                matrix = build_schema_link_matrix(question, context, schema)
+                start = threading.Barrier(2)
+                got: list = []
+
+                def read() -> None:
+                    start.wait()
+                    got.append(sorted(matrix.cells.items()))
+
+                threads = [threading.Thread(target=read) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert got == [expected, expected]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_first_error_is_that_of_checking_every_cell(self):
         """Cells taken out, changed, moved or added anywhere in the order
